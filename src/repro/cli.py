@@ -80,12 +80,11 @@ def _add_supervision_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _supervision_from_args(args: argparse.Namespace):
-    """The SupervisionPolicy the flags describe, or None for plain."""
+    """The SupervisionPolicy the flags describe (inert by default)."""
     from .exec import SupervisionPolicy
-    policy = SupervisionPolicy(run_timeout_s=args.run_timeout,
-                               max_attempts=args.max_attempts,
-                               max_failures=args.max_failures)
-    return policy if policy.active else None
+    return SupervisionPolicy(run_timeout_s=args.run_timeout,
+                             max_attempts=args.max_attempts,
+                             max_failures=args.max_failures)
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
@@ -499,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="journal to replay completed sweep points "
                              "from")
     p_fig2.add_argument("--workers", type=int, default=1,
-                        help="process-pool size; results are "
+                        help="worker processes; results are "
                              "bit-identical to --workers 1")
     _add_supervision_args(p_fig2)
     p_fig2.set_defaults(func=cmd_figure2)
@@ -572,7 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="journal a campaign-progress digest every "
                               "N runs")
     p_chaos.add_argument("--workers", type=int, default=1,
-                         help="process-pool size; the merged report is "
+                         help="worker processes; the merged report is "
                               "bit-identical to --workers 1")
     _add_supervision_args(p_chaos)
     p_chaos.add_argument("--inject-worker-fault", action="append",
@@ -606,7 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="journal a campaign-progress digest every "
                              "N runs")
     p_soak.add_argument("--workers", type=int, default=1,
-                        help="process-pool size; the merged report is "
+                        help="worker processes; the merged report is "
                              "bit-identical to --workers 1")
     _add_supervision_args(p_soak)
     p_soak.add_argument("--stop-on-failure", action="store_true",
@@ -664,7 +663,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_crash.add_argument("--journal", metavar="PATH",
                          help="journal path (default: a temp directory)")
     p_crash.add_argument("--workers", type=int, default=1,
-                         help="process-pool size for the killed and "
+                         help="worker processes for the killed and "
                               "resumed campaigns (the reference stays "
                               "serial, so this also proves parallel == "
                               "serial)")
@@ -681,7 +680,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_res.add_argument("--runs", type=int, default=1,
                        help="repetitions; run i uses seed+i")
     p_res.add_argument("--workers", type=int, default=1,
-                       help="process-pool size; reports are "
+                       help="worker processes; reports are "
                             "bit-identical to --workers 1")
     p_res.add_argument("--journal", metavar="PATH",
                        help="write-ahead run journal (JSONL) logging "
@@ -724,7 +723,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="warm-replica byte budget each policy may "
                             "spend (default 1 MiB)")
     p_rel.add_argument("--workers", type=int, default=1,
-                       help="process-pool size; reports are "
+                       help="worker processes; reports are "
                             "bit-identical to --workers 1")
     p_rel.add_argument("--journal", metavar="PATH",
                        help="write-ahead run journal (JSONL) logging "

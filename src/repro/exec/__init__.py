@@ -13,22 +13,24 @@ its own merge logic.  This package is the single replacement:
   spec into an ordered list of :class:`RunRequest`\\ s and turns each
   into a JSON-clean result payload; a kind registry lets worker
   processes rebuild campaigns from their specs alone.
-* :mod:`repro.exec.executors` — pluggable executors:
-  :class:`SerialExecutor` (default, behaviour-identical to the old
-  loops) and the :class:`ProcessPoolExecutor`-backed
-  :class:`ParallelExecutor` (worker-side campaign construction, never
-  pickling an engine/queue/RNG, crash isolation per run).
+* :mod:`repro.exec.executors` — the two executors:
+  :class:`SerialExecutor` (in-process, the default) and
+  :class:`ParallelExecutor` (worker processes on raw pipes, worker-side
+  campaign construction, never pickling an engine/queue/RNG).  Both
+  isolate each run's crash, enforce a :class:`SupervisionPolicy`, and
+  quarantine a run that exhausts its attempts through the campaign's
+  ``error_payload`` hook; the parallel one also kills hung workers at
+  their deadline and rebuilds the pool around dead ones.
 * :mod:`repro.exec.driver` — :func:`run_campaign`, which owns the one
   remaining campaign loop: journal middleware (``campaign-start``
   fingerprint, ``run-result`` per completion, ``campaign-progress``
   digests, ``run-attempt``/``campaign-abort`` supervision records,
   ``campaign-end``), journal replay on resume, and the deterministic
   merge of results by request index regardless of completion order.
-* :mod:`repro.exec.supervisor` — the supervision layer:
+* :mod:`repro.exec.supervisor` — what the executors share:
   :class:`SupervisionPolicy` (per-run deadlines, bounded seed-derived
-  retry, quarantine, abort budget) and the supervised executors that
-  kill hung workers, rebuild the pool around dead ones, and requeue
-  the in-flight requests.
+  retry, abort budget; inert by default), the one wall clock, and the
+  ``run-attempt`` record vocabulary.
 * :mod:`repro.exec.faultinject` — a campaign wrapper that makes
   workers hang, die, or return garbage on a declared or seeded
   schedule, so the supervisor is testable under its own rules.
@@ -47,8 +49,7 @@ from .executors import (Executor, ParallelExecutor, SerialExecutor,
                         make_executor)
 from .faultinject import FaultInjectedCampaign, FaultPlan, WorkerFault
 from .scenario import Scenario, seed_for
-from .supervisor import (SupervisedParallelExecutor,
-                         SupervisedSerialExecutor, SupervisionPolicy)
+from .supervisor import SupervisionPolicy
 
 __all__ = [
     "Campaign",
@@ -60,8 +61,6 @@ __all__ = [
     "RunRequest",
     "Scenario",
     "SerialExecutor",
-    "SupervisedParallelExecutor",
-    "SupervisedSerialExecutor",
     "StopPredicate",
     "SupervisionPolicy",
     "WorkerFault",

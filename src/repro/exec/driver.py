@@ -13,10 +13,9 @@ uniformly to every campaign kind ([docs/formats.md], "Run journals"):
 * ``campaign-progress`` — every ``checkpoint_every`` completed runs: a
   completed count and a digest over the completed payloads in index
   order.
-* ``run-attempt`` — one per *failed* attempt under a supervised
-  executor (index, seed, attempt number, outcome, whether it was
-  requeued); successful attempts journal nothing, their payload is the
-  ``run-result``.
+* ``run-attempt`` — one per *failed* attempt (index, seed, attempt
+  number, outcome, whether it was requeued); successful attempts
+  journal nothing, their payload is the ``run-result``.
 * ``campaign-abort`` — appended when execution dies mid-flight (a
   crash, ``KeyboardInterrupt``, or the supervision abort budget), with
   the exception summary and completed count, so a journal always
@@ -151,10 +150,10 @@ def run_campaign(campaign: Campaign,
             writer.append({"kind": "campaign-start",
                            "campaign": campaign.kind,
                            **campaign.fingerprint()})
-    # Supervised executors report failed attempts through an event
-    # sink; the driver journals them and counts quarantines (a
-    # ``requeued: False`` attempt is a run that exhausted its budget)
-    # against the policy's abort budget.
+    # Executors report failed attempts through an event sink; the
+    # driver journals them and counts quarantines (a ``requeued:
+    # False`` attempt is a run that exhausted its budget) against the
+    # policy's abort budget.
     policy = getattr(executor, "policy", None)
     quarantined = 0
 

@@ -10,13 +10,12 @@ reproducers are diagnosable straight from the journal.
 Two properties matter for the determinism contract:
 
 * **Executor frames are filtered out.**  The same scenario failure is
-  caught by :class:`SupervisedSerialExecutor` in-process but by the
-  worker main loop under :class:`SupervisedParallelExecutor`; keeping
-  harness frames would make the payload depend on the executor and
-  break the pinned serial == parallel bit-exactness.  Frames from
-  ``repro/exec/executors.py`` and ``repro/exec/supervisor.py`` are
-  dropped; everything else (including the deliberate raise sites in
-  ``repro/exec/faultinject.py``) is kept.
+  caught by :class:`~repro.exec.SerialExecutor` in-process but by the
+  worker main loop under :class:`~repro.exec.ParallelExecutor`;
+  keeping harness frames would make the payload depend on the executor
+  and break the pinned serial == parallel bit-exactness.  Frames from
+  ``repro/exec/executors.py`` are dropped; everything else (including
+  the deliberate raise sites in ``repro/exec/faultinject.py``) is kept.
 * **Paths are repo-relative.**  Frame files are trimmed to their
   ``repro/...`` suffix (or basename) so a journal written by a
   subprocess compares equal to one written in-process.
@@ -31,9 +30,9 @@ from typing import Dict, List
 #: from the *outer* end so the raise site always survives.
 _MAX_FRAMES = 12
 
-#: Harness files whose frames differ between executors (see module
+#: The harness file whose frames differ between executors (see module
 #: docstring) and are therefore excluded from payloads.
-_HARNESS_SUFFIXES = ("repro/exec/executors.py", "repro/exec/supervisor.py")
+_HARNESS_SUFFIX = "repro/exec/executors.py"
 
 #: Path component used to relativise frame filenames.
 _PACKAGE_MARKER = "/repro/"
@@ -49,7 +48,7 @@ def _relative_file(filename: str) -> str:
 
 
 def _is_harness_frame(filename: str) -> bool:
-    return filename.endswith(_HARNESS_SUFFIXES)
+    return filename.endswith(_HARNESS_SUFFIX)
 
 
 def exception_payload(exc: BaseException) -> Dict[str, object]:

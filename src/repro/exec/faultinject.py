@@ -21,10 +21,10 @@ Plans are either declared explicitly (``WorkerFault.parse`` /
 :class:`repro.chaos.faults.FaultPlan`: a plan is a pure function of its
 seed, so a faulted campaign is as reproducible as a clean one.
 
-``hang`` and ``die`` faults are meaningful only under the supervised
-parallel executor — under a plain executor a hang really does hang and
-a die kills the process that scheduled it.  That is the point: they
-simulate the failures only supervision survives.
+``hang`` and ``die`` faults are meaningful only under the parallel
+executor — run in-process, a hang really does hang and a die kills the
+campaign process itself.  That is the point: they simulate the
+failures only a process boundary survives.
 """
 
 from __future__ import annotations

@@ -1,31 +1,29 @@
-"""Run supervision: deadlines, retries, and dead-worker recovery.
+"""Run supervision: the policy, the clock, and the attempt records.
 
-The plain executors trust their workers completely: a hung scenario
-stalls the campaign forever and a SIGKILLed worker used to tear the
-whole journaled campaign down.  This module is the layer that absorbs
-those failures instead of propagating them — the same
-retry/rollback/timeout discipline the migration executor applies to one
-NF move, lifted to the campaign harness:
+Every executor in :mod:`repro.exec.executors` runs its requests under a
+:class:`SupervisionPolicy`; this module holds what they share — the
+same retry/rollback/timeout discipline the migration executor applies
+to one NF move, lifted to the campaign harness:
 
-* **Deadlines** — :class:`SupervisedParallelExecutor` enforces a
-  per-run wall-clock budget *in the parent*: a worker past its deadline
-  is killed, a replacement is spawned, and the in-flight request is
-  requeued (or quarantined once its attempts are spent).
-* **Dead-worker recovery** — a worker that exits mid-run (OOM kill,
-  ``exit(137)``, segfault) is detected through its process sentinel,
-  the failure is attributed to exactly the request it was running, and
-  the pool is rebuilt by respawning that slot.
+* **Deadlines** — :attr:`SupervisionPolicy.run_timeout_s`, a per-run
+  wall-clock budget the parallel executor enforces *in the parent* by
+  killing the worker, spawning a replacement, and requeueing the run.
 * **Bounded deterministic retry** — each failed or timed-out request is
   retried up to :attr:`SupervisionPolicy.max_attempts` with
-  seed-derived exponential backoff (never wall-clock-seeded); every
-  failed attempt is reported through the event sink, which the campaign
-  driver journals as a ``run-attempt`` record.
+  seed-derived exponential backoff (:meth:`SupervisionPolicy.backoff_s`,
+  never wall-clock-seeded); every failed attempt becomes an
+  :func:`attempt_record`, which the campaign driver journals as a
+  ``run-attempt`` record.
 * **Quarantine** — a request that exhausts its attempts flows through
   the campaign's ``error_payload`` hook, so the campaign completes with
   a recorded ``scenario-error`` instead of dying.
 * **Abort budget** — :meth:`SupervisionPolicy.failures_exceeded` gives
   the driver its stop rule: too many quarantined runs and the campaign
   aborts cleanly with a ``campaign-abort`` journal record.
+
+The default policy is inert — one attempt, no deadline, no abort
+budget — yet still quarantines: a run that raises, returns garbage, or
+loses its worker is recorded, never allowed to take the campaign down.
 
 Determinism contract: supervision changes *when and where* a request
 executes, never *what it produces*.  A retried request re-runs from its
@@ -41,13 +39,10 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from multiprocessing import Pipe, Process, connection
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Optional
 
-from ..errors import ConfigurationError, ExecutionError
-from .campaign import Campaign, RunRequest, build_campaign
-from .errinfo import exception_payload
-from .executors import Completion
+from ..errors import ConfigurationError
+from .campaign import RunRequest
 
 #: Attempt-outcome vocabulary, journaled in ``run-attempt`` records.
 ATTEMPT_TIMEOUT = "timeout"
@@ -62,10 +57,6 @@ EventSink = Callable[[Dict[str, object]], None]
 #: Mixed into backoff-jitter seeds so the jitter stream never collides
 #: with the ``seed_for(campaign_seed, index)`` scenario streams.
 _BACKOFF_STREAM = 0x5EEDBACC
-
-#: Workers that die before ever accepting work, in a row, before the
-#: supervisor concludes the pool itself is broken and gives up.
-_MAX_IDLE_DEATHS = 3
 
 
 class DeadlineClock:
@@ -121,12 +112,6 @@ class SupervisionPolicy:
             raise ConfigurationError("backoff multiplier must be >= 1")
         if not 0.0 <= self.jitter_frac < 1.0:
             raise ConfigurationError("jitter fraction must be in [0, 1)")
-
-    @property
-    def active(self) -> bool:
-        """Whether this policy changes anything over plain execution."""
-        return (self.run_timeout_s is not None or self.max_attempts > 1
-                or self.max_failures is not None)
 
     def backoff_s(self, seed: int, attempt: int) -> float:
         """Delay before re-dispatching ``attempt + 1`` of a request.
@@ -193,414 +178,3 @@ def current_attempt() -> int:
 def _set_current_attempt(attempt: int) -> None:
     global _CURRENT_ATTEMPT
     _CURRENT_ATTEMPT = attempt
-
-
-# --- serial supervision ------------------------------------------------
-
-
-class SupervisedSerialExecutor:
-    """In-process execution with bounded retry and quarantine.
-
-    Deadlines need process isolation — a hung run cannot preempt
-    itself — so ``run_timeout_s`` is not enforced here; retry,
-    quarantine, and the driver's abort budget are.  Retries re-run
-    immediately (backoff pacing protects a pool's capacity, of which a
-    serial loop has none).  ``KeyboardInterrupt`` propagates, so an
-    interrupted campaign leaves a resumable journal behind.
-    """
-
-    workers = 1
-
-    def __init__(self, policy: SupervisionPolicy) -> None:
-        self.policy = policy
-        self._sink: Optional[EventSink] = None
-
-    def set_event_sink(self, sink: EventSink) -> None:
-        """Route failed-attempt records to ``sink`` (driver journaling)."""
-        self._sink = sink
-
-    def _emit(self, record: Dict[str, object]) -> None:
-        if self._sink is not None:
-            self._sink(record)
-
-    def map(self, campaign: Campaign,
-            requests: List[RunRequest]) -> Iterator[Completion]:
-        """Run each request in order, retrying failures in place."""
-        for request in requests:
-            yield self._run_supervised(campaign, request)
-
-    def _run_supervised(self, campaign: Campaign,
-                        request: RunRequest) -> Completion:
-        policy = self.policy
-        outcome, detail = ATTEMPT_ERROR, "never attempted"
-        details: Optional[Dict[str, object]] = None
-        try:
-            for attempt in range(1, policy.max_attempts + 1):
-                _set_current_attempt(attempt)
-                try:
-                    payload = campaign.run_request(request)
-                # Crash isolation boundary: the failure becomes attempt
-                # data (and ultimately a quarantine payload), never a
-                # swallowed error.
-                except Exception as exc:  # repro: noqa[EXC402]
-                    outcome = ATTEMPT_ERROR
-                    detail = f"{type(exc).__name__}: {exc}"
-                    details = exception_payload(exc)
-                else:
-                    if isinstance(payload, dict):
-                        return request.index, payload
-                    outcome = ATTEMPT_GARBAGE
-                    detail = (f"run returned {type(payload).__name__}, "
-                              f"not a payload dict")
-                    details = None
-                self._emit(attempt_record(
-                    request, attempt, outcome, detail,
-                    requeued=attempt < policy.max_attempts))
-            return request.index, campaign.error_payload(
-                request,
-                _quarantine_error(outcome, detail, policy.max_attempts),
-                details=details)
-        finally:
-            _set_current_attempt(1)
-
-
-# --- parallel supervision ----------------------------------------------
-
-
-def _supervised_worker_main(kind: str, spec: Dict[str, object],
-                            conn: "connection.Connection") -> None:
-    """Worker loop: recv ``(request_dict, attempt)``, send the result.
-
-    Replies ``("ok", payload)`` or ``("error", description)``; a
-    ``None`` message (or a closed pipe) is the shutdown signal.  The
-    campaign is rebuilt from its JSON spec, exactly as the plain
-    parallel executor's workers do (lint rule ``DET106``).
-    """
-    try:
-        campaign = build_campaign(kind, spec)
-        while True:
-            try:
-                item = conn.recv()
-            except (EOFError, OSError):
-                return
-            if item is None:
-                return
-            request_dict, attempt = item
-            request = RunRequest.from_dict(request_dict)
-            _set_current_attempt(attempt)
-            try:
-                reply: Tuple[str, object] = (
-                    "ok", campaign.run_request(request))
-            # Crash isolation boundary: the failure travels back as
-            # data for the supervisor to attribute and retry.
-            except Exception as exc:  # repro: noqa[EXC402]
-                reply = ("error",
-                         {"message": f"{type(exc).__name__}: {exc}",
-                          "exception": exception_payload(exc)})
-            finally:
-                _set_current_attempt(1)
-            try:
-                conn.send(reply)
-            except (BrokenPipeError, OSError):
-                return
-    except KeyboardInterrupt:
-        return
-
-
-class _Flight:
-    """One dispatchable attempt of one request."""
-
-    __slots__ = ("request", "attempt", "eligible_at_s")
-
-    def __init__(self, request: RunRequest, attempt: int,
-                 eligible_at_s: float) -> None:
-        self.request = request
-        self.attempt = attempt
-        self.eligible_at_s = eligible_at_s
-
-
-class _WorkerSlot:
-    """One supervised worker process and what it is running."""
-
-    __slots__ = ("process", "conn", "current", "deadline_s")
-
-    def __init__(self, process: Process,
-                 conn: "connection.Connection") -> None:
-        self.process = process
-        self.conn = conn
-        self.current: Optional[_Flight] = None
-        self.deadline_s: Optional[float] = None
-
-
-def _spawn_worker(kind: str, spec: Dict[str, object]) -> _WorkerSlot:
-    """Start one worker process wired to a fresh duplex pipe."""
-    parent_conn, child_conn = Pipe()
-    process = Process(target=_supervised_worker_main,
-                      args=(kind, spec, child_conn), daemon=True)
-    process.start()
-    child_conn.close()
-    return _WorkerSlot(process, parent_conn)
-
-
-def _destroy_slot(slot: _WorkerSlot) -> None:
-    """Stop a worker hard (terminate, then kill) and reap it."""
-    process = slot.process
-    if process.is_alive():
-        process.terminate()
-        process.join(timeout=1.0)
-        if process.is_alive():
-            process.kill()
-    process.join(timeout=1.0)
-    try:
-        slot.conn.close()
-    except OSError:
-        pass
-
-
-def _take_eligible(queue: List[_Flight], now_s: float) -> Optional[_Flight]:
-    """Pop the first flight whose backoff delay has elapsed."""
-    for position, flight in enumerate(queue):
-        if flight.eligible_at_s <= now_s:
-            return queue.pop(position)
-    return None
-
-
-class SupervisedParallelExecutor:
-    """Process-pool fan-out with deadlines, retry, and pool rebuild.
-
-    Built directly on ``multiprocessing`` (one duplex pipe per worker)
-    rather than ``ProcessPoolExecutor``: supervision needs to know
-    *which* request each worker is running so a death or deadline can
-    be attributed to exactly one in-flight request, and needs to kill a
-    hung worker outright — neither of which the pooled futures API
-    exposes.  Merge-by-index in the driver erases every scheduling
-    difference, so results remain bit-exact with serial execution.
-    """
-
-    def __init__(self, workers: int, policy: SupervisionPolicy,
-                 clock: Optional[DeadlineClock] = None) -> None:
-        if workers < 2:
-            raise ConfigurationError(
-                "SupervisedParallelExecutor needs at least 2 workers "
-                "(use SupervisedSerialExecutor for 1)")
-        self.workers = workers
-        self.policy = policy
-        self._clock = clock if clock is not None else DeadlineClock()
-        self._sink: Optional[EventSink] = None
-        self._idle_deaths = 0
-
-    def set_event_sink(self, sink: EventSink) -> None:
-        """Route failed-attempt records to ``sink`` (driver journaling)."""
-        self._sink = sink
-
-    def _emit(self, record: Dict[str, object]) -> None:
-        if self._sink is not None:
-            self._sink(record)
-
-    def map(self, campaign: Campaign,
-            requests: List[RunRequest]) -> Iterator[Completion]:
-        """Fan out with supervision; yield completions as they land."""
-        if not requests:
-            return
-        kind = campaign.kind
-        spec = campaign.spec()
-        # Fail before any worker starts if the campaign cannot be
-        # rebuilt from JSON, exactly as the plain executor does.
-        build_campaign(kind, spec)
-        queue = [_Flight(request, 1, 0.0) for request in requests]
-        remaining = len(requests)
-        slots = [_spawn_worker(kind, spec)
-                 for _ in range(min(self.workers, len(requests)))]
-        self._idle_deaths = 0
-        try:
-            while remaining > 0:
-                done: List[Completion] = []
-                self._dispatch_ready(campaign, slots, queue, done,
-                                     kind, spec)
-                if not done:
-                    self._pump_events(campaign, slots, queue, done,
-                                      kind, spec)
-                for completion in done:
-                    remaining -= 1
-                    yield completion
-        finally:
-            for slot in slots:
-                _destroy_slot(slot)
-
-    # -- scheduling -----------------------------------------------------
-
-    def _dispatch_ready(self, campaign: Campaign,
-                        slots: List[_WorkerSlot], queue: List[_Flight],
-                        done: List[Completion], kind: str,
-                        spec: Dict[str, object]) -> None:
-        """Hand eligible queued flights to idle workers."""
-        for position, slot in enumerate(list(slots)):
-            if slot.current is not None:
-                continue
-            now_s = self._clock.now_s()
-            flight = _take_eligible(queue, now_s)
-            if flight is None:
-                return
-            try:
-                slot.conn.send((flight.request.to_dict(), flight.attempt))
-            except (BrokenPipeError, OSError):
-                # The worker vanished before accepting work: charge the
-                # attempt (a request that reliably kills its worker must
-                # still exhaust its budget) and rebuild the slot.
-                slots[position] = _spawn_worker(kind, spec)
-                _destroy_slot(slot)
-                self._fail(campaign, flight, ATTEMPT_WORKER_DEATH,
-                           "worker unavailable at dispatch", queue, done)
-                continue
-            slot.current = flight
-            if self.policy.run_timeout_s is not None:
-                slot.deadline_s = now_s + self.policy.run_timeout_s
-
-    def _wait_timeout(self, slots: List[_WorkerSlot],
-                      queue: List[_Flight]) -> Optional[float]:
-        """How long the event wait may block before scheduling work."""
-        now_s = self._clock.now_s()
-        wake_at: List[float] = [
-            slot.deadline_s for slot in slots
-            if slot.current is not None and slot.deadline_s is not None]
-        if any(slot.current is None for slot in slots):
-            wake_at.extend(flight.eligible_at_s for flight in queue)
-        if wake_at:
-            return max(0.0, min(wake_at) - now_s)
-        if any(slot.current is not None for slot in slots):
-            return None  # block until a result or a death
-        return 0.05  # defensive: never spin, never block forever
-
-    def _pump_events(self, campaign: Campaign, slots: List[_WorkerSlot],
-                     queue: List[_Flight], done: List[Completion],
-                     kind: str, spec: Dict[str, object]) -> None:
-        """Wait once; absorb results, deaths, and expired deadlines."""
-        waitables: List[object] = [slot.conn for slot in slots]
-        waitables.extend(slot.process.sentinel for slot in slots)
-        ready = connection.wait(waitables,
-                                self._wait_timeout(slots, queue))
-        for position, slot in enumerate(list(slots)):
-            if slot.conn in ready:
-                self._on_message(campaign, slots, position, queue, done,
-                                 kind, spec)
-        for position, slot in enumerate(list(slots)):
-            if slot in slots and slot.process.sentinel in ready:
-                self._on_death(campaign, slots, position, queue, done,
-                               kind, spec)
-        now_s = self._clock.now_s()
-        for position, slot in enumerate(list(slots)):
-            if slot in slots and slot.current is not None \
-                    and slot.deadline_s is not None \
-                    and now_s >= slot.deadline_s:
-                self._on_deadline(campaign, slots, position, queue, done,
-                                  kind, spec)
-
-    # -- event handling -------------------------------------------------
-
-    def _on_message(self, campaign: Campaign, slots: List[_WorkerSlot],
-                    position: int, queue: List[_Flight],
-                    done: List[Completion], kind: str,
-                    spec: Dict[str, object]) -> None:
-        """A worker's pipe is readable: a result or a torn connection."""
-        slot = slots[position]
-        flight = slot.current
-        try:
-            message = slot.conn.recv()
-        except (EOFError, OSError):
-            slots[position] = _spawn_worker(kind, spec)
-            _destroy_slot(slot)
-            if flight is None:
-                self._idle_death()
-            else:
-                self._fail(campaign, flight, ATTEMPT_WORKER_DEATH,
-                           "worker connection closed mid-run", queue,
-                           done)
-            return
-        slot.current = None
-        slot.deadline_s = None
-        if flight is None:
-            return  # unsolicited chatter from an idle worker; ignore
-        if (isinstance(message, tuple) and len(message) == 2
-                and message[0] == "ok" and isinstance(message[1], dict)):
-            self._idle_deaths = 0
-            done.append((flight.request.index, message[1]))
-        elif isinstance(message, tuple) and len(message) == 2 \
-                and message[0] == "ok":
-            self._fail(campaign, flight, ATTEMPT_GARBAGE,
-                       f"run returned {type(message[1]).__name__}, "
-                       f"not a payload dict", queue, done)
-        elif isinstance(message, tuple) and len(message) == 2 \
-                and message[0] == "error":
-            if isinstance(message[1], dict):
-                detail = str(message[1].get("message", ""))
-                details = message[1].get("exception")
-            else:
-                detail, details = str(message[1]), None
-            self._fail(campaign, flight, ATTEMPT_ERROR, detail,
-                       queue, done, details=details)
-        else:
-            self._fail(campaign, flight, ATTEMPT_GARBAGE,
-                       "worker sent an unrecognised message", queue, done)
-
-    def _on_death(self, campaign: Campaign, slots: List[_WorkerSlot],
-                  position: int, queue: List[_Flight],
-                  done: List[Completion], kind: str,
-                  spec: Dict[str, object]) -> None:
-        """A worker process exited: attribute, rebuild, requeue."""
-        slot = slots[position]
-        flight = slot.current
-        exitcode = slot.process.exitcode
-        slots[position] = _spawn_worker(kind, spec)
-        _destroy_slot(slot)
-        if flight is None:
-            self._idle_death()
-            return
-        self._fail(campaign, flight, ATTEMPT_WORKER_DEATH,
-                   f"worker exited with code {exitcode}", queue, done)
-
-    def _on_deadline(self, campaign: Campaign, slots: List[_WorkerSlot],
-                     position: int, queue: List[_Flight],
-                     done: List[Completion], kind: str,
-                     spec: Dict[str, object]) -> None:
-        """A run blew its wall-clock budget: kill, rebuild, requeue."""
-        slot = slots[position]
-        flight = slot.current
-        slots[position] = _spawn_worker(kind, spec)
-        _destroy_slot(slot)
-        assert flight is not None
-        self._fail(campaign, flight, ATTEMPT_TIMEOUT,
-                   f"exceeded the {self.policy.run_timeout_s:g}s "
-                   f"wall-clock deadline", queue, done)
-
-    def _fail(self, campaign: Campaign, flight: _Flight, outcome: str,
-              detail: str, queue: List[_Flight],
-              done: List[Completion],
-              details: Optional[Dict[str, object]] = None) -> None:
-        """Record a failed attempt; requeue with backoff or quarantine.
-
-        ``details`` is the structured exception payload the worker
-        captured at the raise site (ERROR outcomes only); it travels
-        into the quarantine payload, never into attempt records.
-        """
-        policy = self.policy
-        requeued = flight.attempt < policy.max_attempts
-        self._emit(attempt_record(flight.request, flight.attempt, outcome,
-                                  detail, requeued))
-        if requeued:
-            delay_s = policy.backoff_s(flight.request.seed, flight.attempt)
-            queue.append(_Flight(flight.request, flight.attempt + 1,
-                                 self._clock.now_s() + delay_s))
-        else:
-            done.append((flight.request.index, campaign.error_payload(
-                flight.request,
-                _quarantine_error(outcome, detail, flight.attempt),
-                details=details)))
-
-    def _idle_death(self) -> None:
-        """A worker died before accepting work; bound the respawn loop."""
-        self._idle_deaths += 1
-        if self._idle_deaths > _MAX_IDLE_DEATHS:
-            raise ExecutionError(
-                f"supervised pool workers died {self._idle_deaths} times "
-                f"before accepting any work; giving up (is the campaign "
-                f"spec rebuildable worker-side?)")

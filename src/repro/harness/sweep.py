@@ -4,7 +4,7 @@ the ablation axes (PCIe latency, chain length).
 The packet-size sweep is a :mod:`repro.exec` campaign: ``journal_path``
 write-ahead-logs each completed point, ``resume_from`` replays
 journaled points instead of re-simulating them, and ``workers`` fans
-the sizes out to a process pool — the merged point list is identical
+the sizes out to worker processes — the merged point list is identical
 whichever executor ran (merge is by index, not completion order).
 """
 
@@ -188,13 +188,14 @@ def packet_size_sweep(scenario: Scenario,
 
     ``journal_path`` write-ahead-logs each completed point;
     ``resume_from`` replays points out of such a journal and only
-    simulates the remainder; ``workers`` fans the sizes out to a
-    process pool (canned scenarios and default policies only — both
-    must be rebuildable from JSON on the worker side).  ``supervision``
-    selects the supervised executors (per-point deadlines, bounded
-    retry, dead-worker recovery) — note the sweep campaign has no
-    violation vocabulary, so a point that exhausts its attempts raises
-    rather than quarantining.
+    simulates the remainder; ``workers`` fans the sizes out to worker
+    processes (canned scenarios and default policies only — both must
+    be rebuildable from JSON on the worker side).  ``supervision`` sets
+    per-point deadlines and bounded retry (``None``: one attempt, no
+    deadline).  The sweep campaign has no violation vocabulary, so a
+    point that exhausts its attempts raises
+    :class:`~repro.errors.ExecutionError` rather than quarantining;
+    serially run, its ``__context__`` is the point's own exception.
     """
     campaign = SizeSweepCampaign(
         scenario=scenario, sizes=sizes, policies=policies,

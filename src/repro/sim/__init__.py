@@ -1,6 +1,6 @@
 """Discrete-event simulator: engine, stations, network, and the runner."""
 
-from .engine import Engine, EventObserver
+from .engine import Engine
 from .faults import FaultEvent, FaultInjector
 from .events import Event, EventQueue, PRIORITY_CONTROL, PRIORITY_DATA
 from .latency import COMPONENTS, LatencyLedger, LatencyRecord
@@ -16,7 +16,6 @@ __all__ = [
     "Controller",
     "Engine",
     "Event",
-    "EventObserver",
     "FaultEvent",
     "FaultInjector",
     "EventQueue",

@@ -7,12 +7,11 @@ lives in the modules that schedule events on it.
 The run loop is batched around the slab scheduler in
 :mod:`repro.sim.events`: each iteration takes raw ``(time, priority,
 seq, action, arg)`` entries straight off the slab, so no per-event
-``Event`` object exists unless an observer needs one.  Trace
-subscribers receive ``(time_s, priority, seq)`` keys in buffered
-batches rather than one callback per event (see
-:meth:`Engine.add_trace_observer`), which is what keeps instrumented
-runs — determinism tracing, the soak invariant engine — on the fast
-path.
+``Event`` object exists.  Subscribers receive ``(time_s, priority,
+seq)`` trace keys in buffered batches rather than one callback per
+event (see :meth:`Engine.add_trace_observer`), which is what keeps
+instrumented runs — determinism tracing, the soak invariant engine —
+on the fast path.
 """
 
 from __future__ import annotations
@@ -24,10 +23,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..errors import SchedulingError
 from .events import (_NO_ARG, PRIORITY_CONTROL, PRIORITY_DATA, Event,
                      EventQueue)
-
-#: Signature of a per-event subscriber: called with every event the
-#: engine executes, in execution order.
-EventObserver = Callable[[Event], None]
 
 #: Signature of a batched trace subscriber: called with a list of
 #: ``(time_s, priority, seq)`` keys in execution order.  The list is
@@ -48,31 +43,17 @@ class Engine:
     """
 
     __slots__ = ("now_s", "_queue", "_running", "events_processed",
-                 "_observers", "_trace_observers", "_trace_buffer")
+                 "_trace_observers", "_trace_buffer")
 
     def __init__(self) -> None:
         self.now_s: float = 0.0
         self._queue = EventQueue()
         self._running = False
         self.events_processed: int = 0
-        # Per-event observers are a list so determinism tracing and
-        # checkpoint journaling can subscribe side by side; when the
-        # list is empty the run loop takes a fast path with no handle
-        # materialisation at all.
-        self._observers: List[EventObserver] = []
         self._trace_observers: List[TraceObserver] = []
         self._trace_buffer: List[Tuple[float, int, int]] = []
 
     # -- observers ---------------------------------------------------------
-
-    def add_observer(self, observer: EventObserver) -> None:
-        """Subscribe ``observer`` to every executed event, in order."""
-        self._observers.append(observer)
-
-    def remove_observer(self, observer: EventObserver) -> None:
-        """Unsubscribe a previously added observer (no-op if absent)."""
-        if observer in self._observers:
-            self._observers.remove(observer)
 
     def add_trace_observer(self, observer: TraceObserver) -> None:
         """Subscribe to batched ``(time_s, priority, seq)`` trace keys.
@@ -321,7 +302,6 @@ class Engine:
         # ``EventQueue._advance``.  ``queue._pos`` is re-synced before
         # every action and every return so the queue is consistent
         # whenever model code (or an exception) can observe it.
-        observers = self._observers
         table = queue._action_table
         cancelled = queue._cancelled
         actions = queue._actions
@@ -402,19 +382,6 @@ class Engine:
                         args[index] = None
                         free.append(index)
                     self.now_s = time_s
-                    if observers:
-                        event = Event.__new__(Event)
-                        event.time_s = time_s
-                        event.priority = priority
-                        event.seq = seq
-                        event.action = action
-                        event._queue = None
-                        event._index = -1
-                        event._cancelled = False
-                        # Tuple copy: an observer may unsubscribe
-                        # mid-event.
-                        for observer in tuple(observers):
-                            observer(event)
                     if tracing:
                         trace_buffer.append((time_s, priority, seq))
                         trace_left -= 1

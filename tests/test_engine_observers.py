@@ -1,4 +1,4 @@
-"""Tests for the engine's observer list and batched trace observers."""
+"""Tests for the engine's batched trace observers."""
 
 from repro.sim.engine import Engine
 
@@ -12,11 +12,14 @@ def _schedule_three(engine):
 
 
 class TestObserverList:
+    """Trace observers are a list: several subscribe side by side."""
+
     def test_observer_sees_every_event_in_order(self):
         engine = Engine()
         _schedule_three(engine)
         seen = []
-        engine.add_observer(lambda event: seen.append(event.time_s))
+        engine.add_trace_observer(
+            lambda keys: seen.extend(time_s for time_s, _, _ in keys))
         engine.run()
         assert seen == [0.001, 0.002, 0.003]
 
@@ -24,35 +27,40 @@ class TestObserverList:
         engine = Engine()
         _schedule_three(engine)
         calls = []
-        engine.add_observer(lambda event: calls.append("first"))
-        engine.add_observer(lambda event: calls.append("second"))
+        engine.add_trace_observer(lambda keys: calls.append("first"))
+        engine.add_trace_observer(lambda keys: calls.append("second"))
         engine.run(max_events=1)
         assert calls == ["first", "second"]
 
     def test_remove_observer_stops_delivery(self):
+        # Removing one subscriber leaves the others on the list.
         engine = Engine()
         _schedule_three(engine)
-        seen = []
-        def observer(event):
-            seen.append(event.time_s)
-        engine.add_observer(observer)
+        kept, dropped = [], []
+        def drop(keys):
+            dropped.extend(time_s for time_s, _, _ in keys)
+        engine.add_trace_observer(
+            lambda keys: kept.extend(time_s for time_s, _, _ in keys))
+        engine.add_trace_observer(drop)
         engine.run(max_events=1)
-        engine.remove_observer(observer)
+        engine.remove_trace_observer(drop)
         engine.run()
-        assert seen == [0.001]
+        assert dropped == [0.001]
+        assert kept == [0.001, 0.002, 0.003]
 
     def test_remove_absent_observer_is_noop(self):
         engine = Engine()
-        engine.remove_observer(lambda event: None)
+        engine.remove_trace_observer(lambda keys: None)
 
     def test_observer_may_unsubscribe_mid_event(self):
         engine = Engine()
         _schedule_three(engine)
         seen = []
-        def once(event):
-            seen.append(event.time_s)
-            engine.remove_observer(once)
-        engine.add_observer(once)
+        def once(keys):
+            seen.extend(time_s for time_s, _, _ in keys)
+            engine.remove_trace_observer(once)
+        engine.add_trace_observer(once)
+        engine.run(max_events=1)
         engine.run()
         assert seen == [0.001]
 
@@ -68,7 +76,7 @@ class TestObserverList:
 
     def test_no_legacy_on_event_property(self):
         # The deprecated single-slot `on_event` observer is gone; the
-        # list API is the only subscription surface.
+        # batched trace-observer list is the only subscription surface.
         assert not hasattr(Engine, "on_event")
 
 
@@ -105,15 +113,3 @@ class TestTraceObservers:
         engine.remove_trace_observer(observer)
         engine.run()
         assert sum(len(batch) for batch in batches) == 1
-
-    def test_trace_and_per_event_observers_agree(self):
-        engine = Engine()
-        _schedule_three(engine)
-        per_event = []
-        engine.add_observer(
-            lambda event: per_event.append(
-                (event.time_s, event.priority, event.seq)))
-        traced = []
-        engine.trace_to(traced)
-        engine.run()
-        assert traced == per_event

@@ -88,21 +88,26 @@ class TestSerialExecutor:
         assert [index for index, _ in completions] == [0, 1, 2, 3]
 
     def test_exceptions_propagate(self):
+        # The default error_payload hook raises; it is called inside the
+        # handler, so the run's own exception rides along as context.
         class Exploding(GridCampaign):
             def run_request(self, request):
                 raise ValueError("boom")
         campaign = Exploding(runs=1)
-        with pytest.raises(ValueError, match="boom"):
+        with pytest.raises(ExecutionError, match="ValueError: boom") as info:
             list(SerialExecutor().map(campaign, campaign.requests()))
+        cause = info.value.__cause__ or info.value.__context__
+        assert isinstance(cause, ValueError)
+        assert str(cause) == "boom"
 
 
 class TestMakeExecutor:
     def test_one_worker_is_serial(self):
-        assert isinstance(make_executor(1), SerialExecutor)
+        assert type(make_executor(1)) is SerialExecutor
 
     def test_many_workers_is_parallel(self):
         executor = make_executor(3)
-        assert isinstance(executor, ParallelExecutor)
+        assert type(executor) is ParallelExecutor
         assert executor.workers == 3
 
     def test_zero_workers_rejected(self):

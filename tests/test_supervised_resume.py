@@ -1,11 +1,12 @@
-"""Journal torn-tail recovery under the *supervised parallel* executor.
+"""Journal torn-tail recovery under the parallel executor with retries.
 
-The serial executors' torn-tail path is pinned by
+The serial executor's torn-tail path is pinned by
 ``tests/test_chaos_resume.py``; this module pins the same guarantees
-when the journal was written (and is resumed) by
-:class:`SupervisedParallelExecutor` — whose completions can land out of
-index order and whose attempt records interleave with run-results —
-including a SIGKILL landing while the journal is mid-append.
+when the journal was written (and is resumed) by a
+:class:`~repro.exec.ParallelExecutor` with an active policy — whose
+completions can land out of index order and whose attempt records
+interleave with run-results — including a SIGKILL landing while the
+journal is mid-append.
 """
 
 import os
@@ -54,6 +55,40 @@ def _truncate_to_results(journal, keep):
         lines.append(line)
     with open(journal, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")
+
+
+def _children(pid):
+    """Pids whose parent is ``pid`` (read from ``/proc``)."""
+    children = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", encoding="utf-8") as handle:
+                fields = handle.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if int(fields[1]) == pid:
+            children.append(int(entry))
+    return children
+
+
+def _running(pid):
+    """Whether ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+def _repro_env():
+    src_root = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src_root)]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
 
 
 def _append_torn_record(journal):
@@ -108,11 +143,7 @@ class TestSupervisedParallelSigkill:
         run, wherever the kill actually landed.
         """
         journal = str(tmp_path / "killed.jsonl")
-        src_root = Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(src_root)]
-            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        env = _repro_env()
         command = [sys.executable, "-m", "repro", "chaos",
                    "--runs", "4", "--seed", "11", "--duration", "0.01",
                    "--workers", "2", "--max-attempts", "2",
@@ -158,3 +189,35 @@ class TestSupervisedParallelSigkill:
         kinds = [r["kind"] for r in read_journal(journal).records]
         assert kinds.count("run-result") == 4
         assert kinds[-1] == "campaign-end"
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"),
+                        reason="reads worker pids from /proc")
+    def test_sigkilled_campaign_leaves_no_workers(self):
+        """Workers notice their parent's death and exit on their own."""
+        command = [sys.executable, "-m", "repro", "chaos",
+                   "--runs", "32", "--seed", "11", "--duration", "0.01",
+                   "--workers", "2", "--max-attempts", "2"]
+        process = subprocess.Popen(command, env=_repro_env(),
+                                   stdout=subprocess.DEVNULL,
+                                   stderr=subprocess.DEVNULL)
+        workers = []
+        try:
+            for _ in range(_MAX_POLLS):
+                workers = _children(process.pid)
+                if len(workers) >= 2 or process.poll() is not None:
+                    break
+                time.sleep(_POLL_INTERVAL_S)
+            if process.poll() is None:
+                process.send_signal(signal.SIGKILL)
+        finally:
+            process.wait()
+        survivors = workers
+        for _ in range(_MAX_POLLS):
+            survivors = [pid for pid in survivors if _running(pid)]
+            if not survivors:
+                break
+            time.sleep(_POLL_INTERVAL_S)
+        for pid in survivors:  # never leak them past a failing test
+            os.kill(pid, signal.SIGKILL)
+        assert len(workers) == 2
+        assert survivors == []

@@ -2,7 +2,7 @@
 
 The supervisor's contract is that it changes *when and where* a request
 executes, never *what it produces*: every test here compares a
-supervised (and usually sabotaged) campaign against an unsupervised
+supervised (and usually sabotaged) campaign against an unfaulted
 serial reference and expects bit-exact payloads — plus the journal
 trail (``run-attempt`` / ``campaign-abort``) that makes the recovery
 auditable and resumable.
@@ -17,8 +17,7 @@ from repro.chaos.runner import ChaosConfig, ChaosRunner
 from repro.checkpoint import read_journal
 from repro.errors import CampaignAborted, ConfigurationError, ExecutionError
 from repro.exec import (Campaign, FaultInjectedCampaign, FaultPlan,
-                        RunRequest, SerialExecutor,
-                        SupervisedParallelExecutor, SupervisedSerialExecutor,
+                        ParallelExecutor, RunRequest, SerialExecutor,
                         SupervisionPolicy, WorkerFault, make_executor,
                         register_campaign, run_campaign, seed_for)
 from repro.exec.driver import replay_campaign_journal
@@ -91,12 +90,6 @@ class TestSupervisionPolicy:
         with pytest.raises(ConfigurationError):
             SupervisionPolicy(jitter_frac=1.0)
 
-    def test_inert_unless_something_is_configured(self):
-        assert not SupervisionPolicy().active
-        assert SupervisionPolicy(max_attempts=2).active
-        assert SupervisionPolicy(run_timeout_s=1.0).active
-        assert SupervisionPolicy(max_failures=3).active
-
     def test_backoff_is_seed_derived_and_capped(self):
         policy = SupervisionPolicy(backoff_base_s=0.1,
                                    backoff_multiplier=2.0,
@@ -121,20 +114,28 @@ class TestSupervisionPolicy:
 
 
 class TestMakeExecutorPolicy:
+    """``make_executor`` picks on worker count alone and hands the
+    policy through; ``None`` stands for the inert default."""
+
+    @staticmethod
+    def _check(policy, expected):
+        serial = make_executor(1, policy)
+        assert type(serial) is SerialExecutor
+        assert serial.policy == expected
+        parallel = make_executor(2, policy)
+        assert type(parallel) is ParallelExecutor
+        assert parallel.workers == 2
+        assert parallel.policy == expected
+
     def test_none_policy_keeps_plain_executors(self):
-        assert isinstance(make_executor(1), SerialExecutor)
+        self._check(None, SupervisionPolicy())
 
     def test_inert_policy_keeps_plain_executors(self):
-        assert isinstance(make_executor(1, SupervisionPolicy()),
-                          SerialExecutor)
+        self._check(SupervisionPolicy(), SupervisionPolicy())
 
     def test_active_policy_selects_supervised(self):
         policy = _policy()
-        assert isinstance(make_executor(1, policy),
-                          SupervisedSerialExecutor)
-        executor = make_executor(2, policy)
-        assert isinstance(executor, SupervisedParallelExecutor)
-        assert executor.workers == 2
+        self._check(policy, policy)
 
 
 class TestFaultPlan:
@@ -284,7 +285,7 @@ class TestParallelSupervision:
 
     def test_quarantine_renders_identically_serial_and_parallel(self):
         # The quarantined payload is built from configured values only,
-        # so the supervised serial and parallel executors must produce
+        # so the serial and parallel executors must produce
         # byte-identical scenario-error records.
         campaign = _chaos_campaign(runs=2, faults=["0:error"])
         serial = run_campaign(campaign, executor=make_executor(1, _policy()))
@@ -302,6 +303,18 @@ class TestParallelSupervision:
         outcome = run_campaign(campaign, executor=make_executor(2, policy))
         assert "timeout" in outcome.payloads[0]["scenario-error"]
         assert outcome.payloads[1:] == reference[1:]
+
+    def test_default_policy_quarantines_a_killed_worker(self):
+        # No policy at all: the inert default still attributes the
+        # dead worker's run, quarantines it, and finishes the campaign.
+        reference = run_campaign(_chaos_campaign(runs=3)).payloads
+        campaign = _chaos_campaign(runs=3, faults=["1:die"])
+        outcome = run_campaign(campaign, executor=make_executor(2))
+        violations = outcome.payloads[1]["violations"]
+        assert [v["invariant"] for v in violations] == ["scenario-error"]
+        assert "worker exited with code 137" in violations[0]["detail"]
+        assert outcome.payloads[0] == reference[0]
+        assert outcome.payloads[2] == reference[2]
 
     def test_garbage_worker_result_is_retried(self):
         reference = run_campaign(QuarantineGrid(3)).payloads
@@ -389,7 +402,7 @@ class TestStructuredQuarantineDetails:
         assert serial.payloads == parallel.payloads
 
     def test_plain_parallel_error_payload_carries_frames(self):
-        # The unsupervised pool forwards the same structured payload.
+        # The inert default policy forwards the same structured payload.
         campaign = _chaos_campaign(runs=2, faults=["0:error"])
         outcome = run_campaign(campaign, executor=make_executor(2, None))
         violation = self._quarantine_violation(outcome.payloads[0])
