@@ -14,12 +14,12 @@ The subsystem every scale-out PR leans on to stay correct:
 from .crashresume import CrashResumeOutcome, run_crash_resume_check
 from .invariants import (Violation, check_invariants,
                          check_resilience_invariants)
-from .runner import ChaosReport, ChaosRunner, ChaosRunResult, ChaosScenario
+from .runner import ChaosReport, ChaosRunner, ChaosRunResult
 from .schedule import ChaosConfig, ChaosFault, ChaosSchedule
 
 __all__ = [
     "ChaosConfig", "ChaosFault", "ChaosSchedule",
-    "ChaosReport", "ChaosRunner", "ChaosRunResult", "ChaosScenario",
+    "ChaosReport", "ChaosRunner", "ChaosRunResult",
     "CrashResumeOutcome", "run_crash_resume_check",
     "Violation", "check_invariants", "check_resilience_invariants",
 ]

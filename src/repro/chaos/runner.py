@@ -1,20 +1,29 @@
 """Chaos runner: N randomized scenarios, zero tolerated violations.
 
-Each scenario wires the Figure 1 chain to a seeded random traffic
-spike, puts the fault-tolerant :class:`HardenedController` in charge
+Each run is a :class:`~repro.soak.fuzzer.SoakCase` derived from the
+runner's :class:`~repro.chaos.schedule.ChaosConfig` and the run seed
+(:meth:`ChaosRunner.case_for`): the Figure 1 chain under a seeded
+random traffic spike, the fault-tolerant
+:class:`~repro.core.operator.HardenedController` in charge
 (stale-telemetry suppression, per-action timeouts, retry/rollback, and
-a probabilistic mid-transfer migration-failure hook), applies a seeded
+a probabilistic mid-transfer migration-failure hook), and a seeded
 :class:`~repro.chaos.schedule.ChaosSchedule` of crashes, brownouts,
-PCIe flaps, and telemetry dropouts, runs to full drain, and checks the
+PCIe flaps, and telemetry dropouts.  The soak wiring
+(:class:`~repro.soak.scenario.CaseScenario`) builds the case; the run
+goes to full drain and its end state is checked against the
 :mod:`~repro.chaos.invariants`.  ``python -m repro chaos`` drives it
 from the command line.
 
-With ``ChaosConfig(resilient=True)`` the scenario puts a
-:class:`~repro.resilience.ResilientController` in charge instead and
-additionally checks the resilience invariants; the schedule may then
+With ``ChaosConfig(resilient=True)`` a
+:class:`~repro.resilience.ResilientController` is in charge instead
+and the resilience invariants are checked too; the schedule may then
 also draw permanent SmartNIC deaths (``max_device_kills``) and
 sustained overload windows (``max_overload_windows``, realised by
-overriding the traffic profile).
+overlaying the traffic profile).
+
+Chaos checks the drained end state only; the online
+:class:`~repro.soak.invariants.InvariantEngine` belongs to soak
+campaigns.
 
 Determinism: scenario ``i`` depends only on ``seed + i``, so any
 violating run replays exactly from its reported seed.
@@ -26,30 +35,23 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..core.operator import HardenedController, HardeningConfig
-from ..core.reverse import PullbackConfig
 from ..errors import ConfigurationError
 from ..exec import (Campaign, FaultInjectedCampaign, FaultPlan, RunRequest,
                     SupervisionPolicy, make_executor, register_campaign,
                     run_campaign, seed_for)
 from ..exec.errinfo import exception_payload
 from ..harness.scenarios import figure1
-from ..migration.executor import (OUTCOME_SUCCEEDED, ProbabilisticFailure,
-                                  RetryPolicy)
-from ..resilience.controller import ResilienceConfig, ResilientController
-from ..sim.faults import FaultInjector
-from ..sim.runner import SimulationResult, SimulationRunner
-from ..traffic.packet import FixedSize
-from ..traffic.patterns import ProfiledArrivals, RateProfile, spike
-from ..units import gbps, usec
+from ..migration.executor import OUTCOME_SUCCEEDED
+from ..soak.fuzzer import SoakCase
+from ..soak.scenario import CaseScenario
+from ..units import gbps
 from .invariants import (Violation, check_invariants,
                          check_resilience_invariants)
-from .schedule import ChaosConfig, ChaosFault, ChaosSchedule
+from .schedule import ChaosConfig, ChaosSchedule
 
 #: Packet size used by chaos scenarios (larger than the paper's 256 B
 #: sweep point to keep the event count per scenario moderate).
 _PACKET_BYTES = 512
-_MONITOR_PERIOD_S = 0.002
 
 
 @dataclass
@@ -77,6 +79,55 @@ class ChaosRunResult:
     def ok(self) -> bool:
         """Whether the scenario upheld every invariant."""
         return not self.violations
+
+    @classmethod
+    def from_scenario(cls, scenario: CaseScenario,
+                      schedule: ChaosSchedule) -> "ChaosRunResult":
+        """Aggregate a drained run and check every end-state invariant."""
+        sim = scenario.sim
+        hardened = scenario.hardened
+        resilient = scenario.resilient
+        violations = check_invariants(sim.network, sim.server,
+                                      hardened.executor)
+        if resilient is not None:
+            violations.extend(check_resilience_invariants(
+                resilient,
+                resilient.config.degradation.max_shed_fraction))
+        records = hardened.executor.records if hardened.executor else []
+        outcomes = hardened.executor.outcomes if hardened.executor else []
+        return cls(
+            seed=schedule.seed,
+            schedule=schedule,
+            violations=violations,
+            injected=scenario.result.injected,
+            delivered=len(sim.network.delivered),
+            dropped=len(sim.network.dropped),
+            fault_losses=scenario.injector.total_lost,
+            migrations=len([r for r in records
+                            if r.outcome == OUTCOME_SUCCEEDED]),
+            attempts=len(records),
+            plans_aborted=len([o for o in outcomes if not o.succeeded]),
+            stale_ticks=hardened.stale_ticks,
+            shed=resilient.shedder.shed_packets if resilient else 0,
+            protected_shed=resilient.shedder.protected_shed_packets()
+            if resilient else 0,
+            recoveries=len(resilient.recoveries) if resilient else 0,
+            abandoned=resilient.abandoned_packets if resilient else 0)
+
+    @classmethod
+    def crashed(cls, schedule: ChaosSchedule, detail: str,
+                data: Optional[Dict[str, object]] = None
+                ) -> "ChaosRunResult":
+        """The zeroed result of a run that never finished.
+
+        Its only content is one ``scenario-error`` violation, whether
+        the scenario raised in-process or its worker died.
+        """
+        return cls(
+            seed=schedule.seed, schedule=schedule,
+            violations=[Violation("scenario-error", detail, data=data)],
+            injected=0, delivered=0, dropped=0, fault_losses=0,
+            migrations=0, attempts=0, plans_aborted=0, stale_ticks=0)
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-friendly form for journal records.
@@ -167,77 +218,6 @@ class ChaosReport:
         return "\n".join(lines)
 
 
-@dataclass
-class ChaosScenario:
-    """One fully wired scenario: faults applied, not yet run.
-
-    Implements the :class:`repro.exec.Scenario` protocol
-    (``prepare``/``run``/``collect``).  Exposed so checkpoint tests and
-    the crash-resume check can build the *identical* seeded scenario
-    the campaign would run, snapshot it mid-flight, and resume it in a
-    fresh process.
-    """
-
-    seed: int
-    schedule: ChaosSchedule
-    sim: SimulationRunner
-    hardened: HardenedController
-    resilient: Optional[ResilientController]
-    injector: FaultInjector
-    #: Set by :meth:`run`; consumed by :meth:`collect`.
-    result: Optional[SimulationResult] = None
-
-    def prepare(self) -> None:
-        """Inject the seeded workload and arm the monitor (idempotent)."""
-        self.sim.prepare()
-
-    def run(self) -> SimulationResult:
-        """Run the workload, then drain the engine to exhaustion.
-
-        The drain matters: fault restores, retry backoffs, and packet
-        events past the horizon must all land before the invariant
-        checks inspect the end state.
-        """
-        self.result = self.sim.run()
-        self.sim.engine.run()
-        return self.result
-
-    def collect(self) -> ChaosRunResult:
-        """Aggregate the drained end state and check every invariant."""
-        if self.result is None:
-            raise ConfigurationError("collect() before run()")
-        sim = self.sim
-        server = sim.server
-        hardened = self.hardened
-        resilient = self.resilient
-        violations = check_invariants(sim.network, server,
-                                      hardened.executor)
-        if resilient is not None:
-            violations.extend(check_resilience_invariants(
-                resilient,
-                resilient.config.degradation.max_shed_fraction))
-        records = hardened.executor.records if hardened.executor else []
-        outcomes = hardened.executor.outcomes if hardened.executor else []
-        return ChaosRunResult(
-            seed=self.seed,
-            schedule=self.schedule,
-            violations=violations,
-            injected=self.result.injected,
-            delivered=len(sim.network.delivered),
-            dropped=len(sim.network.dropped),
-            fault_losses=self.injector.total_lost,
-            migrations=len([r for r in records
-                            if r.outcome == OUTCOME_SUCCEEDED]),
-            attempts=len(records),
-            plans_aborted=len([o for o in outcomes if not o.succeeded]),
-            stale_ticks=hardened.stale_ticks,
-            shed=resilient.shedder.shed_packets if resilient else 0,
-            protected_shed=resilient.shedder.protected_shed_packets()
-            if resilient else 0,
-            recoveries=len(resilient.recoveries) if resilient else 0,
-            abandoned=resilient.abandoned_packets if resilient else 0)
-
-
 class ChaosRunner:
     """Drives ``runs`` randomized scenarios and collects violations.
 
@@ -302,99 +282,57 @@ class ChaosRunner:
                                     for payload in outcome.payloads])
 
     def run_one(self, run_seed: int) -> ChaosRunResult:
-        """One fully seeded scenario: traffic, faults, control, checks.
+        """One fully seeded scenario: build, prepare, run, check.
 
         A scenario that *raises* is itself recorded as a violation
         (``scenario-error``) instead of aborting the campaign — a chaos
         harness that crashes on the bug it was built to surface would
         be reporting exit code luck, not invariants.
         """
-        schedule = ChaosSchedule.generate(
-            [nf.name for nf in figure1().chain], self.config,
-            seed=run_seed)
+        schedule = self._schedule(run_seed)
         try:
-            return self._execute(run_seed, schedule)
+            scenario = self.build_scenario(run_seed, schedule)
+            scenario.prepare()
+            scenario.run()
+            return ChaosRunResult.from_scenario(scenario, schedule)
         # A faithfully-reporting top-level boundary: the crash becomes a
         # recorded violation, never a swallowed one.
         except Exception as exc:  # repro: noqa[EXC402]
-            return ChaosRunResult(
-                seed=run_seed, schedule=schedule,
-                violations=[Violation(
-                    "scenario-error",
-                    f"scenario raised {type(exc).__name__}: {exc}",
-                    data=exception_payload(exc))],
-                injected=0, delivered=0, dropped=0, fault_losses=0,
-                migrations=0, attempts=0, plans_aborted=0, stale_ticks=0)
+            return ChaosRunResult.crashed(
+                schedule, f"scenario raised {type(exc).__name__}: {exc}",
+                exception_payload(exc))
 
-    def _profile(self, rng: random.Random,
-                 overloads: List[ChaosFault]) -> RateProfile:
-        """The seeded spike, overridden inside any overload windows."""
-        duration = self.config.duration_s
-        base = spike(
-            base_bps=gbps(rng.uniform(1.0, 1.4)),
-            peak_bps=gbps(rng.uniform(1.6, 2.1)),
-            start_s=0.2 * duration,
-            duration_s=0.4 * duration)
-        if not overloads:
-            return base
+    def _schedule(self, run_seed: int) -> ChaosSchedule:
+        return ChaosSchedule.generate(
+            [nf.name for nf in figure1().chain], self.config,
+            seed=run_seed)
 
-        def profile(t_s: float) -> float:
-            rate = base(t_s)
-            for window in overloads:
-                if window.at_s <= t_s < window.at_s + window.duration_s:
-                    rate = max(rate, window.magnitude)
-            return rate
+    def case_for(self, run_seed: int,
+                 schedule: Optional[ChaosSchedule] = None) -> SoakCase:
+        """The :class:`SoakCase` that chaos run ``run_seed`` is.
 
-        return profile
+        RNG-compatible with the chaos draw: the spike's base and peak
+        rates are the first two ``Random(run_seed)`` uniforms, the
+        packet size and spike shape are the chaos constants, and the
+        faults are ``schedule`` (by default the seeded draw).
+        """
+        if schedule is None:
+            schedule = self._schedule(run_seed)
+        rng = random.Random(run_seed)
+        base_bps = gbps(rng.uniform(1.0, 1.4))
+        peak_bps = gbps(rng.uniform(1.6, 2.1))
+        return SoakCase(
+            seed=run_seed, duration_s=self.config.duration_s,
+            packet_bytes=_PACKET_BYTES, base_bps=base_bps,
+            peak_bps=peak_bps, resilient=self.config.resilient,
+            migration_failure_rate=self.config.migration_failure_rate,
+            faults=tuple(schedule.faults))
 
     def build_scenario(self, run_seed: int,
                        schedule: Optional[ChaosSchedule] = None
-                       ) -> ChaosScenario:
+                       ) -> CaseScenario:
         """Wire one seeded scenario, faults applied but not yet run."""
-        if schedule is None:
-            schedule = ChaosSchedule.generate(
-                [nf.name for nf in figure1().chain], self.config,
-                seed=run_seed)
-        rng = random.Random(run_seed)
-        server = figure1().build_server()
-        duration = self.config.duration_s
-        profile = self._profile(rng, [f for f in schedule.faults
-                                      if f.kind == "overload"])
-        generator = ProfiledArrivals(profile, FixedSize(_PACKET_BYTES),
-                                     duration_s=duration, seed=run_seed,
-                                     jitter=False)
-        hardened = HardenedController(
-            config=HardeningConfig(
-                cooldown_s=2 * _MONITOR_PERIOD_S,
-                flap_damp_s=0.01,
-                migration_budget=8,
-                pullback=PullbackConfig(trigger_below=0.6, nic_target=0.9),
-                telemetry_stale_s=1.5 * _MONITOR_PERIOD_S,
-                action_timeout_s=0.01,
-                retry=RetryPolicy(max_attempts=3,
-                                  backoff_base_s=usec(200.0))),
-            failure_hook=ProbabilisticFailure(
-                self.config.migration_failure_rate, seed=run_seed))
-        resilient: Optional[ResilientController] = None
-        controller: object = hardened
-        if self.config.resilient:
-            resilient = ResilientController(hardened, ResilienceConfig())
-            controller = resilient
-        sim = SimulationRunner(server, generator, controller,
-                               monitor_period_s=_MONITOR_PERIOD_S)
-        injector = FaultInjector(sim.network, sim.engine, seed=run_seed)
-        schedule.apply(injector)
-        return ChaosScenario(seed=run_seed, schedule=schedule, sim=sim,
-                             hardened=hardened, resilient=resilient,
-                             injector=injector)
-
-    def _execute(self, run_seed: int,
-                 schedule: ChaosSchedule) -> ChaosRunResult:
-        """Build → prepare → run → collect, the Scenario protocol."""
-        scenario = self.build_scenario(run_seed, schedule)
-        scenario.prepare()
-        scenario.run()
-        return scenario.collect()
+        return CaseScenario.wire(self.case_for(run_seed, schedule))
 
 
 @register_campaign
@@ -444,17 +382,9 @@ class ChaosCampaign(Campaign):
                       details: Optional[Dict[str, object]] = None
                       ) -> Dict[str, object]:
         """Crash isolation: a dead worker's run is itself a violation."""
-        schedule = ChaosSchedule.generate(
-            [nf.name for nf in figure1().chain], self.runner.config,
-            seed=request.seed)
-        return ChaosRunResult(
-            seed=request.seed, schedule=schedule,
-            violations=[Violation(
-                "scenario-error", f"worker failed: {error}",
-                data=details)],
-            injected=0, delivered=0, dropped=0, fault_losses=0,
-            migrations=0, attempts=0, plans_aborted=0,
-            stale_ticks=0).to_dict()
+        return ChaosRunResult.crashed(
+            self.runner._schedule(request.seed),
+            f"worker failed: {error}", details).to_dict()
 
     def end_record(self, payloads: List[Dict[str, object]]
                    ) -> Dict[str, object]:

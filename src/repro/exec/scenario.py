@@ -11,12 +11,15 @@ but not yet run.  The three phases after building are:
 * ``collect()`` — aggregate the end state into the scenario's result
   object.  Pure inspection: calling it twice returns equal results.
 
-:class:`~repro.sim.runner.SimulationRunner`, chaos scenarios
-(:class:`~repro.chaos.runner.ChaosScenario`), resilience scenarios
+:class:`~repro.sim.runner.SimulationRunner`, soak scenarios
+(:class:`~repro.soak.scenario.SoakScenario`), resilience scenarios
 (:class:`~repro.resilience.scenarios.ResilienceScenario`), and harness
 experiments (:class:`~repro.harness.experiment.ExperimentScenario`)
 all implement this shape, which is what lets one campaign loop drive
-every kind of run.
+every kind of run.  Chaos runs are soak cases: they share the soak
+wiring (:class:`~repro.soak.scenario.CaseScenario`) and collect their
+drained end state through
+:meth:`~repro.chaos.runner.ChaosRunResult.from_scenario`.
 """
 
 from __future__ import annotations

@@ -30,7 +30,8 @@ from .fuzzer import (BUG_CONSERVATION, BUG_PROTECTED_SHED,  # noqa: F401
 from .invariants import (InvariantEngine, Observation,  # noqa: F401
                          RuntimeInvariant, default_invariants,
                          invariant_catalogue, register_invariant)
-from .scenario import SoakScenario, build_case_scenario, run_case  # noqa: F401
+from .scenario import (CaseScenario, SoakScenario,  # noqa: F401
+                       build_case_scenario, run_case)
 from .shrinker import (ReplayOutcome, ShrinkResult,  # noqa: F401
                        load_reproducer, replay_reproducer, shrink_case,
                        violation_signature, write_reproducer)
@@ -41,7 +42,7 @@ __all__ = [
     "default_space", "generate_case", "parse_plant", "plant",
     "InvariantEngine", "Observation", "RuntimeInvariant",
     "default_invariants", "invariant_catalogue", "register_invariant",
-    "SoakScenario", "build_case_scenario", "run_case",
+    "CaseScenario", "SoakScenario", "build_case_scenario", "run_case",
     "SoakCampaign", "SoakOutcome", "SoakRunner",
     "failing_payloads", "render_payloads",
     "ReplayOutcome", "ShrinkResult",

@@ -1,22 +1,29 @@
-"""Wiring one drawn :class:`SoakCase` into a runnable scenario.
+"""The one scenario wiring: a :class:`SoakCase` made runnable.
 
-Mirrors :meth:`repro.chaos.runner.ChaosRunner.build_scenario`, but
-driven entirely by the case's explicit fields (duration, packet size,
-spike shape, policy, failure rate, fault list) instead of a shared
-config plus regeneration — an edited case (the shrinker's candidates)
-replays exactly what it says.
+:meth:`CaseScenario.wire` builds everything a case describes — the
+Figure 1 server, the case's spike with any overload windows overlaid,
+the hardened (or resilient) controller stack, the runner, and the fault
+injector with the case's faults applied.  It is driven entirely by the
+case's explicit fields (duration, packet size, spike shape, policy,
+failure rate, fault list), so an edited case (the shrinker's
+candidates) replays exactly what it says.
 
-The :class:`~repro.soak.invariants.InvariantEngine` attaches before
-``prepare()``, so invariants observe the run from the first event.  A
-case with a planted bug applies its corruption in ``collect()`` iff a
-fault of the trigger kind is present — see
+Chaos runs are cases too: :meth:`repro.chaos.runner.ChaosRunner.case_for`
+derives one from ``(ChaosConfig, seed)``, and the chaos runner checks
+the drained end state of the wired case.  A :class:`SoakScenario` is
+the same wiring with the :class:`~repro.soak.invariants.InvariantEngine`
+attached before ``prepare()``, so invariants observe the run from the
+first event.  A case with a planted bug applies its corruption in
+``collect()`` iff a fault of the trigger kind is present — see
 :class:`~repro.soak.fuzzer.PlantedBug`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
+
+import numpy as _np
 
 from ..chaos.invariants import Violation
 from ..chaos.schedule import ChaosConfig, ChaosFault, ChaosSchedule
@@ -30,7 +37,6 @@ from ..migration.executor import (OUTCOME_SUCCEEDED, ProbabilisticFailure,
 from ..resilience.controller import ResilienceConfig, ResilientController
 from ..sim.faults import FaultInjector
 from ..sim.runner import SimulationResult, SimulationRunner
-from ..traffic.generators import numpy as _np
 from ..traffic.packet import FixedSize
 from ..traffic.patterns import ProfiledArrivals, RateProfile, spike
 from ..units import usec
@@ -56,44 +62,106 @@ def _case_profile(case: SoakCase,
                 rate = max(rate, window.magnitude)
         return rate
 
-    base_rates = getattr(base, "rates", None)
-    if base_rates is not None and _np is not None:
+    base_rates = base.rates
 
-        def rates(t_s: "_np.ndarray") -> "_np.ndarray":
-            """Vectorised overlay, element-identical to ``profile``."""
-            rate = base_rates(t_s)
-            for window in overloads:
-                _np.maximum(rate, window.magnitude, out=rate,
-                            where=((t_s >= window.at_s)
-                                   & (t_s < window.at_s + window.duration_s)))
-            return rate
+    def rates(t_s: "_np.ndarray") -> "_np.ndarray":
+        """Vectorised overlay, element-identical to ``profile``."""
+        rate = base_rates(t_s)
+        for window in overloads:
+            _np.maximum(rate, window.magnitude, out=rate,
+                        where=((t_s >= window.at_s)
+                               & (t_s < window.at_s + window.duration_s)))
+        return rate
 
-        profile.rates = rates
+    profile.rates = rates
     return profile
 
 
 @dataclass
-class SoakScenario:
-    """One wired case: faults applied, invariants attached, not run."""
+class CaseScenario:
+    """One wired case: faults applied, not yet run.
+
+    The ``prepare``/``run`` half of the :class:`repro.exec.Scenario`
+    protocol.  How the end state is judged is the caller's: the chaos
+    runner checks it once drained, a :class:`SoakScenario` watches it
+    online.  Checkpoint tests and the crash-resume check build the
+    *identical* seeded scenario a campaign would run, snapshot it
+    mid-flight, and resume it in a fresh process.
+    """
 
     case: SoakCase
     sim: SimulationRunner
     hardened: HardenedController
     resilient: Optional[ResilientController]
     injector: FaultInjector
-    invariants: InvariantEngine
-    #: Set by :meth:`run`; consumed by :meth:`collect`.
+    #: Set by :meth:`run`; read when the end state is collected.
     result: Optional[SimulationResult] = None
+
+    @classmethod
+    def wire(cls, case: SoakCase) -> "CaseScenario":
+        """Wire ``case``: server, workload, controllers, faults applied."""
+        server = figure1().build_server()
+        overloads = [fault for fault in case.faults
+                     if fault.kind == "overload"]
+        generator = ProfiledArrivals(_case_profile(case, overloads),
+                                     FixedSize(case.packet_bytes),
+                                     duration_s=case.duration_s,
+                                     seed=case.seed, jitter=False)
+        hardened = HardenedController(
+            config=HardeningConfig(
+                cooldown_s=2 * _MONITOR_PERIOD_S,
+                flap_damp_s=0.01,
+                migration_budget=8,
+                pullback=PullbackConfig(trigger_below=0.6, nic_target=0.9),
+                telemetry_stale_s=1.5 * _MONITOR_PERIOD_S,
+                action_timeout_s=0.01,
+                retry=RetryPolicy(max_attempts=3,
+                                  backoff_base_s=usec(200.0))),
+            failure_hook=ProbabilisticFailure(
+                case.migration_failure_rate, seed=case.seed))
+        resilient: Optional[ResilientController] = None
+        controller: object = hardened
+        if case.resilient:
+            resilient = ResilientController(hardened, ResilienceConfig())
+            controller = resilient
+        sim = SimulationRunner(server, generator, controller,
+                               monitor_period_s=_MONITOR_PERIOD_S)
+        injector = FaultInjector(sim.network, sim.engine, seed=case.seed)
+        # ChaosSchedule.apply maps fault kinds onto the injector; the
+        # config carried here is only a validity shell — the fault list
+        # is the case's own, never regenerated.
+        schedule = ChaosSchedule(
+            seed=case.seed,
+            config=ChaosConfig(
+                duration_s=case.duration_s,
+                migration_failure_rate=case.migration_failure_rate,
+                resilient=case.resilient),
+            faults=list(case.faults))
+        schedule.apply(injector)
+        return cls(case=case, sim=sim, hardened=hardened,
+                   resilient=resilient, injector=injector)
 
     def prepare(self) -> None:
         """Inject the seeded workload and arm the monitor (idempotent)."""
         self.sim.prepare()
 
     def run(self) -> SimulationResult:
-        """Run the workload, then drain the engine to exhaustion."""
+        """Run the workload, then drain the engine to exhaustion.
+
+        The drain matters: fault restores, retry backoffs, and packet
+        events past the horizon must all land before the end state is
+        inspected.
+        """
         self.result = self.sim.run()
         self.sim.engine.run()
         return self.result
+
+
+@dataclass
+class SoakScenario(CaseScenario):
+    """A wired case with the online invariant engine watching it."""
+
+    invariants: InvariantEngine = field(default_factory=InvariantEngine)
 
     def _apply_planted(self) -> None:
         """Corrupt the end state iff the planted bug's trigger fired."""
@@ -144,50 +212,11 @@ class SoakScenario:
 
 
 def build_case_scenario(case: SoakCase) -> SoakScenario:
-    """Wire one case, faults applied and invariants attached."""
-    server = figure1().build_server()
-    overloads = [fault for fault in case.faults
-                 if fault.kind == "overload"]
-    generator = ProfiledArrivals(_case_profile(case, overloads),
-                                 FixedSize(case.packet_bytes),
-                                 duration_s=case.duration_s,
-                                 seed=case.seed, jitter=False)
-    hardened = HardenedController(
-        config=HardeningConfig(
-            cooldown_s=2 * _MONITOR_PERIOD_S,
-            flap_damp_s=0.01,
-            migration_budget=8,
-            pullback=PullbackConfig(trigger_below=0.6, nic_target=0.9),
-            telemetry_stale_s=1.5 * _MONITOR_PERIOD_S,
-            action_timeout_s=0.01,
-            retry=RetryPolicy(max_attempts=3,
-                              backoff_base_s=usec(200.0))),
-        failure_hook=ProbabilisticFailure(
-            case.migration_failure_rate, seed=case.seed))
-    resilient: Optional[ResilientController] = None
-    controller: object = hardened
-    if case.resilient:
-        resilient = ResilientController(hardened, ResilienceConfig())
-        controller = resilient
-    sim = SimulationRunner(server, generator, controller,
-                           monitor_period_s=_MONITOR_PERIOD_S)
-    engine = InvariantEngine()
-    engine.attach(sim, hardened=hardened, resilient=resilient)
-    injector = FaultInjector(sim.network, sim.engine, seed=case.seed)
-    # ChaosSchedule.apply maps fault kinds onto the injector; the
-    # config carried here is only a validity shell — the fault list is
-    # the case's own, never regenerated.
-    schedule = ChaosSchedule(
-        seed=case.seed,
-        config=ChaosConfig(
-            duration_s=case.duration_s,
-            migration_failure_rate=case.migration_failure_rate,
-            resilient=case.resilient),
-        faults=list(case.faults))
-    schedule.apply(injector)
-    return SoakScenario(case=case, sim=sim, hardened=hardened,
-                        resilient=resilient, injector=injector,
-                        invariants=engine)
+    """Wire one case and attach the invariant engine before ``prepare()``."""
+    scenario = SoakScenario.wire(case)
+    scenario.invariants.attach(scenario.sim, hardened=scenario.hardened,
+                               resilient=scenario.resilient)
+    return scenario
 
 
 def error_case_payload(case: SoakCase,

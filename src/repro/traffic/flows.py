@@ -14,12 +14,9 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import List, Tuple
 
-from ..errors import ConfigurationError
+import numpy as _np
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is an optional accelerator
-    _np = None
+from ..errors import ConfigurationError
 
 
 @dataclass(frozen=True)
@@ -74,8 +71,7 @@ class FlowTable:
         self._cum_weights = list(accumulate(self._weights))
         self._total_weight = self._cum_weights[-1] + 0.0
         self._hi = num_flows - 1
-        self._cum_array = (_np.asarray(self._cum_weights)
-                           if _np is not None else None)
+        self._cum_array = _np.asarray(self._cum_weights)
 
     def __len__(self) -> int:
         return len(self.flows)
@@ -106,7 +102,6 @@ class FlowTable:
         ``searchsorted(side='right')`` clamped to the same ceiling is
         element-for-element identical to the scalar bisect, so a batch
         of draws yields exactly the flow ids the scalar loop would.
-        Requires numpy (callers gate on availability).
         """
         idx = _np.searchsorted(self._cum_array,
                                uniforms * self._total_weight, side="right")

@@ -20,15 +20,12 @@ import math
 import random
 from typing import Iterator, Optional
 
+import numpy
+
 from ..errors import ConfigurationError
 from ..units import bits
 from .flows import FlowTable
 from .packet import FixedSize, Packet, SizeDistribution
-
-try:
-    import numpy
-except ImportError:  # pragma: no cover - numpy is an optional accelerator
-    numpy = None
 
 #: Packets per vectorised chunk in the batched generators — large
 #: enough to amortise the numpy calls, small enough that a short
@@ -129,10 +126,9 @@ class ConstantBitRate(TrafficGenerator):
         timestamps are an exact running sum (numpy's cumsum adds left
         to right, bit-identical to the scalar ``now += gap`` loop) and
         the only per-packet draw is the flow pick, generated as one
-        MT19937 batch.  Variable sizes — or no numpy — fall back to
-        the scalar loop.
+        MT19937 batch.  Variable sizes run the scalar loop.
         """
-        if numpy is None or not isinstance(self.size_dist, FixedSize):
+        if not isinstance(self.size_dist, FixedSize):
             return super().packets()
         return self._packets_batched()
 
@@ -191,9 +187,9 @@ class PoissonArrivals(TrafficGenerator):
         one MT19937 call and stride-slices them back in consumption
         order.  The exponential inversion stays ``math.log`` per value
         (numpy's log is a different libm; bit-exactness wins).  With
-        variable sizes or no numpy, the scalar loop runs instead.
+        variable sizes the scalar loop runs instead.
         """
-        if numpy is None or not isinstance(self.size_dist, FixedSize):
+        if not isinstance(self.size_dist, FixedSize):
             return super().packets()
         return self._packets_batched()
 

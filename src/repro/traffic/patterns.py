@@ -14,11 +14,12 @@ import math
 import random
 from typing import Callable, Iterator, List, Optional, Tuple
 
+import numpy as _np
+
 from ..errors import ConfigurationError
 from ..units import bits
 from .flows import FlowTable
 from .generators import _BATCH_PACKETS, _numpy_stream, TrafficGenerator
-from .generators import numpy as _np
 from .packet import FixedSize, Packet, SizeDistribution
 
 RateProfile = Callable[[float], float]
@@ -40,21 +41,20 @@ def spike(base_bps: float, peak_bps: float, start_s: float,
     def profile(t_s: float) -> float:
         return peak_bps if start_s <= t_s < start_s + duration_s else base_bps
 
-    if _np is not None:
-        end_s = start_s + duration_s
+    end_s = start_s + duration_s
 
-        def rates(t_s: "_np.ndarray") -> "_np.ndarray":
-            """Vectorised ``profile`` over an array of times.
+    def rates(t_s: "_np.ndarray") -> "_np.ndarray":
+        """Vectorised ``profile`` over an array of times.
 
-            Element-for-element identical to the scalar closure (same
-            comparisons, same constant rates), which lets the batched
-            arrival renderer validate a whole chunk of timestamps in
-            one call — see ``ProfiledArrivals._packets_profiled_batched``.
-            """
-            return _np.where((t_s >= start_s) & (t_s < end_s),
-                             peak_bps, base_bps)
+        Element-for-element identical to the scalar closure (same
+        comparisons, same constant rates), which lets the batched
+        arrival renderer validate a whole chunk of timestamps in one
+        call — see ``ProfiledArrivals._packets_profiled_batched``.
+        """
+        return _np.where((t_s >= start_s) & (t_s < end_s),
+                         peak_bps, base_bps)
 
-        profile.rates = rates
+    profile.rates = rates
     return profile
 
 
@@ -92,8 +92,7 @@ def constant(rate_bps: float) -> RateProfile:
     if rate_bps <= 0:
         raise ConfigurationError("rate must be positive")
     profile = lambda t_s: rate_bps
-    if _np is not None:
-        profile.rates = lambda t_s: _np.full(len(t_s), rate_bps)
+    profile.rates = lambda t_s: _np.full(len(t_s), rate_bps)
     return profile
 
 
@@ -130,7 +129,7 @@ class ProfiledArrivals(TrafficGenerator):
         """
         if self.jitter:
             return super().packets()
-        if (_np is not None and isinstance(self.size_dist, FixedSize)
+        if (isinstance(self.size_dist, FixedSize)
                 and getattr(self.profile, "rates", None) is not None):
             return self._packets_profiled_batched()
         return self._packets_deterministic()

@@ -258,8 +258,8 @@ class TestCampaign:
                 raise RuntimeError("boom")
             return original(run_seed, schedule)
 
-        original = runner._execute
-        monkeypatch.setattr(runner, "_execute", explode)
+        original = runner.build_scenario
+        monkeypatch.setattr(runner, "build_scenario", explode)
         report = runner.run()
         assert calls == [3, 4]
         assert not report.ok

@@ -21,6 +21,11 @@ from repro.resilience.campaign import ResilienceCampaign
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden",
                       "chaos_runs4_seed11.txt")
+#: ``python -m repro chaos --runs 4 --seed 7 --duration 0.04 --resilient
+#: --device-kills 1 --overloads 1``: seeds 8 and 10 draw overload
+#: windows, seeds 9 and 10 draw device kills.
+RESILIENT_GOLDEN = os.path.join(os.path.dirname(__file__), "golden",
+                                "chaos_resilient_runs4_seed7.txt")
 
 #: Short enough for CI, long enough for faults and a migration to land.
 _DURATION_S = 0.01
@@ -33,16 +38,32 @@ def _chaos_render(workers):
     return runner.run().render()
 
 
+def _resilient_chaos_render(workers):
+    config = ChaosConfig(duration_s=0.04, max_device_kills=1,
+                         max_overload_windows=1, resilient=True)
+    runner = ChaosRunner(runs=4, seed=7, config=config, workers=workers)
+    return runner.run().render()
+
+
+def _golden(path):
+    with open(path, encoding="utf-8") as handle:
+        return handle.read()
+
+
 class TestChaosGolden:
     def test_serial_matches_golden(self):
-        with open(GOLDEN, encoding="utf-8") as handle:
-            golden = handle.read()
-        assert _chaos_render(1) + "\n" == golden
+        assert _chaos_render(1) + "\n" == _golden(GOLDEN)
 
     def test_parallel_matches_golden(self):
-        with open(GOLDEN, encoding="utf-8") as handle:
-            golden = handle.read()
-        assert _chaos_render(2) + "\n" == golden
+        assert _chaos_render(2) + "\n" == _golden(GOLDEN)
+
+    def test_resilient_serial_matches_golden(self):
+        assert (_resilient_chaos_render(1) + "\n"
+                == _golden(RESILIENT_GOLDEN))
+
+    def test_resilient_parallel_matches_golden(self):
+        assert (_resilient_chaos_render(2) + "\n"
+                == _golden(RESILIENT_GOLDEN))
 
 
 class TestParallelMatchesSerial:

@@ -2,16 +2,74 @@
 
 import pytest
 
+from repro.chaos.schedule import ChaosFault
 from repro.errors import ConfigurationError
+from repro.soak.fuzzer import SoakCase
+from repro.soak.scenario import _case_profile
+from repro.traffic.flows import FlowTable
 from repro.traffic.generators import (ConstantBitRate, OnOffBursts,
                                       PoissonArrivals, RampArrivals,
-                                      cbr_64_to_1500)
+                                      TrafficGenerator, cbr_64_to_1500)
 from repro.traffic.packet import FixedSize
+from repro.traffic.patterns import ProfiledArrivals, constant, spike
 from repro.units import bits, gbps, mbps
+
+#: Long enough that every batched generator crosses a chunk boundary.
+_ORACLE_DURATION_S = 0.02
 
 
 def realised_rate_bps(packets, duration_s):
     return sum(bits(p.size_bytes) for p in packets) / duration_s
+
+
+def _overlay_profile():
+    overload = ChaosFault(kind="overload", at_s=0.009, duration_s=0.005,
+                          magnitude=2.4e9)
+    case = SoakCase(seed=5, duration_s=_ORACLE_DURATION_S, packet_bytes=512,
+                    base_bps=gbps(1.2), peak_bps=gbps(1.8),
+                    faults=(overload,))
+    return _case_profile(case, [overload])
+
+
+_GENERATORS = {
+    "cbr": lambda flows: ConstantBitRate(
+        gbps(1.0), FixedSize(256), _ORACLE_DURATION_S, seed=3,
+        flow_table=flows),
+    "poisson": lambda flows: PoissonArrivals(
+        gbps(1.0), FixedSize(256), _ORACLE_DURATION_S, seed=3,
+        flow_table=flows),
+    "profiled-spike": lambda flows: ProfiledArrivals(
+        spike(gbps(1.2), gbps(2.0), start_s=0.004, duration_s=0.008),
+        FixedSize(512), _ORACLE_DURATION_S, seed=3, jitter=False,
+        flow_table=flows),
+    "profiled-constant": lambda flows: ProfiledArrivals(
+        constant(gbps(1.5)), FixedSize(512), _ORACLE_DURATION_S, seed=3,
+        jitter=False, flow_table=flows),
+    "profiled-overlay": lambda flows: ProfiledArrivals(
+        _overlay_profile(), FixedSize(512), _ORACLE_DURATION_S, seed=3,
+        jitter=False, flow_table=flows),
+}
+
+
+def _stream(packets):
+    return [(p.seq, p.size_bytes, p.arrival_s, p.flow_id) for p in packets]
+
+
+class TestBatchedMatchesScalarOracle:
+    """The numpy-batched generators against the base-class scalar loop."""
+
+    @pytest.mark.parametrize("num_flows", [None, 1, 64])
+    @pytest.mark.parametrize("name", sorted(_GENERATORS))
+    def test_identical_stream(self, name, num_flows):
+        def build():
+            flows = (None if num_flows is None
+                     else FlowTable(num_flows=num_flows, seed=9))
+            return _GENERATORS[name](flows)
+
+        scalar = _stream(TrafficGenerator.packets(build()))
+        batched = _stream(build().packets())
+        assert len(scalar) > 4096
+        assert batched == scalar
 
 
 class TestConstantBitRate:
