@@ -20,7 +20,9 @@ from pathlib import Path
 
 import pytest
 from conftest import report
-from repro.chaos import ChaosConfig, ChaosRunner
+from repro.chaos import ChaosConfig, ChaosReport, ChaosRunner
+from repro.chaos.runner import ChaosCampaign
+from repro.exec import make_executor, run_campaign
 from repro.soak import default_space, generate_case
 from repro.soak.scenario import run_case
 
@@ -61,13 +63,12 @@ PERF_FLOOR_ENV = "REPRO_PERF_FLOOR_EVENTS_PER_S"
 
 
 def _timed_campaign(workers):
-    runner = ChaosRunner(runs=RUNS, seed=SEED,
-                         config=ChaosConfig(duration_s=DURATION_S),
-                         workers=workers)
+    campaign = ChaosCampaign(ChaosRunner(
+        runs=RUNS, seed=SEED, config=ChaosConfig(duration_s=DURATION_S)))
     start = time.perf_counter()  # repro: noqa[DET103]
-    campaign = runner.run()
+    outcome = run_campaign(campaign, executor=make_executor(workers))
     wall_s = time.perf_counter() - start  # repro: noqa[DET103]
-    return campaign, wall_s
+    return ChaosReport.from_payloads(outcome.payloads), wall_s
 
 
 def _engine_event_series():

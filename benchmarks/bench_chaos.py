@@ -10,7 +10,9 @@ run, not just the happy path.
 """
 
 from conftest import campaign_workers, report
-from repro.chaos import ChaosConfig, ChaosRunner
+from repro.chaos import ChaosConfig, ChaosReport, ChaosRunner
+from repro.chaos.runner import ChaosCampaign
+from repro.exec import make_executor, run_campaign
 
 RUNS = 10
 SEED = 7
@@ -21,10 +23,11 @@ def test_chaos_campaign(benchmark):
 
     def run():
         results.clear()
-        runner = ChaosRunner(runs=RUNS, seed=SEED,
-                             config=ChaosConfig(duration_s=0.02),
-                             workers=campaign_workers())
-        results.append(runner.run())
+        campaign = ChaosCampaign(ChaosRunner(
+            runs=RUNS, seed=SEED, config=ChaosConfig(duration_s=0.02)))
+        outcome = run_campaign(campaign,
+                               executor=make_executor(campaign_workers()))
+        results.append(ChaosReport.from_payloads(outcome.payloads))
 
     benchmark.pedantic(run, rounds=1, iterations=1)
     campaign = results[0]

@@ -12,7 +12,8 @@ import pytest
 
 from conftest import campaign_workers, report
 from repro.harness.scenarios import figure1
-from repro.harness.sweep import packet_size_sweep
+from repro.exec import make_executor, run_campaign
+from repro.harness.sweep import SizeSweepCampaign, SizeSweepPoint
 from repro.harness.tables import render_figure2_latency
 from repro.telemetry.metrics import relative_change
 from repro.traffic.packet import PAPER_SIZE_SWEEP
@@ -23,9 +24,12 @@ def test_figure2_latency_series(benchmark):
 
     def run():
         points.clear()
-        points.extend(packet_size_sweep(figure1(), sizes=PAPER_SIZE_SWEEP,
-                                        duration_s=0.008,
-                                        workers=campaign_workers()))
+        outcome = run_campaign(
+            SizeSweepCampaign(figure1(), sizes=PAPER_SIZE_SWEEP,
+                              duration_s=0.008),
+            executor=make_executor(campaign_workers()))
+        points.extend(SizeSweepPoint.from_record(payload)
+                      for payload in outcome.payloads)
         return points
 
     benchmark.pedantic(run, rounds=1, iterations=1)

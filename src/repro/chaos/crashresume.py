@@ -22,10 +22,12 @@ import time
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, Dict, List, Tuple
 
 from ..checkpoint import read_journal
 from ..errors import CheckpointError
-from .runner import ChaosConfig, ChaosRunner
+from ..exec import Campaign, make_executor, run_campaign
+from .runner import ChaosCampaign, ChaosConfig, ChaosReport, ChaosRunner
 
 #: Seconds between journal polls while the campaign subprocess runs.
 #: The bounded retry count caps total waiting — no wall-clock deadline
@@ -34,9 +36,65 @@ from .runner import ChaosConfig, ChaosRunner
 _POLL_INTERVAL_S = 0.05
 _MAX_POLLS = 1200
 
+
+# The soak and reliability packages import repro.chaos, so their
+# builders and renderers import them on call.
+
+def _reliability_campaign(runs: int, seed: int,
+                          duration_s: float) -> Campaign:
+    from ..reliability import ReliabilityCampaign
+    return ReliabilityCampaign(scenario="device-kill", policies=("joint",),
+                               runs=runs, seed=seed, duration_s=duration_s)
+
+
+def _render_reliability(payloads: List[Dict[str, object]]) -> str:
+    from ..reliability import render_payloads
+    return render_payloads(payloads)
+
+
+def _soak_campaign(runs: int, seed: int, duration_s: float) -> Campaign:
+    # Both sides build the space through default_space(duration), or
+    # the journal fingerprint check refuses the resume.
+    from ..soak import SoakCampaign, default_space
+    return SoakCampaign(runs=runs, seed=seed,
+                        space=default_space(duration_s))
+
+
+def _render_soak(payloads: List[Dict[str, object]]) -> str:
+    from ..soak import render_payloads
+    return render_payloads(payloads)
+
+
+@dataclass(frozen=True)
+class CrashResumeKind:
+    """How the check drives one campaign kind."""
+
+    #: ``python -m repro`` arguments before the shared campaign flags.
+    subcommand: Tuple[str, ...]
+    #: ``(runs, seed, duration_s)`` -> the campaign the subcommand runs.
+    build: Callable[[int, int, float], Campaign]
+    #: Merged payloads -> the report compared bit-exact.
+    render: Callable[[List[Dict[str, object]]], str]
+
+
 #: Campaign kinds this harness can kill and resume (the CLI validates
 #: its ``--campaign`` flag against this, not the full kind registry).
-SUPPORTED_CAMPAIGNS = ("chaos", "reliability", "soak")
+CAMPAIGNS: Dict[str, CrashResumeKind] = {
+    "chaos": CrashResumeKind(
+        ("chaos",),
+        lambda runs, seed, duration_s: ChaosCampaign(ChaosRunner(
+            runs=runs, seed=seed,
+            config=ChaosConfig(duration_s=duration_s))),
+        lambda payloads: ChaosReport.from_payloads(payloads).render()),
+    # Single-policy grid: `runs` keeps its meaning of total runs.
+    "reliability": CrashResumeKind(
+        ("reliability", "--scenario", "device-kill", "--policies",
+         "joint"), _reliability_campaign, _render_reliability),
+    # No shrinking in the subprocess: the kill must land mid-grid, not
+    # mid-shrink, and the resume compares grid reports only.
+    "soak": CrashResumeKind(("soak", "--no-shrink"), _soak_campaign,
+                            _render_soak),
+}
 
 
 @dataclass
@@ -45,8 +103,7 @@ class CrashResumeOutcome:
 
     runs: int
     seed: int
-    #: Campaign kind the check exercised (one of
-    #: :data:`SUPPORTED_CAMPAIGNS`).
+    #: Campaign kind the check exercised (a key of :data:`CAMPAIGNS`).
     campaign: str
     #: run-result records intact in the journal when the kill landed.
     journaled_before_kill: int
@@ -86,79 +143,6 @@ def _count_run_results(journal_path: str) -> int:
                             tolerate_torn_tail=True).of_kind("run-result"))
 
 
-def _campaign_command(campaign: str, runs: int, seed: int,
-                      duration_s: float, journal_path: str,
-                      workers: int) -> list:
-    """The subprocess argv that journals one campaign of ``campaign``."""
-    if campaign == "chaos":
-        subcommand = ["chaos"]
-    elif campaign == "reliability":
-        # Single-policy grid: `runs` keeps its meaning of total runs.
-        subcommand = ["reliability", "--scenario", "device-kill",
-                      "--policies", "joint"]
-    elif campaign == "soak":
-        # No shrinking in the subprocess: the kill must land mid-grid,
-        # not mid-shrink, and the resume compares grid reports only.
-        subcommand = ["soak", "--no-shrink"]
-    else:
-        known = ", ".join(SUPPORTED_CAMPAIGNS)
-        raise CheckpointError(
-            f"crash-resume does not support campaign {campaign!r} "
-            f"(known: {known})")
-    return [sys.executable, "-m", "repro", *subcommand,
-            "--runs", str(runs), "--seed", str(seed),
-            "--duration", str(duration_s),
-            "--workers", str(workers),
-            "--journal", journal_path, "--checkpoint-every", "1"]
-
-
-def _resume_and_reference(campaign: str, runs: int, seed: int,
-                          duration_s: float, journal_path: str,
-                          workers: int):
-    """Resume the journal in-process; also run the serial reference.
-
-    Returns ``(replayed_runs, resumed_report, reference_report)`` —
-    both reports rendered, ready for the bit-exact comparison.
-    """
-    if campaign == "chaos":
-        config = ChaosConfig(duration_s=duration_s)
-        resumer = ChaosRunner(runs=runs, seed=seed, config=config,
-                              resume_from=journal_path,
-                              checkpoint_every=1, workers=workers)
-        resumed = resumer.run().render()
-        reference = ChaosRunner(runs=runs, seed=seed,
-                                config=config).run().render()
-        return resumer.replayed_runs, resumed, reference
-    if campaign == "soak":
-        # The space must match the subprocess's exactly or the journal
-        # fingerprint check refuses the resume — both sides build it
-        # through default_space(duration).
-        from ..soak import SoakRunner, default_space, render_payloads
-        space = default_space(duration_s)
-        resumer = SoakRunner(runs=runs, seed=seed, space=space,
-                             resume_from=journal_path,
-                             checkpoint_every=1, workers=workers)
-        resumed = render_payloads(resumer.run().payloads)
-        reference = render_payloads(SoakRunner(
-            runs=runs, seed=seed, space=space).run().payloads)
-        return resumer.replayed_runs, resumed, reference
-    from ..exec import make_executor, run_campaign
-    from ..reliability import ReliabilityCampaign, render_payloads
-
-    def build() -> ReliabilityCampaign:
-        return ReliabilityCampaign(scenario="device-kill",
-                                   policies=("joint",), runs=runs,
-                                   seed=seed, duration_s=duration_s)
-
-    outcome = run_campaign(build(),
-                           executor=make_executor(workers, None),
-                           resume_from=journal_path,
-                           checkpoint_every=1)
-    reference = run_campaign(build())
-    return (outcome.replayed, render_payloads(outcome.payloads),
-            render_payloads(reference.payloads))
-
-
 def run_crash_resume_check(runs: int = 6, seed: int = 7,
                            duration_s: float = 0.02,
                            journal_path: str = "crash-resume-journal.jsonl",
@@ -184,13 +168,20 @@ def run_crash_resume_check(runs: int = 6, seed: int = 7,
     the serial one.  A parallel journal's run-results may land out of
     index order — the merge is by index, so resume handles the gaps.
     """
+    if campaign not in CAMPAIGNS:
+        raise CheckpointError(
+            f"crash-resume does not support campaign {campaign!r} "
+            f"(known: {', '.join(CAMPAIGNS)})")
+    kind = CAMPAIGNS[campaign]
     src_root = Path(__file__).resolve().parents[2]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(src_root)]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    command = _campaign_command(campaign, runs, seed, duration_s,
-                                journal_path, workers)
+    command = [sys.executable, "-m", "repro", *kind.subcommand,
+               "--runs", str(runs), "--seed", str(seed),
+               "--duration", str(duration_s), "--workers", str(workers),
+               "--journal", journal_path, "--checkpoint-every", "1"]
     process = subprocess.Popen(command, env=env,
                                stdout=subprocess.DEVNULL,
                                stderr=subprocess.DEVNULL)
@@ -219,10 +210,14 @@ def run_crash_resume_check(runs: int = 6, seed: int = 7,
     with warnings.catch_warnings():
         # The torn tail we just planted warns by design.
         warnings.simplefilter("ignore", RuntimeWarning)
-        replayed, resumed, reference = _resume_and_reference(
-            campaign, runs, seed, duration_s, journal_path, workers)
+        resumed = run_campaign(kind.build(runs, seed, duration_s),
+                               executor=make_executor(workers),
+                               resume_from=journal_path,
+                               checkpoint_every=1)
+    reference = run_campaign(kind.build(runs, seed, duration_s))
     return CrashResumeOutcome(
         runs=runs, seed=seed, campaign=campaign,
         journaled_before_kill=journaled,
-        killed=killed, replayed_runs=replayed,
-        resumed=resumed, reference=reference)
+        killed=killed, replayed_runs=resumed.replayed,
+        resumed=kind.render(resumed.payloads),
+        reference=kind.render(reference.payloads))

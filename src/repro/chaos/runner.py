@@ -36,9 +36,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..errors import ConfigurationError
-from ..exec import (Campaign, FaultInjectedCampaign, FaultPlan, RunRequest,
-                    SupervisionPolicy, make_executor, register_campaign,
-                    run_campaign, seed_for)
+from ..exec import (Campaign, RunRequest, register_campaign, run_campaign,
+                    seed_for)
 from ..exec.errinfo import exception_payload
 from ..harness.scenarios import figure1
 from ..migration.executor import OUTCOME_SUCCEEDED
@@ -182,6 +181,13 @@ class ChaosReport:
 
     results: List[ChaosRunResult] = field(default_factory=list)
 
+    @classmethod
+    def from_payloads(cls, payloads: List[Dict[str, object]]
+                      ) -> "ChaosReport":
+        """Merge a chaos campaign's payloads (in index order)."""
+        return cls(results=[ChaosRunResult.from_dict(payload)
+                            for payload in payloads])
+
     @property
     def runs(self) -> int:
         """Number of scenarios in the campaign."""
@@ -219,67 +225,25 @@ class ChaosReport:
 
 
 class ChaosRunner:
-    """Drives ``runs`` randomized scenarios and collects violations.
+    """``runs`` randomized scenarios under one :class:`ChaosConfig`.
 
-    With ``journal_path`` set, campaign progress is logged to a
-    write-ahead journal (append-only JSONL, fsync'd per record): a
-    ``campaign-start`` fingerprint, one ``run-result`` per completed
-    scenario, a ``campaign-progress`` digest every ``checkpoint_every``
-    executed runs, and a ``campaign-end`` marker.  ``resume_from``
-    replays the completed runs out of such a journal — each is restored
-    bit-exact from its record instead of re-simulated — and the campaign
-    continues from the first run the journal does not cover.
+    :meth:`run` is the serial convenience; journals, resume, workers,
+    and supervision come from handing :class:`ChaosCampaign` to
+    :func:`repro.exec.run_campaign` directly.
     """
 
     def __init__(self, runs: int = 20, seed: int = 7,
-                 config: Optional[ChaosConfig] = None,
-                 journal_path: Optional[str] = None,
-                 resume_from: Optional[str] = None,
-                 checkpoint_every: int = 5,
-                 workers: int = 1,
-                 supervision: Optional[SupervisionPolicy] = None,
-                 worker_faults: Optional[FaultPlan] = None) -> None:
+                 config: Optional[ChaosConfig] = None) -> None:
         if runs < 1:
             raise ConfigurationError("need at least one chaos run")
-        if checkpoint_every < 1:
-            raise ConfigurationError("checkpoint interval must be >= 1")
-        if workers < 1:
-            raise ConfigurationError("worker count must be >= 1")
         self.runs = runs
         self.seed = seed
         self.config = config or ChaosConfig()
-        #: Journal to append to; defaults to the resume source so an
-        #: interrupted campaign keeps extending the same history.
-        self.journal_path = journal_path or resume_from
-        self.resume_from = resume_from
-        self.checkpoint_every = checkpoint_every
-        self.workers = workers
-        #: Supervision (deadlines/retry/abort budget); None = plain.
-        self.supervision = supervision
-        #: Scheduled worker-level faults (hang/die/garbage/error), for
-        #: exercising the supervisor; None = no sabotage.
-        self.worker_faults = worker_faults
-        #: Runs restored from the journal by the last :meth:`run` call.
-        self.replayed_runs = 0
 
     def run(self) -> ChaosReport:
-        """Run every scenario; never raises on violations (report them).
-
-        Delegates the loop, journal middleware, and merge to
-        :func:`repro.exec.run_campaign`; this runner only knows how to
-        execute one scenario and how to shape the report.
-        """
-        campaign: Campaign = ChaosCampaign(self)
-        if self.worker_faults is not None and self.worker_faults.faults:
-            campaign = FaultInjectedCampaign(campaign, self.worker_faults)
-        outcome = run_campaign(
-            campaign,
-            executor=make_executor(self.workers, self.supervision),
-            journal_path=self.journal_path, resume_from=self.resume_from,
-            checkpoint_every=self.checkpoint_every)
-        self.replayed_runs = outcome.replayed
-        return ChaosReport(results=[ChaosRunResult.from_dict(payload)
-                                    for payload in outcome.payloads])
+        """Run every scenario serially; never raises on violations."""
+        outcome = run_campaign(ChaosCampaign(self))
+        return ChaosReport.from_payloads(outcome.payloads)
 
     def run_one(self, run_seed: int) -> ChaosRunResult:
         """One fully seeded scenario: build, prepare, run, check.

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from .baselines.naive import NaivePolicy
 from .baselines.noop import NoopPolicy
@@ -41,7 +41,7 @@ from .harness.results import ResultRecord
 from .harness.paper import reproduce_all
 from .harness.suite import check_suite, render_checks, run_suite
 from .harness.scenarios import figure1
-from .harness.sweep import packet_size_sweep
+from .harness.sweep import SizeSweepCampaign, SizeSweepPoint
 from .harness.tables import (render_figure1, render_figure2_latency,
                              render_figure2_throughput, render_table)
 from .resources.capacity import CapacityTable
@@ -61,8 +61,34 @@ def _policy_by_name(name: str):
             f"unknown policy {name!r}; choose from {sorted(policies)}")
 
 
-def _add_supervision_args(parser: argparse.ArgumentParser) -> None:
-    """The run-supervision flags shared by the campaign commands."""
+def _add_campaign_args(parser: argparse.ArgumentParser,
+                       resume_flag: str = "--resume-from",
+                       progress_flag: bool = True) -> None:
+    """The execution flags every campaign command shares.
+
+    ``resume_flag`` names the journal-resume flag (resilience and
+    reliability say ``--resume-journal``: resilience's ``--resume-from``
+    takes a simulation snapshot).  ``progress_flag`` adds
+    ``--checkpoint-every`` for the journal's progress digests; without
+    it (figure2, and resilience, whose flag of that name sets the
+    snapshot interval) the digest interval stays at 5.
+    """
+    parser.add_argument("--workers", type=int, default=1,
+                        help="worker processes; the merged report is "
+                             "bit-identical to --workers 1")
+    parser.add_argument("--journal", metavar="PATH",
+                        help="write-ahead run journal (JSONL) logging "
+                             "campaign progress")
+    parser.add_argument(resume_flag, dest="resume_journal", metavar="PATH",
+                        help="run journal to replay completed runs from "
+                             "(continues appending to it)")
+    if progress_flag:
+        parser.add_argument("--checkpoint-every", dest="progress_every",
+                            type=int, default=5,
+                            help="journal a campaign-progress digest "
+                                 "every N runs")
+    else:
+        parser.set_defaults(progress_every=5)
     parser.add_argument("--run-timeout", type=float, default=None,
                         metavar="SEC",
                         help="wall-clock deadline per run; a run past it "
@@ -79,12 +105,34 @@ def _add_supervision_args(parser: argparse.ArgumentParser) -> None:
                              "quarantined")
 
 
-def _supervision_from_args(args: argparse.Namespace):
-    """The SupervisionPolicy the flags describe (inert by default)."""
-    from .exec import SupervisionPolicy
-    return SupervisionPolicy(run_timeout_s=args.run_timeout,
-                             max_attempts=args.max_attempts,
-                             max_failures=args.max_failures)
+def _run_campaign(args: argparse.Namespace, campaign,
+                  render: Callable[[List[dict]], str],
+                  stop_when=None):
+    """Run ``campaign`` as the shared flags say and print its report.
+
+    Returns the :class:`~repro.exec.CampaignOutcome`; a resumed run
+    first notes how many runs the journal replayed.
+    """
+    from .exec import SupervisionPolicy, make_executor, run_campaign
+    policy = SupervisionPolicy(run_timeout_s=args.run_timeout,
+                               max_attempts=args.max_attempts,
+                               max_failures=args.max_failures)
+    outcome = run_campaign(campaign,
+                           executor=make_executor(args.workers, policy),
+                           journal_path=args.journal,
+                           resume_from=args.resume_journal,
+                           checkpoint_every=args.progress_every,
+                           stop_when=stop_when)
+    if outcome.replayed:
+        print(f"replayed {outcome.replayed} run(s) from journal "
+              f"{args.resume_journal}")
+    print(render(outcome.payloads))
+    return outcome
+
+
+def _violations_exit(payloads: List[dict]) -> int:
+    """Exit 1 when any run recorded a violation, else 0."""
+    return 1 if any(payload["violations"] for payload in payloads) else 0
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
@@ -105,25 +153,25 @@ def cmd_figure1(args: argparse.Namespace) -> int:
 
 def cmd_figure2(args: argparse.Namespace) -> int:
     """Run and print the Figure 2 packet-size sweep."""
-    points = packet_size_sweep(figure1(), sizes=tuple(args.sizes),
-                               duration_s=args.duration,
-                               journal_path=args.journal,
-                               resume_from=args.resume_from,
-                               workers=args.workers,
-                               supervision=_supervision_from_args(args))
-    print(render_figure2_latency(points))
-    print()
-    print(render_figure2_throughput(points))
-    if args.chart:
-        from .telemetry.ascii_plots import bar_chart
-        print()
-        rows = []
-        for point in points:
-            size = point.packet_size_bytes
-            for policy in ("noop", "naive", "pam"):
-                rows.append((f"{size}B {policy}",
-                             round(point.mean_latency_usec(policy), 1)))
-        print(bar_chart(rows, width=36, unit="us"))
+
+    def render(payloads: List[dict]) -> str:
+        points = [SizeSweepPoint.from_record(payload)
+                  for payload in payloads]
+        sections = [render_figure2_latency(points),
+                    render_figure2_throughput(points)]
+        if args.chart:
+            from .telemetry.ascii_plots import bar_chart
+            sections.append(bar_chart(
+                [(f"{point.packet_size_bytes}B {policy}",
+                  round(point.mean_latency_usec(policy), 1))
+                 for point in points
+                 for policy in ("noop", "naive", "pam")],
+                width=36, unit="us"))
+        return "\n\n".join(sections)
+
+    _run_campaign(args, SizeSweepCampaign(
+        figure1(), sizes=tuple(args.sizes), duration_s=args.duration),
+        render)
     return 0
 
 
@@ -230,35 +278,35 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
 
 def cmd_chaos(args: argparse.Namespace) -> int:
     """Run randomized chaos scenarios and check every invariant."""
-    from .chaos import ChaosConfig, ChaosRunner
-    from .exec import FaultPlan
+    from .chaos import ChaosConfig, ChaosReport, ChaosRunner
+    from .chaos.runner import ChaosCampaign
+    from .exec import FaultInjectedCampaign, FaultPlan
     config = ChaosConfig(duration_s=args.duration,
                          migration_failure_rate=args.failure_rate,
                          max_device_kills=args.device_kills,
                          max_overload_windows=args.overloads,
                          resilient=args.resilient)
-    worker_faults = (FaultPlan.parse_all(args.inject_worker_fault)
-                     if args.inject_worker_fault else None)
-    runner = ChaosRunner(runs=args.runs, seed=args.seed, config=config,
-                         journal_path=args.journal,
-                         resume_from=args.resume_from,
-                         checkpoint_every=args.checkpoint_every,
-                         workers=args.workers,
-                         supervision=_supervision_from_args(args),
-                         worker_faults=worker_faults)
-    report = runner.run()
-    if runner.replayed_runs:
-        print(f"replayed {runner.replayed_runs} run(s) from journal "
-              f"{args.resume_from}")
-    print(report.render())
-    return 0 if report.ok else 1
+    campaign = ChaosCampaign(ChaosRunner(runs=args.runs, seed=args.seed,
+                                         config=config))
+    if args.inject_worker_fault:
+        plan = FaultPlan.parse_all(args.inject_worker_fault)
+        if args.workers < 2 and any(fault.fault in ("hang", "die")
+                                    for fault in plan.faults):
+            # In-process, a hang wedges and a die kills the CLI itself.
+            raise ReproError("hang/die worker faults need --workers >= 2")
+        campaign = FaultInjectedCampaign(campaign, plan)
+    outcome = _run_campaign(
+        args, campaign,
+        lambda payloads: ChaosReport.from_payloads(payloads).render())
+    return _violations_exit(outcome.payloads)
 
 
 def cmd_soak(args: argparse.Namespace) -> int:
     """Soak-fuzz chaos schedules under the online invariant engine."""
-    from .soak import (SoakCase, SoakRunner, default_space,
-                       invariant_catalogue, parse_plant, render_payloads,
-                       replay_reproducer, shrink_case, write_reproducer)
+    from .soak import (SoakCampaign, SoakCase, default_space,
+                       failing_payloads, invariant_catalogue, parse_plant,
+                       render_payloads, replay_reproducer, shrink_case,
+                       soak_budget, write_reproducer)
     if args.list_invariants:
         for name, description in invariant_catalogue():
             print(f"{name}: {description}")
@@ -270,24 +318,15 @@ def cmd_soak(args: argparse.Namespace) -> int:
     planted_index, planted = (None, None)
     if args.plant_bug is not None:
         planted_index, planted = parse_plant(args.plant_bug)
-    runner = SoakRunner(runs=args.runs, seed=args.seed,
-                        space=default_space(args.duration),
-                        planted=planted, planted_index=planted_index,
-                        journal_path=args.journal,
-                        resume_from=args.resume_from,
-                        checkpoint_every=args.checkpoint_every,
-                        workers=args.workers,
-                        supervision=_supervision_from_args(args),
-                        stop_on_failure=args.stop_on_failure,
-                        max_wall_s=args.max_seconds)
-    outcome = runner.run()
-    if runner.replayed_runs:
-        print(f"replayed {runner.replayed_runs} run(s) from journal "
-              f"{args.resume_from}")
-    print(render_payloads(outcome.payloads))
+    campaign = SoakCampaign(runs=args.runs, seed=args.seed,
+                            space=default_space(args.duration),
+                            planted=planted, planted_index=planted_index)
+    outcome = _run_campaign(
+        args, campaign, render_payloads,
+        stop_when=soak_budget(args.stop_on_failure, args.max_seconds))
     if outcome.stopped:
         print(f"stopped early: {outcome.stopped}")
-    failures = outcome.failures
+    failures = failing_payloads(outcome.payloads)
     if failures and args.shrink:
         case = SoakCase.from_dict(failures[0]["case"])
         print(f"shrinking failing case seed {case.seed} "
@@ -299,7 +338,7 @@ def cmd_soak(args: argparse.Namespace) -> int:
         print(f"reproducer written: {args.reproducer}")
         print(f"replay with: python -m repro soak "
               f"--replay {args.reproducer}")
-    return 0 if outcome.ok else 1
+    return _violations_exit(outcome.payloads)
 
 
 def cmd_campaigns(args: argparse.Namespace) -> int:
@@ -314,10 +353,9 @@ def cmd_crash_resume(args: argparse.Namespace) -> int:
     """SIGKILL a campaign mid-flight; verify bit-exact resume."""
     import os
     import tempfile
-    from .chaos.crashresume import (SUPPORTED_CAMPAIGNS,
-                                    run_crash_resume_check)
-    if args.campaign not in SUPPORTED_CAMPAIGNS:
-        known = ", ".join(SUPPORTED_CAMPAIGNS)
+    from .chaos.crashresume import CAMPAIGNS, run_crash_resume_check
+    if args.campaign not in CAMPAIGNS:
+        known = ", ".join(CAMPAIGNS)
         raise ReproError(
             f"crash-resume cannot exercise campaign kind "
             f"{args.campaign!r} (available: {known})")
@@ -336,74 +374,53 @@ def cmd_crash_resume(args: argparse.Namespace) -> int:
 
 def cmd_reliability(args: argparse.Namespace) -> int:
     """Run a reliability-planning campaign and report its verdicts."""
-    from .exec import make_executor, run_campaign
     from .reliability import ReliabilityCampaign, render_payloads
     campaign = ReliabilityCampaign(
         scenario=args.scenario, policies=tuple(args.policies),
         runs=args.runs, seed=args.seed, duration_s=args.duration,
         budget_bytes=args.budget)
-    outcome = run_campaign(
-        campaign,
-        executor=make_executor(args.workers,
-                               _supervision_from_args(args)),
-        journal_path=args.journal,
-        resume_from=args.resume_journal,
-        checkpoint_every=args.checkpoint_every)
-    if outcome.replayed:
-        print(f"replayed {outcome.replayed} run(s) from journal "
-              f"{args.resume_journal}")
-    print(render_payloads(outcome.payloads))
-    total = sum(len(payload["violations"])
-                for payload in outcome.payloads)
-    return 0 if total == 0 else 1
+    outcome = _run_campaign(args, campaign, render_payloads)
+    return _violations_exit(outcome.payloads)
 
 
 def cmd_resilience(args: argparse.Namespace) -> int:
     """Run canned resilience scenario(s) and report their verdicts."""
-    from .exec import make_executor, run_campaign
     from .resilience.campaign import (ResilienceCampaign, render_payload,
                                       scenario_payload)
     from .resilience.scenarios import resume_scenario, run_scenario
-    snapshotting = (args.resume_from is not None
-                    or args.checkpoint_every > 0)
-    if snapshotting:
-        # Quiescent-point snapshots cover one simulation, not a grid:
-        # the campaign options make no sense alongside them.
-        if (args.runs != 1 or args.workers != 1
-                or args.journal is not None
-                or args.resume_journal is not None):
-            raise ReproError(
-                "snapshot checkpoint/resume applies to a single run; "
-                "drop --runs/--workers/--journal/--resume-journal")
-        if args.resume_from is not None:
-            run = resume_scenario(args.resume_from)
-            print(f"resumed from snapshot {args.resume_from}")
-        else:
-            run = run_scenario(args.scenario, seed=args.seed,
-                               duration_s=args.duration,
-                               checkpoint_every=args.checkpoint_every,
-                               checkpoint_dir=args.checkpoint_dir)
-            for path in run.checkpoints:
-                print(f"checkpoint written: {path}")
-        payloads = [scenario_payload(run)]
-    else:
+
+    def render(payloads: List[dict]) -> str:
+        return "\n".join(render_payload(payload) for payload in payloads)
+
+    if args.resume_from is None and args.checkpoint_every <= 0:
         campaign = ResilienceCampaign(args.scenario, runs=args.runs,
                                       seed=args.seed,
                                       duration_s=args.duration)
-        outcome = run_campaign(
-            campaign,
-            executor=make_executor(args.workers,
-                                   _supervision_from_args(args)),
-            journal_path=args.journal,
-            resume_from=args.resume_journal)
-        if outcome.replayed:
-            print(f"replayed {outcome.replayed} run(s) from journal "
-                  f"{args.resume_journal}")
-        payloads = outcome.payloads
-    for payload in payloads:
-        print(render_payload(payload))
-    total = sum(len(payload["violations"]) for payload in payloads)
-    return 0 if total == 0 else 1
+        return _violations_exit(
+            _run_campaign(args, campaign, render).payloads)
+    # Quiescent-point snapshots cover one simulation, not a grid: the
+    # campaign options make no sense alongside them.
+    if (args.runs != 1 or args.workers != 1 or args.journal is not None
+            or args.resume_journal is not None
+            or args.run_timeout is not None or args.max_attempts != 1
+            or args.max_failures is not None):
+        raise ReproError(
+            "snapshot checkpoint/resume applies to a single run; drop "
+            "--runs/--workers/--journal/--resume-journal/--run-timeout/"
+            "--max-attempts/--max-failures")
+    if args.resume_from is not None:
+        run = resume_scenario(args.resume_from)
+        print(f"resumed from snapshot {args.resume_from}")
+    else:
+        run = run_scenario(args.scenario, seed=args.seed,
+                           duration_s=args.duration,
+                           checkpoint_every=args.checkpoint_every,
+                           checkpoint_dir=args.checkpoint_dir)
+        for path in run.checkpoints:
+            print(f"checkpoint written: {path}")
+    payloads = [scenario_payload(run)]
+    print(render(payloads))
+    return _violations_exit(payloads)
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
@@ -491,16 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig2.add_argument("--duration", type=float, default=0.008)
     p_fig2.add_argument("--chart", action="store_true",
                         help="append an ASCII bar chart")
-    p_fig2.add_argument("--journal", metavar="PATH",
-                        help="write-ahead journal logging each completed "
-                             "sweep point")
-    p_fig2.add_argument("--resume-from", metavar="PATH",
-                        help="journal to replay completed sweep points "
-                             "from")
-    p_fig2.add_argument("--workers", type=int, default=1,
-                        help="worker processes; results are "
-                             "bit-identical to --workers 1")
-    _add_supervision_args(p_fig2)
+    _add_campaign_args(p_fig2, progress_flag=False)
     p_fig2.set_defaults(func=cmd_figure2)
 
     p_plan = sub.add_parser("plan", help="run a selection policy")
@@ -561,25 +569,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_chaos.add_argument("--resilient", action="store_true",
                          help="put the ResilientController in charge and "
                               "check the resilience invariants too")
-    p_chaos.add_argument("--journal", metavar="PATH",
-                         help="write-ahead run journal (JSONL) logging "
-                              "campaign progress")
-    p_chaos.add_argument("--resume-from", metavar="PATH",
-                         help="journal to replay completed runs from "
-                              "(continues appending to it)")
-    p_chaos.add_argument("--checkpoint-every", type=int, default=5,
-                         help="journal a campaign-progress digest every "
-                              "N runs")
-    p_chaos.add_argument("--workers", type=int, default=1,
-                         help="worker processes; the merged report is "
-                              "bit-identical to --workers 1")
-    _add_supervision_args(p_chaos)
+    _add_campaign_args(p_chaos)
     p_chaos.add_argument("--inject-worker-fault", action="append",
                          metavar="IDX:FAULT[:ATTEMPTS]",
                          help="(testing) sabotage run IDX worker-side "
                               "with hang|die|garbage|error, optionally "
                               "only on the listed attempt numbers "
-                              "(repeatable; exercises the supervisor)")
+                              "(repeatable; exercises the supervisor; "
+                              "hang and die need --workers >= 2)")
     p_chaos.set_defaults(func=cmd_chaos)
 
     p_soak = sub.add_parser("soak",
@@ -595,19 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="SEC",
                         help="cap the fuzzed per-case simulated "
                              "duration (default: the space's own range)")
-    p_soak.add_argument("--journal", metavar="PATH",
-                        help="write-ahead run journal (JSONL) logging "
-                             "campaign progress")
-    p_soak.add_argument("--resume-from", metavar="PATH",
-                        help="journal to replay completed runs from "
-                             "(continues appending to it)")
-    p_soak.add_argument("--checkpoint-every", type=int, default=5,
-                        help="journal a campaign-progress digest every "
-                             "N runs")
-    p_soak.add_argument("--workers", type=int, default=1,
-                        help="worker processes; the merged report is "
-                             "bit-identical to --workers 1")
-    _add_supervision_args(p_soak)
+    _add_campaign_args(p_soak)
     p_soak.add_argument("--stop-on-failure", action="store_true",
                         help="stop the campaign at the first case with "
                              "a violation (writes a campaign-stop "
@@ -679,16 +664,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="simulated seconds (scenario default if unset)")
     p_res.add_argument("--runs", type=int, default=1,
                        help="repetitions; run i uses seed+i")
-    p_res.add_argument("--workers", type=int, default=1,
-                       help="worker processes; reports are "
-                            "bit-identical to --workers 1")
-    p_res.add_argument("--journal", metavar="PATH",
-                       help="write-ahead run journal (JSONL) logging "
-                            "campaign progress")
-    p_res.add_argument("--resume-journal", metavar="PATH",
-                       help="run journal to replay completed runs from "
-                            "(distinct from --resume-from, which takes "
-                            "a simulation snapshot)")
+    _add_campaign_args(p_res, resume_flag="--resume-journal",
+                       progress_flag=False)
     p_res.add_argument("--checkpoint-every", type=int, default=0,
                        help="write a deterministic snapshot every N "
                             "monitor ticks (needs --checkpoint-dir)")
@@ -696,8 +673,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="directory for snapshot files")
     p_res.add_argument("--resume-from", metavar="PATH",
                        help="resume from a snapshot file (scenario/seed/"
-                            "duration come from its meta block)")
-    _add_supervision_args(p_res)
+                            "duration come from its meta block; a run "
+                            "journal resumes with --resume-journal)")
     p_res.set_defaults(func=cmd_resilience)
 
     p_rel = sub.add_parser("reliability",
@@ -722,18 +699,7 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="BYTES",
                        help="warm-replica byte budget each policy may "
                             "spend (default 1 MiB)")
-    p_rel.add_argument("--workers", type=int, default=1,
-                       help="worker processes; reports are "
-                            "bit-identical to --workers 1")
-    p_rel.add_argument("--journal", metavar="PATH",
-                       help="write-ahead run journal (JSONL) logging "
-                            "campaign progress")
-    p_rel.add_argument("--resume-journal", metavar="PATH",
-                       help="run journal to replay completed runs from")
-    p_rel.add_argument("--checkpoint-every", type=int, default=5,
-                       help="journal a campaign-progress digest every "
-                            "N runs")
-    _add_supervision_args(p_rel)
+    _add_campaign_args(p_rel, resume_flag="--resume-journal")
     p_rel.set_defaults(func=cmd_reliability)
 
     p_lint = sub.add_parser("lint",

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Sequence, Union
 
 from ..errors import ConfigurationError
 from ..exec import Campaign, RunRequest, register_campaign, run_campaign
@@ -119,12 +119,10 @@ def _record_from_payload(payload: Dict[str, object]) -> ResultRecord:
 
 
 def run_suite(directory: Union[str, Path],
-              write_baselines: bool = True,
-              workers: int = 1) -> List[SuiteEntry]:
+              write_baselines: bool = True) -> List[SuiteEntry]:
     """Execute every config; optionally (re)write the baseline records."""
-    from ..exec import make_executor
     campaign = SuiteCampaign(directory)
-    outcome = run_campaign(campaign, executor=make_executor(workers))
+    outcome = run_campaign(campaign)
     entries = []
     for config_path, payload in zip(campaign.configs, outcome.payloads):
         record = _record_from_payload(payload)
@@ -136,12 +134,10 @@ def run_suite(directory: Union[str, Path],
 
 def check_suite(directory: Union[str, Path],
                 latency_rtol: float = 0.05,
-                goodput_rtol: float = 0.05,
-                workers: int = 1) -> List[SuiteCheck]:
+                goodput_rtol: float = 0.05) -> List[SuiteCheck]:
     """Re-run every config and diff against committed baselines."""
-    from ..exec import make_executor
     campaign = SuiteCampaign(directory)
-    outcome = run_campaign(campaign, executor=make_executor(workers))
+    outcome = run_campaign(campaign)
     checks = []
     for config_path, payload in zip(campaign.configs, outcome.payloads):
         fresh = _record_from_payload(payload)

@@ -1,11 +1,12 @@
 """Parameter sweeps: packet size (Figure 2), load ramps (Table 1), and
 the ablation axes (PCIe latency, chain length).
 
-The packet-size sweep is a :mod:`repro.exec` campaign: ``journal_path``
-write-ahead-logs each completed point, ``resume_from`` replays
-journaled points instead of re-simulating them, and ``workers`` fans
-the sizes out to worker processes — the merged point list is identical
-whichever executor ran (merge is by index, not completion order).
+The packet-size sweep is a :mod:`repro.exec` campaign
+(:class:`SizeSweepCampaign`); :func:`packet_size_sweep` runs it
+serially.  Journals, resume, workers, and supervision come from
+handing the campaign to :func:`repro.exec.run_campaign` — the merged
+point list is identical whichever executor ran (merge is by index, not
+completion order).
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ from ..chain.placement import Placement
 from ..core.planner import SelectionPolicy
 from ..devices.server import ServerProfile
 from ..errors import ConfigurationError
-from ..exec import (Campaign, RunRequest, SupervisionPolicy, make_executor,
-                    register_campaign, run_campaign)
+from ..exec import Campaign, RunRequest, register_campaign, run_campaign
 from ..traffic.packet import PAPER_SIZE_SWEEP
 from ..units import as_gbps, as_usec
 from .compare import PolicyOutcome, compare_policies
@@ -100,18 +100,26 @@ _SCENARIO_FACTORIES = {
 
 @register_campaign
 class SizeSweepCampaign(Campaign):
-    """Figure 2's grid: one request per packet size, merged in order."""
+    """Figure 2's grid: one request per packet size, merged in order.
+
+    A size whose run exhausts its attempts raises
+    :class:`~repro.errors.ExecutionError` rather than quarantining (the
+    sweep has no violation vocabulary); serially run, its
+    ``__context__`` is the size's own exception.  Parallel execution
+    needs a canned scenario and the default policies, both rebuildable
+    from JSON on the worker side.
+    """
 
     kind = "size-sweep"
     description = ("Figure 2 packet-size sweep: one run per size, "
                    "merged in grid order")
 
     def __init__(self, scenario: Scenario,
-                 sizes: Sequence[int],
-                 policies: Optional[Sequence[SelectionPolicy]],
-                 latency_load_bps: float,
-                 throughput_load_bps: float,
-                 duration_s: float) -> None:
+                 sizes: Sequence[int] = PAPER_SIZE_SWEEP,
+                 policies: Optional[Sequence[SelectionPolicy]] = None,
+                 latency_load_bps: float = FIGURE1_BASE_LOAD_BPS,
+                 throughput_load_bps: float = FIGURE1_SATURATION_BPS,
+                 duration_s: float = 0.02) -> None:
         self.scenario = scenario
         self.sizes = list(sizes)
         self.policies = policies
@@ -173,38 +181,11 @@ class SizeSweepCampaign(Campaign):
         return {"points": len(payloads)}
 
 
-def packet_size_sweep(scenario: Scenario,
-                      sizes: Sequence[int] = PAPER_SIZE_SWEEP,
-                      policies: Optional[Sequence[SelectionPolicy]] = None,
-                      latency_load_bps: float = FIGURE1_BASE_LOAD_BPS,
-                      throughput_load_bps: float = FIGURE1_SATURATION_BPS,
-                      duration_s: float = 0.02,
-                      journal_path: Optional[str] = None,
-                      resume_from: Optional[str] = None,
-                      workers: int = 1,
-                      supervision: Optional["SupervisionPolicy"] = None
+def packet_size_sweep(scenario: Scenario, **options
                       ) -> List[SizeSweepPoint]:
-    """Figure 2's x-axis: the full policy comparison per packet size.
-
-    ``journal_path`` write-ahead-logs each completed point;
-    ``resume_from`` replays points out of such a journal and only
-    simulates the remainder; ``workers`` fans the sizes out to worker
-    processes (canned scenarios and default policies only — both must
-    be rebuildable from JSON on the worker side).  ``supervision`` sets
-    per-point deadlines and bounded retry (``None``: one attempt, no
-    deadline).  The sweep campaign has no violation vocabulary, so a
-    point that exhausts its attempts raises
-    :class:`~repro.errors.ExecutionError` rather than quarantining;
-    serially run, its ``__context__`` is the point's own exception.
-    """
-    campaign = SizeSweepCampaign(
-        scenario=scenario, sizes=sizes, policies=policies,
-        latency_load_bps=latency_load_bps,
-        throughput_load_bps=throughput_load_bps, duration_s=duration_s)
-    outcome = run_campaign(campaign,
-                           executor=make_executor(workers, supervision),
-                           journal_path=journal_path,
-                           resume_from=resume_from)
+    """Figure 2's x-axis, run serially: the full policy comparison per
+    packet size.  ``options`` are :class:`SizeSweepCampaign`'s."""
+    outcome = run_campaign(SizeSweepCampaign(scenario, **options))
     return [SizeSweepPoint.from_record(payload)
             for payload in outcome.payloads]
 

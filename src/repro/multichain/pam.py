@@ -103,13 +103,16 @@ def select(chains: Sequence[ChainLoad],
             notes.append(f"eq2 rejects {b0_name} (chain {chain_index})")
             borders[chain_index] = borders[chain_index].without(b0_name)
             continue
-        done = model.nic_without(chain_index, b0) < feasibility.threshold
         was_left = b0_name in borders[chain_index].left
         delta = placement.crossing_delta(b0_name, DeviceKind.CPU)
         actions.append(MultiChainAction(
             chain_index=chain_index, nf_name=b0_name,
             target=DeviceKind.CPU, crossing_delta=delta))
         model = model.after_move(chain_index, b0_name, DeviceKind.CPU)
+        # Eq. 3 on the moved model: the what-if subtraction
+        # (nic_without) can round below the threshold while the
+        # re-summed utilisation lands exactly on it.
+        done = model.nic_utilisation() < feasibility.threshold
         borders[chain_index] = refreshed_border_sets(
             model.chains[chain_index].placement, borders[chain_index],
             b0_name, was_left)

@@ -22,8 +22,8 @@ Three pieces, layered on the PR 1–8 robustness stack:
 ``python -m repro soak`` is the front door; see ``docs/soak.md``.
 """
 
-from .campaign import SoakCampaign, SoakOutcome, SoakRunner  # noqa: F401
-from .campaign import failing_payloads, render_payloads  # noqa: F401
+from .campaign import (SoakCampaign, failing_payloads,  # noqa: F401
+                       render_payloads, soak_budget)
 from .fuzzer import (BUG_CONSERVATION, BUG_PROTECTED_SHED,  # noqa: F401
                      FuzzSpace, PlantedBug, SoakCase, default_space,
                      generate_case, parse_plant, plant)
@@ -43,8 +43,7 @@ __all__ = [
     "InvariantEngine", "Observation", "RuntimeInvariant",
     "default_invariants", "invariant_catalogue", "register_invariant",
     "CaseScenario", "SoakScenario", "build_case_scenario", "run_case",
-    "SoakCampaign", "SoakOutcome", "SoakRunner",
-    "failing_payloads", "render_payloads",
+    "SoakCampaign", "failing_payloads", "render_payloads", "soak_budget",
     "ReplayOutcome", "ShrinkResult",
     "load_reproducer", "replay_reproducer", "shrink_case",
     "violation_signature", "write_reproducer",

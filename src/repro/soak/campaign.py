@@ -8,7 +8,7 @@ core gives the other kinds applies unchanged: write-ahead journals,
 resume, ``--workers N`` with parallel == serial bit-exactness, and run
 supervision.
 
-On top, :class:`SoakRunner` adds the fuzzing **budgets** via the
+On top, :func:`soak_budget` turns the fuzzing **budgets** into the
 driver's ``stop_when`` hook: stop on first failure, or when a
 wall-clock budget is exhausted — either writes a clean
 ``campaign-stop`` record and leaves the journal resumable.
@@ -16,13 +16,11 @@ wall-clock budget is exhausted — either writes a clean
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from ..chaos.invariants import Violation
 from ..errors import ConfigurationError
-from ..exec import (Campaign, RunRequest, SupervisionPolicy,
-                    make_executor, register_campaign, run_campaign,
+from ..exec import (Campaign, RunRequest, StopPredicate, register_campaign,
                     seed_for)
 from ..exec.supervisor import DeadlineClock
 from .fuzzer import (FuzzSpace, PlantedBug, SoakCase, generate_case,
@@ -114,111 +112,38 @@ class SoakCampaign(Campaign):
                                   for payload in payloads)}
 
 
-@dataclass
-class SoakOutcome:
-    """What one :meth:`SoakRunner.run` call produced."""
+def soak_budget(stop_on_failure: bool = False,
+                max_wall_s: Optional[float] = None
+                ) -> Optional[StopPredicate]:
+    """The fuzzing budgets as a ``stop_when`` predicate for
+    :func:`~repro.exec.run_campaign`; None when neither is set.
 
-    #: Completed payloads, ordered by request index.
-    payloads: List[Dict[str, object]]
-    #: Runs restored from the journal instead of executed.
-    replayed: int
-    #: Runs actually executed this call.
-    executed: int
-    #: Budget-stop reason; None when the full grid completed.
-    stopped: Optional[str] = None
-
-    @property
-    def failures(self) -> List[Dict[str, object]]:
-        """Payloads with at least one violation."""
-        return failing_payloads(self.payloads)
-
-    @property
-    def ok(self) -> bool:
-        """Whether every completed case upheld every invariant."""
-        return not self.failures
-
-
-class SoakRunner:
-    """Drives a soak campaign with optional fuzzing budgets.
-
-    The budgets compose with the journal: a budget stop writes a
-    ``campaign-stop`` record, and a later run with ``resume_from`` (and
-    a bigger budget, or none) continues the same grid.
+    A budget stop writes a ``campaign-stop`` record, and a later
+    ``run_campaign(..., resume_from=journal)`` (with a bigger budget,
+    or none) continues the same grid.
     """
+    if max_wall_s is not None and max_wall_s <= 0:
+        raise ConfigurationError("wall-clock budget must be positive")
+    if not stop_on_failure and max_wall_s is None:
+        return None
+    clock = DeadlineClock()
+    deadline_s = (clock.now_s() + max_wall_s
+                  if max_wall_s is not None else None)
 
-    def __init__(self, runs: int = 32, seed: int = 7,
-                 space: Optional[FuzzSpace] = None,
-                 planted: Optional[PlantedBug] = None,
-                 planted_index: Optional[int] = None,
-                 journal_path: Optional[str] = None,
-                 resume_from: Optional[str] = None,
-                 checkpoint_every: int = 5,
-                 workers: int = 1,
-                 supervision: Optional[SupervisionPolicy] = None,
-                 stop_on_failure: bool = False,
-                 max_wall_s: Optional[float] = None) -> None:
-        if checkpoint_every < 1:
-            raise ConfigurationError("checkpoint interval must be >= 1")
-        if workers < 1:
-            raise ConfigurationError("worker count must be >= 1")
-        if max_wall_s is not None and max_wall_s <= 0:
-            raise ConfigurationError("wall-clock budget must be positive")
-        self.runs = runs
-        self.seed = seed
-        self.space = space or FuzzSpace()
-        self.planted = planted
-        self.planted_index = planted_index
-        self.journal_path = journal_path or resume_from
-        self.resume_from = resume_from
-        self.checkpoint_every = checkpoint_every
-        self.workers = workers
-        self.supervision = supervision
-        self.stop_on_failure = stop_on_failure
-        self.max_wall_s = max_wall_s
-        #: Runs restored from the journal by the last :meth:`run` call.
-        self.replayed_runs = 0
+    def predicate(index: int,
+                  payload: Dict[str, object]) -> Optional[str]:
+        # The clock reading never enters a payload or the journal's run
+        # records — only the stop *reason* string, which is a
+        # deliberate, documented wall-clock artifact.
+        if stop_on_failure and payload.get("violations"):
+            return (f"first failure: run {index} "
+                    f"(seed {payload.get('seed')}) violated "
+                    f"{len(payload['violations'])} invariant(s)")
+        if deadline_s is not None and clock.now_s() >= deadline_s:
+            return f"wall-clock budget of {max_wall_s:g}s exhausted"
+        return None
 
-    def _stop_predicate(self) -> Optional[Callable]:
-        if not self.stop_on_failure and self.max_wall_s is None:
-            return None
-        clock = DeadlineClock()
-        deadline_s = (clock.now_s() + self.max_wall_s
-                      if self.max_wall_s is not None else None)
-
-        def predicate(index: int,
-                      payload: Dict[str, object]) -> Optional[str]:
-            # The clock reading never enters a payload or the journal's
-            # run records — only the stop *reason* string, which is a
-            # deliberate, documented wall-clock artifact.
-            if self.stop_on_failure and payload.get("violations"):
-                return (f"first failure: run {index} "
-                        f"(seed {payload.get('seed')}) violated "
-                        f"{len(payload['violations'])} invariant(s)")
-            if deadline_s is not None and clock.now_s() >= deadline_s:
-                return (f"wall-clock budget of {self.max_wall_s:g}s "
-                        "exhausted")
-            return None
-
-        return predicate
-
-    def run(self) -> SoakOutcome:
-        """Run the campaign under its budgets; violations are reported,
-        never raised."""
-        campaign = SoakCampaign(
-            runs=self.runs, seed=self.seed, space=self.space,
-            planted=self.planted, planted_index=self.planted_index)
-        outcome = run_campaign(
-            campaign,
-            executor=make_executor(self.workers, self.supervision),
-            journal_path=self.journal_path,
-            resume_from=self.resume_from,
-            checkpoint_every=self.checkpoint_every,
-            stop_when=self._stop_predicate())
-        self.replayed_runs = outcome.replayed
-        return SoakOutcome(payloads=outcome.payloads,
-                           replayed=outcome.replayed,
-                           executed=outcome.executed,
-                           stopped=outcome.stopped)
+    return predicate
 
 
 def failing_payloads(payloads: List[Dict[str, object]]
@@ -262,5 +187,5 @@ def render_payloads(payloads: List[Dict[str, object]]) -> str:
     return "\n".join(lines)
 
 
-__all__ = ["SoakCampaign", "SoakOutcome", "SoakRunner",
-           "failing_payloads", "render_payloads"]
+__all__ = ["SoakCampaign", "failing_payloads", "render_payloads",
+           "soak_budget"]

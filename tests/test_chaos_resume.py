@@ -6,16 +6,21 @@ import signal
 import pytest
 
 from repro.chaos.crashresume import run_crash_resume_check
-from repro.chaos.runner import ChaosRunner
+from repro.chaos.runner import ChaosCampaign, ChaosReport, ChaosRunner
 from repro.chaos.schedule import ChaosConfig
 from repro.checkpoint import read_journal
 from repro.errors import ConfigurationError
+from repro.exec import run_campaign
 
 _CONFIG = ChaosConfig(duration_s=0.01)
 
 
-def _campaign(**kwargs):
-    return ChaosRunner(runs=4, seed=11, config=_CONFIG, **kwargs)
+def _campaign(seed=11):
+    return ChaosCampaign(ChaosRunner(runs=4, seed=seed, config=_CONFIG))
+
+
+def _render(outcome):
+    return ChaosReport.from_payloads(outcome.payloads).render()
 
 
 def _truncate_after_results(path, keep):
@@ -41,14 +46,13 @@ def _truncate_after_results(path, keep):
 class TestCampaignResume:
     def test_resume_is_bit_exact_and_counts_replays(self, tmp_path):
         journal = str(tmp_path / "campaign.jsonl")
-        reference = _campaign().run()
-        _campaign(journal_path=journal, checkpoint_every=1).run()
+        reference = run_campaign(_campaign())
+        run_campaign(_campaign(), journal_path=journal, checkpoint_every=1)
         _truncate_after_results(journal, keep=2)
 
-        resumed_runner = _campaign(resume_from=journal)
-        resumed = resumed_runner.run()
-        assert resumed_runner.replayed_runs == 2
-        assert resumed.render() == reference.render()
+        resumed = run_campaign(_campaign(), resume_from=journal)
+        assert resumed.replayed == 2
+        assert _render(resumed) == _render(reference)
         # The rewritten journal holds the full campaign again.
         kinds = [r["kind"] for r in read_journal(journal).records]
         assert kinds.count("run-result") == 4
@@ -56,39 +60,36 @@ class TestCampaignResume:
 
     def test_full_journal_resume_replays_everything(self, tmp_path):
         journal = str(tmp_path / "campaign.jsonl")
-        reference = _campaign(journal_path=journal).run()
-        resumed_runner = _campaign(resume_from=journal)
-        assert resumed_runner.run().render() == reference.render()
-        assert resumed_runner.replayed_runs == 4
+        reference = run_campaign(_campaign(), journal_path=journal)
+        resumed = run_campaign(_campaign(), resume_from=journal)
+        assert _render(resumed) == _render(reference)
+        assert resumed.replayed == 4
 
     def test_torn_tail_resumes_with_warning(self, tmp_path):
         journal = str(tmp_path / "campaign.jsonl")
-        reference = _campaign(journal_path=journal,
-                              checkpoint_every=1).run()
+        reference = run_campaign(_campaign(), journal_path=journal,
+                                 checkpoint_every=1)
         with open(journal, "a", encoding="utf-8") as handle:
             handle.write('{"crc": 3, "record": {"kind": "run-res')
-        resumed_runner = _campaign(resume_from=journal)
         with pytest.warns(RuntimeWarning, match="resuming from the last"):
-            resumed = resumed_runner.run()
-        assert resumed.render() == reference.render()
+            resumed = run_campaign(_campaign(), resume_from=journal)
+        assert _render(resumed) == _render(reference)
 
     def test_fingerprint_mismatch_refuses_resume(self, tmp_path):
         journal = str(tmp_path / "campaign.jsonl")
-        _campaign(journal_path=journal).run()
-        different_seed = ChaosRunner(runs=4, seed=99, config=_CONFIG,
-                                     resume_from=journal)
+        run_campaign(_campaign(), journal_path=journal)
         with pytest.raises(ConfigurationError, match="fingerprint"):
-            different_seed.run()
+            run_campaign(_campaign(seed=99), resume_from=journal)
 
     def test_journal_without_campaign_start_rejected(self, tmp_path):
         journal = str(tmp_path / "campaign.jsonl")
-        _campaign(journal_path=journal).run()
+        run_campaign(_campaign(), journal_path=journal)
         with open(journal, "r", encoding="utf-8") as handle:
             lines = handle.read().splitlines()
         with open(journal, "w", encoding="utf-8") as handle:
             handle.write("\n".join(lines[1:]) + "\n")
         with pytest.raises(ConfigurationError):
-            _campaign(resume_from=journal).run()
+            run_campaign(_campaign(), resume_from=journal)
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGKILL"),

@@ -234,3 +234,102 @@ class TestSoakCommand:
         assert main(["soak", "--replay",
                      str(tmp_path / "absent.json")]) == 2
         assert "cannot read" in capsys.readouterr().err
+
+
+#: Every option string of each campaign command and its default, as
+#: ``build_parser()`` declares them.  Sharing one flag block between the
+#: commands must leave this table unchanged.
+_CAMPAIGN_FLAGS = {
+    "figure2": {
+        "--sizes": [64, 128, 256, 512, 1024, 1500],
+        "--duration": 0.008, "--chart": False,
+        "--journal": None, "--resume-from": None, "--workers": 1,
+        "--run-timeout": None, "--max-attempts": 1,
+        "--max-failures": None,
+    },
+    "chaos": {
+        "--runs": 20, "--seed": 7, "--duration": 0.04,
+        "--failure-rate": 0.3, "--device-kills": 0, "--overloads": 0,
+        "--resilient": False, "--journal": None, "--resume-from": None,
+        "--checkpoint-every": 5, "--workers": 1, "--run-timeout": None,
+        "--max-attempts": 1, "--max-failures": None,
+        "--inject-worker-fault": None,
+    },
+    "soak": {
+        "--runs": 32, "--seed": 7, "--duration": None, "--journal": None,
+        "--resume-from": None, "--checkpoint-every": 5, "--workers": 1,
+        "--run-timeout": None, "--max-attempts": 1,
+        "--max-failures": None, "--stop-on-failure": False,
+        "--max-seconds": None, "--plant-bug": None, "--no-shrink": True,
+        "--reproducer": "soak-reproducer.json", "--replay": None,
+        "--list-invariants": False,
+    },
+    "resilience": {
+        "--scenario": "device-kill", "--seed": 7, "--duration": None,
+        "--runs": 1, "--workers": 1, "--journal": None,
+        "--resume-journal": None, "--checkpoint-every": 0,
+        "--checkpoint-dir": None, "--resume-from": None,
+        "--run-timeout": None, "--max-attempts": 1,
+        "--max-failures": None,
+    },
+    "reliability": {
+        "--scenario": "device-kill",
+        "--policies": ["joint", "pam", "naive"], "--runs": 1,
+        "--seed": 7, "--duration": None, "--budget": 1 << 20,
+        "--workers": 1, "--journal": None, "--resume-journal": None,
+        "--checkpoint-every": 5, "--run-timeout": None,
+        "--max-attempts": 1, "--max-failures": None,
+    },
+}
+
+
+class TestCampaignFlagPin:
+    @pytest.mark.parametrize("command", sorted(_CAMPAIGN_FLAGS))
+    def test_option_strings_and_defaults(self, command):
+        import argparse
+        from repro.cli import build_parser
+        subparsers = next(
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction))
+        parser = subparsers.choices[command]
+        declared = {action.option_strings[0]:
+                    parser.get_default(action.dest)
+                    for action in parser._actions
+                    if action.option_strings and action.dest != "help"}
+        assert declared == _CAMPAIGN_FLAGS[command]
+
+
+class TestCampaignFlagErrors:
+    @pytest.mark.parametrize("fault", ["hang", "die"])
+    def test_serial_hang_or_die_fault_exits_2(self, fault, capsys):
+        # In-process, a hang would wedge and a die would kill the CLI.
+        assert main(["chaos", "--runs", "1", "--duration", "0.005",
+                     "--inject-worker-fault", f"0:{fault}"]) == 2
+        assert "--workers >= 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--runs", "2"], ["--workers", "2"],
+        ["--run-timeout", "2"], ["--max-attempts", "2"],
+        ["--max-failures", "1"]])
+    def test_snapshot_mode_rejects_campaign_flags(self, tmp_path, flags,
+                                                  capsys):
+        for mode in (["--checkpoint-every", "5",
+                      "--checkpoint-dir", str(tmp_path)],
+                     ["--resume-from", str(tmp_path / "absent.snap")]):
+            assert main(["resilience", *mode, *flags]) == 2
+            err = capsys.readouterr().err
+            assert "applies to a single run" in err
+            assert flags[0] in err
+
+
+class TestFigure2Journal:
+    def test_resume_replays_every_point_and_renders_the_same(
+            self, tmp_path, capsys):
+        journal = str(tmp_path / "f2.jsonl")
+        argv = ["figure2", "--sizes", "64", "1500", "--duration", "0.002"]
+        assert main([*argv, "--workers", "2", "--journal", journal]) == 0
+        first = capsys.readouterr().out
+        assert main([*argv, "--resume-from", journal]) == 0
+        resumed = capsys.readouterr().out.splitlines()
+        assert resumed[0] == f"replayed 2 run(s) from journal {journal}"
+        assert "\n".join(resumed[1:]) + "\n" == first

@@ -13,10 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.chaos.runner import ChaosCampaign, ChaosConfig, ChaosRunner
+from repro.chaos.runner import (ChaosCampaign, ChaosConfig, ChaosReport,
+                                ChaosRunner)
 from repro.exec import make_executor, run_campaign
 from repro.harness.scenarios import figure1
-from repro.harness.sweep import packet_size_sweep
+from repro.harness.sweep import SizeSweepCampaign
 from repro.resilience.campaign import ResilienceCampaign
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden",
@@ -31,18 +32,21 @@ RESILIENT_GOLDEN = os.path.join(os.path.dirname(__file__), "golden",
 _DURATION_S = 0.01
 
 
+def _render(runs, seed, config, workers):
+    campaign = ChaosCampaign(ChaosRunner(runs=runs, seed=seed,
+                                         config=config))
+    outcome = run_campaign(campaign, executor=make_executor(workers))
+    return ChaosReport.from_payloads(outcome.payloads).render()
+
+
 def _chaos_render(workers):
-    runner = ChaosRunner(runs=4, seed=11,
-                         config=ChaosConfig(duration_s=_DURATION_S),
-                         workers=workers)
-    return runner.run().render()
+    return _render(4, 11, ChaosConfig(duration_s=_DURATION_S), workers)
 
 
 def _resilient_chaos_render(workers):
     config = ChaosConfig(duration_s=0.04, max_device_kills=1,
                          max_overload_windows=1, resilient=True)
-    runner = ChaosRunner(runs=4, seed=7, config=config, workers=workers)
-    return runner.run().render()
+    return _render(4, 7, config, workers)
 
 
 def _golden(path):
@@ -75,13 +79,11 @@ class TestParallelMatchesSerial:
         assert parallel.payloads == serial.payloads
 
     def test_size_sweep(self):
-        sizes = [256, 1024]
-        serial = packet_size_sweep(figure1(), sizes=sizes,
-                                   duration_s=0.005, workers=1)
-        parallel = packet_size_sweep(figure1(), sizes=sizes,
-                                     duration_s=0.005, workers=2)
-        assert ([p.to_record() for p in parallel]
-                == [p.to_record() for p in serial])
+        campaign = SizeSweepCampaign(figure1(), sizes=[256, 1024],
+                                     duration_s=0.005)
+        serial = run_campaign(campaign, executor=make_executor(1))
+        parallel = run_campaign(campaign, executor=make_executor(2))
+        assert parallel.payloads == serial.payloads
 
     def test_parallel_resume_matches_serial(self, tmp_path):
         journal = str(tmp_path / "chaos.jsonl")
@@ -102,11 +104,8 @@ class TestParallelMatchesSerial:
 def test_chaos_parallel_grid_property(runs, seed):
     """Chaos grids merge identically under serial and parallel."""
     config = ChaosConfig(duration_s=0.005)
-    serial = ChaosRunner(runs=runs, seed=seed, config=config,
-                         workers=1).run()
-    parallel = ChaosRunner(runs=runs, seed=seed, config=config,
-                           workers=2).run()
-    assert parallel.render() == serial.render()
+    assert (_render(runs, seed, config, 2)
+            == _render(runs, seed, config, 1))
 
 
 @settings(max_examples=3, deadline=None)

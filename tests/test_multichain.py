@@ -4,7 +4,9 @@ import pytest
 
 from repro.chain import catalog
 from repro.chain.builder import ChainBuilder
-from repro.chain.nf import DeviceKind
+from repro.chain.chain import ServiceChain
+from repro.chain.nf import DeviceKind, NFProfile
+from repro.chain.placement import Placement
 from repro.errors import ConfigurationError, ScaleOutRequired
 from repro.multichain import (ChainLoad, MultiChainLoadModel,
                               MultiChainRunner, select_multichain)
@@ -105,6 +107,27 @@ class TestMultiChainPAM:
                   ChainLoad(chain_b(), gbps(3.5))]
         with pytest.raises(ScaleOutRequired):
             select_multichain(chains)
+
+    def test_alleviation_judged_on_the_moved_model(self):
+        # Moving c0/nf0 then c0/nf2 leaves the NIC at exactly 1.0, yet
+        # the what-if subtraction (nic_without) rounds just below it.
+        def load(index, nic_gbps, devices, rate_gbps):
+            nfs = [NFProfile(name=f"c{index}/nf{i}",
+                             nic_capacity_bps=gbps(capacity),
+                             cpu_capacity_bps=gbps(1.0))
+                   for i, capacity in enumerate(nic_gbps)]
+            placement = Placement(
+                ServiceChain(nfs, name=f"c{index}"),
+                {nf.name: device for nf, device in zip(nfs, devices)})
+            return ChainLoad(placement, gbps(rate_gbps))
+
+        plan = select_multichain(
+            [load(0, [1.0, 1.0, 1.5], [S, C, S], 0.125),
+             load(1, [1.0], [C], 0.5), load(2, [1.0], [S], 1.0)],
+            strict=False)
+        assert MultiChainLoadModel(list(plan.after)).nic_utilisation() \
+            == 1.0
+        assert not plan.alleviates
 
     def test_actions_for_chain_filter(self):
         chains = [ChainLoad(chain_a(), gbps(1.1)),

@@ -6,8 +6,9 @@ import pytest
 
 from repro.checkpoint import read_journal
 from repro.errors import ConfigurationError
-from repro.soak import (SoakCampaign, SoakRunner, default_space,
-                        failing_payloads, render_payloads)
+from repro.exec import make_executor, run_campaign
+from repro.soak import (SoakCampaign, default_space, failing_payloads,
+                        render_payloads, soak_budget)
 from repro.soak.fuzzer import PlantedBug
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden",
@@ -16,14 +17,17 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden",
 _SPACE = default_space(0.010)
 
 
-def _runner(**kwargs):
-    defaults = dict(runs=6, seed=7, space=_SPACE)
-    defaults.update(kwargs)
-    return SoakRunner(**defaults)
+def _campaign(**kwargs):
+    return SoakCampaign(runs=6, seed=7, space=_SPACE, **kwargs)
+
+
+def _planted():
+    return _campaign(planted=PlantedBug("conservation"), planted_index=2)
 
 
 def _render(workers):
-    return render_payloads(_runner(workers=workers).run().payloads)
+    outcome = run_campaign(_campaign(), executor=make_executor(workers))
+    return render_payloads(outcome.payloads)
 
 
 class TestGolden:
@@ -70,8 +74,8 @@ class TestCampaignSpec:
 class TestJournalResume:
     def test_resume_is_bit_exact(self, tmp_path):
         journal = str(tmp_path / "soak.jsonl")
-        reference = _runner().run()
-        _runner(journal_path=journal, checkpoint_every=1).run()
+        reference = run_campaign(_campaign())
+        run_campaign(_campaign(), journal_path=journal, checkpoint_every=1)
         # Drop the campaign-end and the last two run-results so the
         # resume has real work left.
         outcome = read_journal(journal)
@@ -91,9 +95,8 @@ class TestJournalResume:
         with open(journal, "w", encoding="utf-8") as handle:
             handle.write("\n".join(lines) + "\n")
 
-        resumer = _runner(resume_from=journal)
-        resumed = resumer.run()
-        assert resumer.replayed_runs == 4
+        resumed = run_campaign(_campaign(), resume_from=journal)
+        assert resumed.replayed == 4
         assert render_payloads(resumed.payloads) == \
             render_payloads(reference.payloads)
 
@@ -101,10 +104,9 @@ class TestJournalResume:
 class TestBudgets:
     def test_stop_on_failure_writes_campaign_stop(self, tmp_path):
         journal = str(tmp_path / "stop.jsonl")
-        runner = _runner(planted=PlantedBug("conservation"),
-                         planted_index=2, journal_path=journal,
-                         stop_on_failure=True, checkpoint_every=1)
-        outcome = runner.run()
+        outcome = run_campaign(_planted(), journal_path=journal,
+                               checkpoint_every=1,
+                               stop_when=soak_budget(stop_on_failure=True))
         assert outcome.stopped is not None
         assert "first failure: run 2" in outcome.stopped
         assert outcome.executed == 3
@@ -117,13 +119,10 @@ class TestBudgets:
 
     def test_stopped_journal_resumes_to_completion(self, tmp_path):
         journal = str(tmp_path / "stop.jsonl")
-        plant_kwargs = dict(planted=PlantedBug("conservation"),
-                            planted_index=2)
-        _runner(journal_path=journal, stop_on_failure=True,
-                **plant_kwargs).run()
-        resumer = _runner(resume_from=journal, **plant_kwargs)
-        completed = resumer.run()
-        assert resumer.replayed_runs == 3
+        run_campaign(_planted(), journal_path=journal,
+                     stop_when=soak_budget(stop_on_failure=True))
+        completed = run_campaign(_planted(), resume_from=journal)
+        assert completed.replayed == 3
         assert completed.stopped is None
         assert len(completed.payloads) == 6
         records = read_journal(journal).records
@@ -131,17 +130,21 @@ class TestBudgets:
 
     def test_wall_clock_budget_stops_cleanly(self, tmp_path):
         journal = str(tmp_path / "wall.jsonl")
-        outcome = _runner(journal_path=journal, max_wall_s=1e-9).run()
+        outcome = run_campaign(_campaign(), journal_path=journal,
+                               stop_when=soak_budget(max_wall_s=1e-9))
         assert outcome.stopped is not None
         assert "wall-clock budget" in outcome.stopped
         assert outcome.executed == 1  # the stop lands after run 0
         records = read_journal(journal).records
         assert records[-1]["kind"] == "campaign-stop"
 
+    def test_no_budget_is_no_predicate(self):
+        assert soak_budget() is None
+
     def test_runner_validation(self):
         with pytest.raises(ConfigurationError):
-            _runner(max_wall_s=0.0)
+            soak_budget(max_wall_s=0.0)
         with pytest.raises(ConfigurationError):
-            _runner(checkpoint_every=0)
+            run_campaign(_campaign(), checkpoint_every=0)
         with pytest.raises(ConfigurationError):
-            _runner(workers=0)
+            make_executor(0)

@@ -4,14 +4,17 @@ import pytest
 
 from repro.chain.nf import DeviceKind
 from repro.errors import ConfigurationError
-from repro.harness.scenarios import figure1
-from repro.harness.sweep import (measure_capacity, packet_size_sweep,
-                                 pcie_latency_sweep, single_nf_scenario)
+from repro.harness.scenarios import (FIGURE1_BASE_LOAD_BPS,
+                                     FIGURE1_SATURATION_BPS, figure1)
+from repro.harness.sweep import (SizeSweepCampaign, measure_capacity,
+                                 packet_size_sweep, pcie_latency_sweep,
+                                 single_nf_scenario)
 from repro.harness.tables import (render_capacity_table, render_figure1,
                                   render_figure2_latency,
                                   render_figure2_throughput,
                                   render_pcie_sweep, render_table)
 from repro.chain import catalog
+from repro.traffic.packet import PAPER_SIZE_SWEEP
 from repro.units import gbps, usec
 
 S = DeviceKind.SMARTNIC
@@ -36,6 +39,13 @@ class TestSizeSweep:
         for point in points:
             assert point.mean_latency_usec("pam") < \
                 point.mean_latency_usec("naive")
+
+    def test_campaign_defaults_are_the_paper_sweep(self):
+        campaign = SizeSweepCampaign(figure1())
+        assert campaign.fingerprint() == {
+            "sizes": list(PAPER_SIZE_SWEEP), "duration_s": 0.02,
+            "latency_load_bps": FIGURE1_BASE_LOAD_BPS,
+            "throughput_load_bps": FIGURE1_SATURATION_BPS}
 
 
 class TestMeasureCapacity:
