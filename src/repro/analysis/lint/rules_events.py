@@ -6,7 +6,8 @@ ordering enforced by :class:`repro.sim.events.EventQueue`.  A raw
 (simultaneous events then compare by whatever the payload compares by),
 and poking ``engine._queue`` / writing ``engine.now_s`` from a handler
 desynchronises the clock from the queue.  Handlers must stay inside the
-``Engine.at/after`` and ``Event.cancel`` surface.
+public ``Engine`` scheduling surface (``at``/``after`` and the
+id-based ``call_*`` calls).
 """
 
 from __future__ import annotations
@@ -24,8 +25,12 @@ _ENGINE_HOME = ("repro.sim.engine", "repro.sim.events")
 _HEAP_FNS = frozenset({"heappush", "heappop", "heapify", "heapreplace",
                        "heappushpop", "merge", "nsmallest", "nlargest"})
 
-#: Private scheduler attributes nothing outside the engine may touch.
-_SCHEDULER_PRIVATES = frozenset({"_queue", "_heap", "_counter"})
+#: Private scheduler attributes nothing outside the engine may touch:
+#: the engine's queue, and the queue's counters, calendar buckets,
+#: drain cursor and action table.
+_SCHEDULER_PRIVATES = frozenset({
+    "_queue", "_seq", "_count", "_buckets", "_bucket_heap", "_current",
+    "_pos", "_action_table", "_action_ids", "_epoch"})
 
 
 @register
@@ -64,11 +69,11 @@ class SchedulerInternalsRule(LintRule):
     code = "EVT302"
     name = "scheduler-internals"
     severity = Severity.ERROR
-    rationale = ("Mutating engine internals (its heap, its counter) or "
-                 "writing now_s from an event handler breaks the engine's "
-                 "invariant that the clock only advances by popping the "
-                 "queue. Use Engine.at/after, Event.cancel, and let the "
-                 "engine own its clock.")
+    rationale = ("Mutating engine internals (its calendar buckets, its "
+                 "seq counter) or writing now_s from an event handler "
+                 "breaks the engine's invariant that the clock only "
+                 "advances by draining the queue. Schedule through the "
+                 "public Engine API and let the engine own its clock.")
 
     def visit_Attribute(self, node: ast.Attribute, ctx: ModuleContext) -> None:
         """Flag access to scheduler-private attributes."""

@@ -2,7 +2,7 @@
 
 from .engine import Engine
 from .faults import FaultEvent, FaultInjector
-from .events import Event, EventQueue, PRIORITY_CONTROL, PRIORITY_DATA
+from .events import EventQueue, PRIORITY_CONTROL, PRIORITY_DATA
 from .latency import COMPONENTS, LatencyLedger, LatencyRecord
 from .network import ChainNetwork
 from .nfinstance import NFStation
@@ -15,7 +15,6 @@ __all__ = [
     "ChainNetwork",
     "Controller",
     "Engine",
-    "Event",
     "FaultEvent",
     "FaultInjector",
     "EventQueue",

@@ -4,10 +4,10 @@ Minimal by design — the engine advances a clock through a deterministic
 event queue.  Model logic (queues, NF servers, PCIe hops, migrations)
 lives in the modules that schedule events on it.
 
-The run loop is batched around the slab scheduler in
-:mod:`repro.sim.events`: each iteration takes raw ``(time, priority,
-seq, action, arg)`` entries straight off the slab, so no per-event
-``Event`` object exists.  Subscribers receive ``(time_s, priority,
+The run loop is batched around the calendar scheduler in
+:mod:`repro.sim.events`: each iteration takes a raw ``(time, priority,
+seq, action_id, arg)`` entry straight off the current bucket, so no
+per-event object exists.  Subscribers receive ``(time_s, priority,
 seq)`` trace keys in buffered batches rather than one callback per
 event (see :meth:`Engine.add_trace_observer`), which is what keeps
 instrumented runs — determinism tracing, the soak invariant engine —
@@ -21,8 +21,7 @@ from bisect import insort
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import SchedulingError
-from .events import (_NO_ARG, PRIORITY_CONTROL, PRIORITY_DATA, Event,
-                     EventQueue)
+from .events import _NO_ARG, PRIORITY_CONTROL, PRIORITY_DATA, EventQueue
 
 #: Signature of a batched trace subscriber: called with a list of
 #: ``(time_s, priority, seq)`` keys in execution order.  The list is
@@ -94,23 +93,24 @@ class Engine:
 
     # -- scheduling -------------------------------------------------------
 
-    def at(self, time_s: float, action, control: bool = False) -> Event:
-        """Schedule ``action`` at absolute time ``time_s``.
+    def at(self, time_s: float, action, control: bool = False) -> None:
+        """Schedule the closure ``action`` at absolute time ``time_s``.
 
-        ``control`` events (migrations, monitor ticks) run before data
-        events at the same timestamp.
+        For one-off actions; recurring ones should be registered and
+        scheduled by id.  ``control`` events (migrations, monitor
+        ticks) run before data events at the same timestamp.
         """
         if time_s < self.now_s:
             raise SchedulingError(
                 f"cannot schedule at {time_s:.9f}, clock is at {self.now_s:.9f}")
         priority = PRIORITY_CONTROL if control else PRIORITY_DATA
-        return self._queue.push(time_s, action, priority)
+        self._queue.push(time_s, action, priority)
 
-    def after(self, delay_s: float, action, control: bool = False) -> Event:
-        """Schedule ``action`` ``delay_s`` seconds from now."""
+    def after(self, delay_s: float, action, control: bool = False) -> None:
+        """Schedule the closure ``action`` ``delay_s`` seconds from now."""
         if delay_s < 0:
             raise SchedulingError(f"negative delay {delay_s}")
-        return self.at(self.now_s + delay_s, action, control)
+        self.at(self.now_s + delay_s, action, control)
 
     def register_action(self, action) -> int:
         """Intern a recurring callback; returns its action-table id.
@@ -131,11 +131,11 @@ class Engine:
 
     def call_at(self, time_s: float, action, arg: object = _NO_ARG,
                 control: bool = False) -> None:
-        """Handle-free :meth:`at`: schedule ``action(arg)`` at ``time_s``.
+        """Schedule the recurring ``action(arg)`` at ``time_s``.
 
-        For model code that never cancels: no :class:`Event` handle is
-        built, and carrying ``arg`` in the calendar entry replaces the
-        per-event closure.  Same validation and ordering as :meth:`at`.
+        ``action`` is interned in the action table and ``arg`` rides in
+        the calendar entry, which replaces a per-event closure.  Same
+        validation and ordering as :meth:`at`.
         """
         if time_s < self.now_s:
             raise SchedulingError(
@@ -258,7 +258,7 @@ class Engine:
 
     def call_after(self, delay_s: float, action, arg: object = _NO_ARG,
                    control: bool = False) -> None:
-        """Handle-free :meth:`after`: schedule ``action(arg)`` after a delay.
+        """Schedule the recurring ``action(arg)`` after a delay.
 
         A non-negative delay from ``now`` can never land before the
         clock, so this schedules directly without :meth:`call_at`'s
@@ -272,7 +272,7 @@ class Engine:
             PRIORITY_CONTROL if control else PRIORITY_DATA, arg)
 
     def pending(self) -> int:
-        """Number of events still queued (including cancelled ones)."""
+        """Number of events still queued."""
         return len(self._queue)
 
     # -- execution ----------------------------------------------------------
@@ -295,7 +295,7 @@ class Engine:
         queue = self._queue
         tracing = bool(self._trace_observers)
         trace_buffer = self._trace_buffer
-        # The drain loop reads the scheduler's slab columns and current
+        # The drain loop reads the scheduler's action table and current
         # bucket directly (the engine co-owns the scheduler per the
         # simulation-safety lint); all *structural* mutation — bucket
         # swaps, demotions, the bucket heap — stays in
@@ -303,11 +303,6 @@ class Engine:
         # every action and every return so the queue is consistent
         # whenever model code (or an exception) can observe it.
         table = queue._action_table
-        cancelled = queue._cancelled
-        actions = queue._actions
-        args = queue._args
-        seqs = queue._seqs
-        free = queue._free
         bucket_heap = queue._bucket_heap
         # The drain loop allocates short-lived acyclic objects (calendar
         # entries, packets' latency math) at a rate that keeps tripping
@@ -344,43 +339,16 @@ class Engine:
                         queue._advance()
                         break
                     time_s, priority, seq, action_id, arg = current[pos]
-                    if action_id >= 0:
-                        if time_s > horizon:
-                            # Horizon reached with events still queued:
-                            # advance the clock to the horizon.
-                            queue._pos = pos
-                            self.now_s = horizon
-                            return
-                        remaining -= 1
-                        pos += 1
+                    if time_s > horizon:
+                        # Horizon reached with events still queued:
+                        # advance the clock to the horizon.
                         queue._pos = pos
-                        queue._count -= 1
-                        action = table[action_id]
-                    else:
-                        index = -1 - action_id
-                        if cancelled[index]:
-                            pos += 1
-                            queue._pos = pos
-                            queue._count -= 1
-                            seqs[index] = -1
-                            actions[index] = None
-                            args[index] = None
-                            free.append(index)
-                            continue
-                        if time_s > horizon:
-                            queue._pos = pos
-                            self.now_s = horizon
-                            return
-                        remaining -= 1
-                        pos += 1
-                        queue._pos = pos
-                        queue._count -= 1
-                        action = actions[index]
-                        arg = _NO_ARG
-                        seqs[index] = -1
-                        actions[index] = None
-                        args[index] = None
-                        free.append(index)
+                        self.now_s = horizon
+                        return
+                    remaining -= 1
+                    pos += 1
+                    queue._pos = pos
+                    queue._count -= 1
                     self.now_s = time_s
                     if tracing:
                         trace_buffer.append((time_s, priority, seq))
@@ -389,9 +357,9 @@ class Engine:
                             self.flush_trace()
                             trace_left = _TRACE_BATCH
                     if arg is _NO_ARG:
-                        action()
+                        table[action_id]()
                     else:
-                        action(arg)
+                        table[action_id](arg)
                     self.events_processed += 1
                     if queue._epoch != epoch:
                         break

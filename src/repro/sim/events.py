@@ -1,14 +1,17 @@
 """Event primitives for the discrete-event engine.
 
-Events are ``(time, priority, seq, action)`` entries ordered by time,
-then priority, then insertion order, so simultaneous events execute
-deterministically.  ``action`` is a callable taking zero arguments or
-one pre-bound argument; the engine knows nothing about packets or NFs,
-which keeps it reusable for the migration and telemetry machinery.
+Events are ``(time, priority, seq, action_id, arg)`` calendar entries
+ordered by time, then priority, then insertion order, so simultaneous
+events execute deterministically.  ``action_id`` indexes an action
+table of callables taking zero arguments or one pre-bound ``arg``; the
+engine knows nothing about packets or NFs, which keeps it reusable for
+the migration and telemetry machinery.
 
-Storage is a slab (struct-of-arrays: parallel lists for time, priority,
-seq, cancelled-flag, action and argument, plus a free-list of reusable
-rows) so the hot path never allocates a Python object per event.
+There is one entry form.  Model code registers its recurring callbacks
+once and schedules them by id; a one-off closure (``Engine.at/after``)
+rides as the ``arg`` of the reserved :data:`_CALL_ID`, whose callable
+just calls its argument.  No per-event object exists beyond the entry
+tuple, and nothing is cancellable.
 
 Scheduling is a calendar queue: entries hash into fixed-width time
 buckets keyed by ``int(time * inv_width)``.  Pending buckets sit
@@ -27,14 +30,14 @@ from __future__ import annotations
 
 from bisect import insort
 from heapq import heappop, heappush
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Tuple
 
 from ..errors import SchedulingError
 
 Action = Callable[..., None]
 
 #: Sentinel for "no bound argument": distinguishes ``action()`` from
-#: ``action(None)`` in the slab's argument column.
+#: ``action(None)`` in a calendar entry.
 _NO_ARG = object()
 
 #: Priority classes: control actions (migrations, monitor ticks) run
@@ -53,70 +56,35 @@ DEFAULT_BUCKET_WIDTH_S = 32e-6
 #: An entry as stored in calendar buckets: ``(time, priority, seq,
 #: action_id, arg)``.  Tuple comparison on the first three fields gives
 #: the deterministic total order at C speed (seq is unique, so the
-#: trailing fields never participate).  ``action_id >= 0`` indexes the
-#: action table directly (the handle-free hot path: nothing else is
-#: stored anywhere); ``action_id < 0`` encodes a slab row as
-#: ``-1 - index`` for cancellable events created via :meth:`push`.
+#: trailing fields never participate).  ``action_id`` indexes the
+#: action table; nothing else is stored anywhere.
 _Entry = Tuple[float, int, int, int, object]
 
 
-class Event:
-    """Handle for one scheduled action.
+def _call(action: Action) -> None:
+    """The reserved call action: run a closure carried as the argument."""
+    action()
 
-    A lightweight view onto a slab row: carries the ordering key and
-    enough identity (``seq`` match) to cancel the underlying entry even
-    after slab rows are recycled.  Handles returned by ``pop()`` are
-    detached (already executed-or-removed) and just carry the key plus
-    a ready-to-call ``action``.
-    """
 
-    __slots__ = ("time_s", "priority", "seq", "action", "_queue", "_index",
-                 "_cancelled")
-
-    def __init__(self, time_s: float, priority: int, seq: int,
-                 action: Optional[Action] = None,
-                 _queue: Optional["EventQueue"] = None,
-                 _index: int = -1) -> None:
-        self.time_s = time_s
-        self.priority = priority
-        self.seq = seq
-        self.action = action
-        self._queue = _queue
-        self._index = _index
-        self._cancelled = False
-
-    @property
-    def cancelled(self) -> bool:
-        """True once :meth:`cancel` has marked this event."""
-        return self._cancelled
-
-    def cancel(self) -> None:
-        """Mark the event so the engine skips it when popped."""
-        self._cancelled = True
-        queue = self._queue
-        if queue is not None and queue._seqs[self._index] == self.seq:
-            queue._cancelled[self._index] = True
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"Event(time_s={self.time_s!r}, priority={self.priority}, "
-                f"seq={self.seq}, cancelled={self._cancelled})")
+#: Action id of :func:`_call`, seeded first into every action table.
+#: :meth:`EventQueue.push` schedules closures as its argument, so they
+#: are never interned and the table never grows.
+_CALL_ID = 0
 
 
 class EventQueue:
-    """Deterministic scheduler: slab storage + calendar-queue ordering.
+    """Deterministic scheduler: calendar-queue ordering of id entries.
 
-    The engine's run loop reads the slab columns and the current bucket
+    The engine's run loop reads the action table and the current bucket
     directly (both modules own the scheduler per the simulation-safety
     lint); every *mutation* of heap structure lives here.  Slotted for
     the same reason the engine is: scheduling touches half these
     attributes per event.
     """
 
-    __slots__ = ("_seq", "_count", "_times", "_prios", "_seqs",
-                 "_cancelled", "_actions", "_args", "_free",
-                 "_action_table", "_action_ids", "_inv_width",
-                 "_buckets", "_bucket_heap", "_current", "_pos",
-                 "_current_id", "_epoch")
+    __slots__ = ("_seq", "_count", "_action_table", "_action_ids",
+                 "_inv_width", "_buckets", "_bucket_heap", "_current",
+                 "_pos", "_current_id", "_epoch")
 
     def __init__(self, bucket_width_s: float = DEFAULT_BUCKET_WIDTH_S) -> None:
         if bucket_width_s <= 0:
@@ -127,19 +95,11 @@ class EventQueue:
         # so it must be readable and settable.
         self._seq = 0
         self._count = 0
-        # Slab: parallel arrays, one row per scheduled event.
-        self._times: List[float] = []
-        self._prios: List[int] = []
-        self._seqs: List[int] = []
-        self._cancelled: List[bool] = []
-        self._actions: List[Optional[Action]] = []
-        self._args: List[object] = []
-        self._free: List[int] = []
         # Action table: model code registers its recurring callbacks
         # once (at wiring time) and schedules by integer id, so the
-        # handle-free hot path writes no slab columns at all — the
-        # calendar entry carries everything.
-        self._action_table: List[Action] = []
+        # calendar entry carries everything.  Slot _CALL_ID is reserved
+        # for closures pushed without registration.
+        self._action_table: List[Action] = [_call]
         self._action_ids: Dict[Action, int] = {}
         # Calendar: dict buckets of unsorted entries behind a heap of
         # their ids, plus the current bucket (sorted, cursor-consumed).
@@ -180,9 +140,8 @@ class EventQueue:
         """Intern ``action`` in the action table and return its id.
 
         Model code registers its recurring callbacks once at wiring
-        time; :meth:`schedule_id` then carries only the integer, so the
-        per-event hot path touches no slab storage.  Re-registering an
-        equal callable returns the existing id.
+        time; :meth:`schedule_id` then carries only the integer.
+        Re-registering an equal callable returns the existing id.
         """
         ids = self._action_ids
         action_id = ids.get(action)
@@ -212,10 +171,9 @@ class EventQueue:
 
     def schedule_id(self, time_s: float, action_id: int, priority: int,
                     arg: object = _NO_ARG) -> None:
-        """Handle-free hot path: schedule a pre-registered action.
+        """Hot path: schedule a pre-registered action.
 
-        The calendar entry carries the whole event — no slab row, no
-        cancellation support, no :class:`Event` handle.
+        The calendar entry carries the whole event.
         """
         if time_s < 0:
             raise SchedulingError(f"cannot schedule at negative time {time_s}")
@@ -249,37 +207,42 @@ class EventQueue:
         ordering semantics to one :meth:`schedule_id` call per item,
         amortising the per-call overhead across the whole epoch.
         Returns the number of events scheduled; raises if any timestamp
-        lies below ``floor_s`` (callers pass the current clock).
+        lies below ``floor_s`` (callers pass the current clock), leaving
+        the items before it queued and counted.
         """
         seq = self._seq
         count = 0
         buckets = self._buckets
         inv_width = self._inv_width
         current_id = self._current_id
-        for time_s, arg in items:
-            if time_s < floor_s:
-                raise SchedulingError(
-                    f"cannot schedule at {time_s:.9f}, floor is "
-                    f"{floor_s:.9f}")
-            entry = (time_s, priority, seq, action_id, arg)
-            seq += 1
-            count += 1
-            bucket_id = int(time_s * inv_width)
-            if bucket_id == current_id:
-                insort(self._current, entry, self._pos)
-            else:
-                bucket = buckets.get(bucket_id)
-                if bucket is None:
-                    self._new_bucket(bucket_id, entry)
+        try:
+            for time_s, arg in items:
+                if time_s < floor_s:
+                    raise SchedulingError(
+                        f"cannot schedule at {time_s:.9f}, floor is "
+                        f"{floor_s:.9f}")
+                entry = (time_s, priority, seq, action_id, arg)
+                bucket_id = int(time_s * inv_width)
+                if bucket_id == current_id:
+                    insort(self._current, entry, self._pos)
                 else:
-                    bucket.append(entry)
-        self._seq = seq
-        self._count += count
+                    bucket = buckets.get(bucket_id)
+                    if bucket is None:
+                        self._new_bucket(bucket_id, entry)
+                    else:
+                        bucket.append(entry)
+                seq += 1
+                count += 1
+        finally:
+            # A rejected item leaves the entries before it queued, so
+            # the counters must still account for them.
+            self._seq = seq
+            self._count += count
         return count
 
     def schedule(self, time_s: float, action: Action, priority: int,
                  arg: object = _NO_ARG) -> None:
-        """Schedule a callable without a handle (interning it first).
+        """Schedule a recurring callable, interning it first.
 
         Convenience wrapper for call sites that have not pre-registered
         their callback; hot paths should register once and use
@@ -288,65 +251,15 @@ class EventQueue:
         self.schedule_id(time_s, self.register_action(action), priority, arg)
 
     def push(self, time_s: float, action: Action,
-             priority: int = PRIORITY_DATA) -> Event:
-        """Schedule ``action`` at ``time_s`` and return the Event handle.
+             priority: int = PRIORITY_DATA) -> None:
+        """Schedule the one-off closure ``action`` at ``time_s``.
 
-        Handle events live in the slab (parallel time/priority/seq/
-        cancelled columns plus the per-row action cell) so ``cancel()``
-        can invalidate them in O(1); the calendar entry encodes the row
-        as a negative action id.
+        The closure rides as the argument of the reserved call id, so
+        it is never interned and the action table does not grow.
         """
-        if time_s < 0:
-            raise SchedulingError(f"cannot schedule at negative time {time_s}")
-        seq = self._seq
-        self._seq = seq + 1
-        free = self._free
-        if free:
-            index = free.pop()
-            self._times[index] = time_s
-            self._prios[index] = priority
-            self._seqs[index] = seq
-            self._cancelled[index] = False
-            self._actions[index] = action
-            self._args[index] = _NO_ARG
-        else:
-            index = len(self._seqs)
-            self._times.append(time_s)
-            self._prios.append(priority)
-            self._seqs.append(seq)
-            self._cancelled.append(False)
-            self._actions.append(action)
-            self._args.append(_NO_ARG)
-        entry = (time_s, priority, seq, -1 - index, _NO_ARG)
-        bucket_id = int(time_s * self._inv_width)
-        if bucket_id == self._current_id:
-            insort(self._current, entry, self._pos)
-        else:
-            bucket = self._buckets.get(bucket_id)
-            if bucket is None:
-                self._buckets[bucket_id] = [entry]
-                heappush(self._bucket_heap, bucket_id)
-            else:
-                bucket.append(entry)
-        self._count += 1
-        event = Event.__new__(Event)
-        event.time_s = time_s
-        event.priority = priority
-        event.seq = seq
-        event.action = action
-        event._queue = self
-        event._index = index
-        event._cancelled = False
-        return event
+        self.schedule_id(time_s, _CALL_ID, priority, action)
 
     # -- draining ----------------------------------------------------------
-
-    def _release(self, index: int) -> None:
-        """Return a slab row to the free list, invalidating stale handles."""
-        self._seqs[index] = -1
-        self._actions[index] = None
-        self._args[index] = None
-        self._free.append(index)
 
     def _advance(self) -> bool:
         """Make the earliest pending bucket current; False when none.
@@ -383,102 +296,12 @@ class EventQueue:
         self._epoch += 1
         return True
 
-    def take(self, until_s: Optional[float] = None,
-             ) -> Optional[Tuple[float, int, int, Action, object]]:
-        """Pop the next live entry as raw slab data.
-
-        Returns ``(time_s, priority, seq, action, arg)`` — ``arg`` is
-        :data:`_NO_ARG` for zero-argument actions — or ``None`` when
-        the queue is empty or the head lies strictly beyond ``until_s``
-        (the head then stays queued).
-        """
-        cancelled = self._cancelled
-        while True:
-            current = self._current
-            pos = self._pos
-            bucket_heap = self._bucket_heap
-            if ((bucket_heap and bucket_heap[0] < self._current_id)
-                    or pos >= len(current)):
-                if pos >= len(current) and not bucket_heap:
-                    return None
-                self._advance()
-                continue
-            entry = current[pos]
-            action_id = entry[3]
-            if action_id >= 0:
-                if until_s is not None and entry[0] > until_s:
-                    return None
-                self._pos = pos + 1
-                self._count -= 1
-                return (entry[0], entry[1], entry[2],
-                        self._action_table[action_id], entry[4])
-            index = -1 - action_id
-            if cancelled[index]:
-                self._pos = pos + 1
-                self._count -= 1
-                self._release(index)
-                continue
-            if until_s is not None and entry[0] > until_s:
-                return None
-            self._pos = pos + 1
-            self._count -= 1
-            action = self._actions[index]
-            self._release(index)
-            return (entry[0], entry[1], entry[2], action, _NO_ARG)
-
-    def pop(self) -> Optional[Event]:
-        """The next non-cancelled event, or None when empty.
-
-        Returns a detached :class:`Event` handle (compatibility API);
-        the engine's run loop drains the slab directly.
-        """
-        taken = self.take()
-        if taken is None:
-            return None
-        time_s, priority, seq, action, arg = taken
-        if arg is not _NO_ARG:
-            bound_action, bound_arg = action, arg
-
-            def action() -> None:
-                bound_action(bound_arg)
-        event = Event.__new__(Event)
-        event.time_s = time_s
-        event.priority = priority
-        event.seq = seq
-        event.action = action
-        event._queue = None
-        event._index = -1
-        event._cancelled = False
-        return event
-
-    def peek_time(self) -> Optional[float]:
-        """Timestamp of the next live event without removing it."""
-        cancelled = self._cancelled
-        while True:
-            current = self._current
-            pos = self._pos
-            bucket_heap = self._bucket_heap
-            if ((bucket_heap and bucket_heap[0] < self._current_id)
-                    or pos >= len(current)):
-                if pos >= len(current) and not bucket_heap:
-                    return None
-                self._advance()
-                continue
-            entry = current[pos]
-            action_id = entry[3]
-            if action_id < 0 and cancelled[-1 - action_id]:
-                self._pos = pos + 1
-                self._count -= 1
-                self._release(-1 - action_id)
-                continue
-            return entry[0]
-
     # -- checkpointing -----------------------------------------------------
 
     def snapshot_state(self) -> Dict[str, object]:
         """Deterministic queue state for :mod:`repro.checkpoint`.
 
-        The slab and calendar contents are deliberately absent: actions
+        The calendar contents are deliberately absent: actions
         are closures over live model objects, so checkpoints rebuild
         them by replaying the seeded scenario (docs/checkpointing.md).
         Only the counters that must survive verbatim are captured.

@@ -9,39 +9,24 @@ from repro.sim.events import (PRIORITY_CONTROL, PRIORITY_DATA, EventQueue)
 
 class TestEventQueue:
     def test_pops_in_time_order(self):
-        queue = EventQueue()
+        engine = Engine()
+        queue = engine._queue
         order = []
         queue.push(2.0, lambda: order.append("b"))
         queue.push(1.0, lambda: order.append("a"))
         queue.push(3.0, lambda: order.append("c"))
-        while (event := queue.pop()) is not None:
-            event.action()
+        engine.run()
         assert order == ["a", "b", "c"]
 
     def test_ties_broken_by_priority_then_insertion(self):
-        queue = EventQueue()
+        engine = Engine()
+        queue = engine._queue
         order = []
         queue.push(1.0, lambda: order.append("data1"), PRIORITY_DATA)
         queue.push(1.0, lambda: order.append("ctrl"), PRIORITY_CONTROL)
         queue.push(1.0, lambda: order.append("data2"), PRIORITY_DATA)
-        while (event := queue.pop()) is not None:
-            event.action()
+        engine.run()
         assert order == ["ctrl", "data1", "data2"]
-
-    def test_cancelled_events_skipped(self):
-        queue = EventQueue()
-        fired = []
-        event = queue.push(1.0, lambda: fired.append(1))
-        event.cancel()
-        assert queue.pop() is None
-        assert fired == []
-
-    def test_peek_time_skips_cancelled(self):
-        queue = EventQueue()
-        first = queue.push(1.0, lambda: None)
-        queue.push(2.0, lambda: None)
-        first.cancel()
-        assert queue.peek_time() == 2.0
 
     def test_negative_time_rejected(self):
         with pytest.raises(SchedulingError):
@@ -131,3 +116,34 @@ class TestEngine:
         engine.at(1.0, reenter)
         engine.run()
         assert failures == [True]
+
+    def test_closures_are_not_interned(self):
+        engine = Engine()
+        table_size = len(engine._queue._action_table)
+        fired = []
+        for i in range(1000):
+            assert engine.after(i * 1e-6, lambda i=i: fired.append(i)) is None
+        assert engine.at(1.0, lambda: None) is None
+        engine.run()
+        assert fired == list(range(1000))
+        assert len(engine._queue._action_table) == table_size
+
+    def test_rejected_batch_keeps_count_and_seq_in_step(self):
+        engine = Engine()
+        trace = []
+        engine.trace_to(trace)
+        engine.at(0.5, lambda: None)
+        engine.run()
+        action_id = engine.register_action(lambda tag: None)
+        with pytest.raises(SchedulingError):
+            engine.call_at_id_many(
+                action_id, [(0.6, "a"), (0.7, "b"), (0.1, "c")])
+        # The two entries before the rejected one stay queued and counted.
+        assert engine.pending() == 2
+        engine.at(0.65, lambda: None)
+        assert engine.pending() == 3
+        del trace[:]
+        engine.run()
+        assert trace == [(0.6, PRIORITY_DATA, 1), (0.65, PRIORITY_DATA, 3),
+                         (0.7, PRIORITY_DATA, 2)]
+        assert engine.pending() == 0

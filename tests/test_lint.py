@@ -229,6 +229,14 @@ class TestEventRules:
             def handler(engine):
                 engine._queue.pop()
         """)
+        # The queue's own counters, calendar, cursor and action table.
+        for attr in ("_seq", "_count", "_buckets", "_bucket_heap",
+                     "_current", "_pos", "_action_table", "_action_ids",
+                     "_epoch"):
+            assert "EVT302" in _codes(f"""
+                def handler(queue):
+                    return queue.{attr}
+            """), attr
 
     def test_evt302_fires_on_clock_write(self):
         assert "EVT302" in _codes("""
