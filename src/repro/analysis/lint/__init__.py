@@ -8,9 +8,9 @@ An AST-based lint framework plus a battery of simulator-specific rules:
 * **UNIT2xx unit hygiene** — raw power-of-ten conversion factors,
   expressions mixing ``_s``/``_us``/``_bps`` suffixes, float ``==`` on
   simulated time;
-* **EVT3xx event safety** — ``heapq`` outside the deterministic
-  :class:`~repro.sim.events.EventQueue`, handler code touching
-  scheduler internals;
+* **EVT3xx event safety** — ``heapq`` outside the scheduler modules
+  (:mod:`repro.sim.events`, :mod:`repro.sim.engine`), handler code
+  touching scheduler internals;
 * **EXC4xx exception hygiene** — bare/broad ``except`` that can swallow
   :mod:`repro.errors` signals.
 

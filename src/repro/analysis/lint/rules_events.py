@@ -2,7 +2,8 @@
 
 The engine's whole determinism story is the ``(time, priority, seq)``
 ordering enforced by :class:`repro.sim.events.EventQueue`.  A raw
-``heapq.heappush`` elsewhere bypasses the sequence-number tie-break
+``heapq`` push elsewhere — however ``heapq`` or its functions were
+imported — bypasses the sequence-number tie-break
 (simultaneous events then compare by whatever the payload compares by),
 and poking ``engine._queue`` / writing ``engine.now_s`` from a handler
 desynchronises the clock from the queue.  Handlers must stay inside the
@@ -13,29 +14,29 @@ id-based ``call_*`` calls).
 from __future__ import annotations
 
 import ast
+from typing import Dict, Set
 
 from .findings import Severity
 from .visitor import LintRule, ModuleContext, dotted_name, register
 
-#: The one module allowed to touch heapq: the deterministic EventQueue.
-_HEAP_HOME = "repro.sim.events"
-#: Modules that own the scheduler internals they touch.
+#: Modules that own the scheduler: the only ones allowed to touch heapq
+#: and the scheduler internals (the engine's run loop and id fast paths
+#: push and pop the queue's heap directly).
 _ENGINE_HOME = ("repro.sim.engine", "repro.sim.events")
 
 _HEAP_FNS = frozenset({"heappush", "heappop", "heapify", "heapreplace",
                        "heappushpop", "merge", "nsmallest", "nlargest"})
 
 #: Private scheduler attributes nothing outside the engine may touch:
-#: the engine's queue, and the queue's counters, calendar buckets,
-#: drain cursor and action table.
+#: the engine's queue, and the queue's seq counter, heap, arrival lane
+#: and action table.
 _SCHEDULER_PRIVATES = frozenset({
-    "_queue", "_seq", "_count", "_buckets", "_bucket_heap", "_current",
-    "_pos", "_action_table", "_action_ids", "_epoch"})
+    "_queue", "_seq", "_heap", "_lane", "_action_table", "_action_ids"})
 
 
 @register
 class RawHeapRule(LintRule):
-    """EVT301: heapq used outside the deterministic EventQueue."""
+    """EVT301: heapq used outside the scheduler modules."""
 
     code = "EVT301"
     name = "raw-heap"
@@ -46,20 +47,47 @@ class RawHeapRule(LintRule):
                  "EventQueue adds the monotonically increasing seq "
                  "tie-break; all event scheduling must go through it.")
 
+    def __init__(self) -> None:
+        #: Names bound to the heapq module, and local names bound to its
+        #: functions (mapped to the function's real name).
+        self._modules: Set[str] = set()
+        self._functions: Dict[str, str] = {}
+
+    def begin_module(self, ctx: ModuleContext) -> None:
+        """Collect what ``heapq`` is bound to here: ``import heapq``,
+        ``import heapq as hq`` and ``from heapq import heappush [as p]``."""
+        self._modules = {"heapq"}
+        self._functions = {}
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.Import):
+                self._modules.update(alias.asname or alias.name
+                                     for alias in node.names
+                                     if alias.name == "heapq")
+            elif isinstance(node, ast.ImportFrom) and \
+                    node.module == "heapq" and not node.level:
+                self._functions.update(
+                    (alias.asname or alias.name, alias.name)
+                    for alias in node.names if alias.name in _HEAP_FNS)
+
     def visit_Call(self, node: ast.Call, ctx: ModuleContext) -> None:
-        """Flag ``heapq.*`` calls outside the event-queue module."""
-        if ctx.module == _HEAP_HOME:
+        """Flag heapq calls outside the scheduler modules."""
+        if ctx.module in _ENGINE_HOME:
             return
         chain = dotted_name(node.func)
         if chain is None:
             return
         parts = chain.split(".")
-        if parts[0] == "heapq" and len(parts) == 2 and \
+        if len(parts) == 2 and parts[0] in self._modules and \
                 parts[1] in _HEAP_FNS:
-            ctx.report(self, node,
-                       f"direct {chain}() bypasses EventQueue's "
-                       "(time, priority, seq) tie-break; schedule through "
-                       "repro.sim.events.EventQueue / Engine.at")
+            function = parts[1]
+        elif len(parts) == 1 and parts[0] in self._functions:
+            function = self._functions[parts[0]]
+        else:
+            return
+        ctx.report(self, node,
+                   f"direct {chain}() (heapq.{function}) bypasses "
+                   "EventQueue's (time, priority, seq) tie-break; schedule "
+                   "through repro.sim.events.EventQueue / Engine.at")
 
 
 @register
@@ -69,8 +97,8 @@ class SchedulerInternalsRule(LintRule):
     code = "EVT302"
     name = "scheduler-internals"
     severity = Severity.ERROR
-    rationale = ("Mutating engine internals (its calendar buckets, its "
-                 "seq counter) or writing now_s from an event handler "
+    rationale = ("Mutating engine internals (its heap and arrival lane, "
+                 "its seq counter) or writing now_s from an event handler "
                  "breaks the engine's invariant that the clock only "
                  "advances by draining the queue. Schedule through the "
                  "public Engine API and let the engine own its clock.")

@@ -3,7 +3,7 @@
 from .engine import Engine
 from .faults import FaultEvent, FaultInjector
 from .events import EventQueue, PRIORITY_CONTROL, PRIORITY_DATA
-from .latency import COMPONENTS, LatencyLedger, LatencyRecord
+from .latency import COMPONENTS, LatencyLedger
 from .network import ChainNetwork
 from .nfinstance import NFStation
 from .queues import PacketQueue, QueueStats
@@ -19,7 +19,6 @@ __all__ = [
     "FaultInjector",
     "EventQueue",
     "LatencyLedger",
-    "LatencyRecord",
     "NFStation",
     "PRIORITY_CONTROL",
     "PRIORITY_DATA",

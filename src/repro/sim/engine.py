@@ -4,20 +4,20 @@ Minimal by design — the engine advances a clock through a deterministic
 event queue.  Model logic (queues, NF servers, PCIe hops, migrations)
 lives in the modules that schedule events on it.
 
-The run loop is batched around the calendar scheduler in
-:mod:`repro.sim.events`: each iteration takes a raw ``(time, priority,
-seq, action_id, arg)`` entry straight off the current bucket, so no
-per-event object exists.  Subscribers receive ``(time_s, priority,
-seq)`` trace keys in buffered batches rather than one callback per
-event (see :meth:`Engine.add_trace_observer`), which is what keeps
-instrumented runs — determinism tracing, the soak invariant engine —
-on the fast path.
+The run loop is batched around the scheduler in :mod:`repro.sim.events`:
+each iteration takes a raw ``(time, priority, seq, action_id, arg)``
+entry straight off the arrival lane or the heap, whichever is smaller,
+so no per-event object exists.  Subscribers receive ``(time_s,
+priority, seq)`` trace keys in buffered batches rather than one
+callback per event (see :meth:`Engine.add_trace_observer`), which is
+what keeps instrumented runs — determinism tracing, the soak invariant
+engine — on the fast path.
 """
 
 from __future__ import annotations
 
 import gc
-from bisect import insort
+from heapq import heappop, heappush
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import SchedulingError
@@ -118,8 +118,8 @@ class Engine:
         Model code registers its hot callbacks once at wiring time and
         then schedules them by id via :meth:`call_at_id` /
         :meth:`call_after_id` — the cheapest scheduling path there is
-        (the calendar entry carries the id and argument; nothing else
-        is stored).
+        (the queue entry carries the id and argument; nothing else is
+        stored).
         """
         return self._queue.register_action(action)
 
@@ -134,7 +134,7 @@ class Engine:
         """Schedule the recurring ``action(arg)`` at ``time_s``.
 
         ``action`` is interned in the action table and ``arg`` rides in
-        the calendar entry, which replaces a per-event closure.  Same
+        the queue entry, which replaces a per-event closure.  Same
         validation and ordering as :meth:`at`.
         """
         if time_s < self.now_s:
@@ -148,8 +148,7 @@ class Engine:
                    arg: object = _NO_ARG, control: bool = False) -> None:
         """Schedule a pre-registered action by id at ``time_s``.
 
-        The calendar insert is inlined (the engine co-owns the
-        scheduler; only the rare new-bucket case calls back into it) —
+        The heap push is inlined (the engine co-owns the scheduler) —
         this and :meth:`call_after_id` are the hottest calls in packet
         mode.
         """
@@ -159,18 +158,9 @@ class Engine:
         queue = self._queue
         seq = queue._seq
         queue._seq = seq + 1
-        entry = (time_s, PRIORITY_CONTROL if control else PRIORITY_DATA,
-                 seq, action_id, arg)
-        bucket_id = int(time_s * queue._inv_width)
-        if bucket_id == queue._current_id:
-            insort(queue._current, entry, queue._pos)
-        else:
-            bucket = queue._buckets.get(bucket_id)
-            if bucket is None:
-                queue._new_bucket(bucket_id, entry)
-            else:
-                bucket.append(entry)
-        queue._count += 1
+        heappush(queue._heap, (time_s,
+                               PRIORITY_CONTROL if control else PRIORITY_DATA,
+                               seq, action_id, arg))
 
     def call_after_id(self, delay_s: float, action_id: int,
                       arg: object = _NO_ARG, control: bool = False) -> None:
@@ -181,22 +171,12 @@ class Engine:
         """
         if delay_s < 0:
             raise SchedulingError(f"negative delay {delay_s}")
-        time_s = self.now_s + delay_s
         queue = self._queue
         seq = queue._seq
         queue._seq = seq + 1
-        entry = (time_s, PRIORITY_CONTROL if control else PRIORITY_DATA,
-                 seq, action_id, arg)
-        bucket_id = int(time_s * queue._inv_width)
-        if bucket_id == queue._current_id:
-            insort(queue._current, entry, queue._pos)
-        else:
-            bucket = queue._buckets.get(bucket_id)
-            if bucket is None:
-                queue._new_bucket(bucket_id, entry)
-            else:
-                bucket.append(entry)
-        queue._count += 1
+        heappush(queue._heap, (self.now_s + delay_s,
+                               PRIORITY_CONTROL if control else PRIORITY_DATA,
+                               seq, action_id, arg))
 
     def call_after_id_pair(self, delay_a: float, action_id_a: int,
                            delay_b: float, action_id_b: int,
@@ -214,43 +194,22 @@ class Engine:
                 f"negative delay in pair ({delay_a}, {delay_b})")
         now_s = self.now_s
         queue = self._queue
+        heap = queue._heap
         seq = queue._seq
         queue._seq = seq + 2
-        inv_width = queue._inv_width
-        current_id = queue._current_id
-        buckets = queue._buckets
-        current = queue._current
-        time_s = now_s + delay_a
-        entry = (time_s, PRIORITY_DATA, seq, action_id_a, _NO_ARG)
-        bucket_id = int(time_s * inv_width)
-        if bucket_id == current_id:
-            insort(current, entry, queue._pos)
-        else:
-            bucket = buckets.get(bucket_id)
-            if bucket is None:
-                queue._new_bucket(bucket_id, entry)
-            else:
-                bucket.append(entry)
-        time_s = now_s + delay_b
-        entry = (time_s, PRIORITY_DATA, seq + 1, action_id_b, arg_b)
-        bucket_id = int(time_s * inv_width)
-        if bucket_id == current_id:
-            insort(current, entry, queue._pos)
-        else:
-            bucket = buckets.get(bucket_id)
-            if bucket is None:
-                queue._new_bucket(bucket_id, entry)
-            else:
-                bucket.append(entry)
-        queue._count += 2
+        heappush(heap, (now_s + delay_a, PRIORITY_DATA, seq, action_id_a,
+                        _NO_ARG))
+        heappush(heap, (now_s + delay_b, PRIORITY_DATA, seq + 1,
+                        action_id_b, arg_b))
 
     def call_at_id_many(self, action_id: int,
                         items, control: bool = False) -> int:
         """Bulk :meth:`call_at_id` over ``(time_s, arg)`` pairs.
 
-        The injection path for a whole arrival epoch; items may be any
-        iterable (a generator keeps memory flat).  Returns the number
-        of events scheduled.
+        The injection path for a whole arrival epoch: the entries go to
+        the scheduler's presorted arrival lane rather than the heap.
+        Items may be any iterable.  Returns the number of events
+        scheduled.
         """
         return self._queue.schedule_id_many(
             action_id, PRIORITY_CONTROL if control else PRIORITY_DATA,
@@ -295,16 +254,19 @@ class Engine:
         queue = self._queue
         tracing = bool(self._trace_observers)
         trace_buffer = self._trace_buffer
-        # The drain loop reads the scheduler's action table and current
-        # bucket directly (the engine co-owns the scheduler per the
-        # simulation-safety lint); all *structural* mutation — bucket
-        # swaps, demotions, the bucket heap — stays in
-        # ``EventQueue._advance``.  ``queue._pos`` is re-synced before
-        # every action and every return so the queue is consistent
-        # whenever model code (or an exception) can observe it.
+        # The drain loop reads the scheduler's action table, heap and
+        # lane directly (the engine co-owns the scheduler per the
+        # simulation-safety lint).  The scheduler mutates all three only
+        # in place, so these locals stay valid across actions, and the
+        # queue is consistent whenever model code can observe it.
         table = queue._action_table
-        bucket_heap = queue._bucket_heap
-        # The drain loop allocates short-lived acyclic objects (calendar
+        heap = queue._heap
+        lane = queue._lane
+        # Countdown to the next trace flush (cheaper than a len() per
+        # event); a flush from within an action (flush_trace) only makes
+        # the next one early.
+        trace_left = _TRACE_BATCH - len(trace_buffer)
+        # The drain loop allocates short-lived acyclic objects (queue
         # entries, packets' latency math) at a rate that keeps tripping
         # gen-0 collections; none of them need the cycle collector, so
         # pause it for the duration of the run and restore on exit.
@@ -312,60 +274,50 @@ class Engine:
         if gc_was_enabled:
             gc.disable()
         try:
-            while True:
-                # (Re-)localise the current bucket.  ``_advance`` bumps
-                # ``_epoch`` whenever it swaps the bucket out from under
-                # these locals, which sends us back here.
-                current = queue._current
-                pos = queue._pos
-                current_id = queue._current_id
-                epoch = queue._epoch
-                n = len(current)
-                # Countdown to the next trace flush (cheaper than a
-                # len() per event); recomputed here because a flush may
-                # happen from within an action via flush_trace().
-                trace_left = _TRACE_BATCH - len(trace_buffer)
-                while True:
-                    if remaining <= 0:
-                        queue._pos = pos
-                        return
-                    if ((bucket_heap and bucket_heap[0] < current_id)
-                            or pos >= n):
-                        queue._pos = pos
-                        if pos >= n and not bucket_heap:
-                            # Queue drained: the clock stays where the
-                            # last event put it.
-                            return
-                        queue._advance()
-                        break
-                    time_s, priority, seq, action_id, arg = current[pos]
-                    if time_s > horizon:
-                        # Horizon reached with events still queued:
-                        # advance the clock to the horizon.
-                        queue._pos = pos
-                        self.now_s = horizon
-                        return
-                    remaining -= 1
-                    pos += 1
-                    queue._pos = pos
-                    queue._count -= 1
-                    self.now_s = time_s
-                    if tracing:
-                        trace_buffer.append((time_s, priority, seq))
-                        trace_left -= 1
-                        if trace_left <= 0:
-                            self.flush_trace()
-                            trace_left = _TRACE_BATCH
-                    if arg is _NO_ARG:
-                        table[action_id]()
+            while remaining > 0:
+                # The smaller of the lane head and the heap top, by the
+                # full (time, priority, seq) key; an entry past the
+                # horizon stays where it is.
+                if lane:
+                    entry = lane[-1]
+                    if heap and heap[0] < entry:
+                        entry = heap[0]
+                        if entry[0] > horizon:
+                            break
+                        heappop(heap)
                     else:
-                        table[action_id](arg)
-                    self.events_processed += 1
-                    if queue._epoch != epoch:
+                        if entry[0] > horizon:
+                            break
+                        lane.pop()
+                elif heap:
+                    entry = heap[0]
+                    if entry[0] > horizon:
                         break
-                    # The action may have insorted into the current
-                    # bucket's unconsumed tail.
-                    n = len(current)
+                    heappop(heap)
+                else:
+                    # Queue drained: the clock stays where the last
+                    # event put it.
+                    return
+                time_s, priority, seq, action_id, arg = entry
+                remaining -= 1
+                self.now_s = time_s
+                if tracing:
+                    trace_buffer.append((time_s, priority, seq))
+                    trace_left -= 1
+                    if trace_left <= 0:
+                        self.flush_trace()
+                        trace_left = _TRACE_BATCH
+                if arg is _NO_ARG:
+                    table[action_id]()
+                else:
+                    table[action_id](arg)
+                self.events_processed += 1
+            else:
+                # Event cap reached.
+                return
+            # Horizon reached with events still queued: advance the
+            # clock to the horizon.
+            self.now_s = horizon
         finally:
             self._running = False
             if gc_was_enabled:

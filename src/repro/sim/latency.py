@@ -9,90 +9,65 @@ packet's life to one of four components:
 * ``queueing`` — time waiting in NF ingress queues (and migration buffers),
 * ``pcie`` — NIC<->CPU transfers.
 
-:class:`LatencyRecord` accumulates the components for one packet;
-:class:`LatencyLedger` owns the records for a run and provides the
-aggregations the harness reports.
+The components are slots of the :class:`~repro.traffic.packet.Packet`
+itself, accumulated in place on every hop, so attributing a hop costs
+one attribute update and no lookup.  :class:`LatencyLedger` indexes a
+run's packets by seq and provides the aggregations the harness reports.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
 from ..errors import SimulationError
+from ..traffic.packet import Packet
 
 COMPONENTS = ("wire", "processing", "queueing", "pcie")
 
 
-@dataclass(slots=True)
-class LatencyRecord:
-    """Component-attributed latency for one packet (slotted: one live
-    record per in-flight packet, accumulated into on every hop)."""
-
-    seq: int
-    wire: float = 0.0
-    processing: float = 0.0
-    queueing: float = 0.0
-    pcie: float = 0.0
-
-    def add(self, component: str, seconds: float) -> None:
-        """Attribute ``seconds`` to ``component``."""
-        if seconds < 0:
-            raise SimulationError(
-                f"negative latency contribution {seconds} to {component}")
-        if component not in COMPONENTS:
-            raise SimulationError(f"unknown latency component {component!r}")
-        setattr(self, component, getattr(self, component) + seconds)
-
-    @property
-    def total(self) -> float:
-        """Sum of all components (equals end-to-end latency)."""
-        return self.wire + self.processing + self.queueing + self.pcie
-
-
-class _RecordMap(Dict[int, LatencyRecord]):
-    """seq -> record mapping that creates records on first access.
-
-    ``__missing__`` makes plain subscription the create-or-get
-    operation, so hot paths reach a packet's record with a single C
-    dict lookup instead of a Python method call.
-    """
-
-    def __missing__(self, seq: int) -> LatencyRecord:
-        record = LatencyRecord(seq=seq)
-        self[seq] = record
-        return record
+def add_latency(packet: Packet, component: str, seconds: float) -> None:
+    """Attribute ``seconds`` of ``packet``'s life to ``component``."""
+    if seconds < 0:
+        raise SimulationError(
+            f"negative latency contribution {seconds} to {component}")
+    if component not in COMPONENTS:
+        raise SimulationError(f"unknown latency component {component!r}")
+    setattr(packet, component, getattr(packet, component) + seconds)
 
 
 class LatencyLedger:
-    """Collects per-packet records and aggregates them."""
+    """A run's packets by seq, filled at injection, and their aggregates."""
 
     def __init__(self) -> None:
-        #: Per-packet records by seq; subscription auto-creates, so hot
-        #: paths may index it directly (``ledger.by_seq[seq]``).
-        self.by_seq: _RecordMap = _RecordMap()
-        self._records: Dict[int, LatencyRecord] = self.by_seq
+        self._packets: Dict[int, Packet] = {}
 
-    def record_for(self, seq: int) -> LatencyRecord:
-        """The (possibly new) record for packet ``seq``."""
-        return self.by_seq[seq]
+    def index(self, packets: Iterable[Packet]) -> None:
+        """Add injected ``packets`` to the index."""
+        self._packets.update((packet.seq, packet) for packet in packets)
+
+    def record_for(self, seq: int) -> Packet:
+        """The indexed packet ``seq``, carrying its latency components."""
+        packet = self._packets.get(seq)
+        if packet is None:
+            raise SimulationError(f"no packet with seq {seq} was injected")
+        return packet
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._packets)
 
-    def records(self) -> List[LatencyRecord]:
-        """All records in packet order."""
-        return [self._records[k] for k in sorted(self._records)]
+    def records(self) -> List[Packet]:
+        """All indexed packets in seq order."""
+        return [self._packets[k] for k in sorted(self._packets)]
 
     def component_means(self, seqs: Optional[Iterable[int]] = None) -> Dict[str, float]:
         """Mean seconds per component over ``seqs`` (default: all packets)."""
-        chosen = (self._records[s] for s in seqs) if seqs is not None \
-            else iter(self._records.values())
+        chosen = (self._packets[s] for s in seqs) if seqs is not None \
+            else iter(self._packets.values())
         totals = dict.fromkeys(COMPONENTS, 0.0)
         count = 0
-        for record in chosen:
+        for packet in chosen:
             for component in COMPONENTS:
-                totals[component] += getattr(record, component)
+                totals[component] += getattr(packet, component)
             count += 1
         if count == 0:
             return dict.fromkeys(COMPONENTS, 0.0)

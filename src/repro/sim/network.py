@@ -29,7 +29,6 @@ class ChainNetwork:
     """The data plane: stations plus inter-station forwarding."""
 
     def __init__(self, server: Server, engine: Engine,
-                 ledger: Optional[LatencyLedger] = None,
                  placement: Optional[Placement] = None) -> None:
         """Wire one chain onto ``server``.
 
@@ -39,7 +38,9 @@ class ChainNetwork:
         """
         self.server = server
         self.engine = engine
-        self.ledger = ledger or LatencyLedger()
+        #: The run's injected packets by seq (their latency components
+        #: live on the packets themselves).
+        self.ledger = LatencyLedger()
         if placement is None:
             placement = server.placement
         self.chain = placement.chain
@@ -51,7 +52,7 @@ class ChainNetwork:
         for nf in self.chain:
             device = server.device(placement.device_of(nf.name))
             self.stations[nf.name] = NFStation(
-                nf, device, engine, self.ledger, self._on_nf_complete,
+                nf, device, engine, self._on_nf_complete,
                 on_filtered=self._on_nf_filtered,
                 on_dropped=self._on_nf_dropped)
         self.delivered: List[Packet] = []
@@ -88,7 +89,6 @@ class ChainNetwork:
         # (see Engine.register_action); the post-PCIe arrival thunks
         # are one fused closure per NF so the scheduled argument stays
         # the bare packet.
-        self._latency_by_seq = self.ledger.by_seq
         self._pcie = server.pcie
         self._nic = server.nic
         # Port contention is constructor-set configuration; when it is
@@ -126,6 +126,7 @@ class ChainNetwork:
         """Schedule a packet's wire arrival (call before engine.run)."""
         self.injected += 1
         self.injected_bytes += packet.size_bytes
+        self.ledger.index((packet,))
         self.engine.call_at_id(packet.arrival_s, self._ingress_id, packet)
 
     def inject_batch(self, packets: List[Packet]) -> None:
@@ -136,6 +137,7 @@ class ChainNetwork:
         """
         self.injected += len(packets)
         self.injected_bytes += sum(p.size_bytes for p in packets)
+        self.ledger.index(packets)
         self.engine.call_at_id_many(
             self._ingress_id, ((p.arrival_s, p) for p in packets))
 
@@ -163,7 +165,7 @@ class ChainNetwork:
             if t_wire < 0.0:
                 raise SimulationError(
                     f"negative wire latency {t_wire} at ingress")
-            self._latency_by_seq[packet.seq].wire += t_wire
+            packet.wire += t_wire
             self.engine.call_after_id(t_wire, self._forward_from_wire_id,
                                       packet)
         else:
@@ -184,7 +186,6 @@ class ChainNetwork:
         arrive_id = self._arrive_ids[self._first_nf]
         pcie = self._pcie
         engine = self.engine
-        by_seq = self._latency_by_seq
         dropped_append = self.dropped.append
         nf_name = station.profile.name
 
@@ -196,7 +197,7 @@ class ChainNetwork:
                     raise SimulationError(
                         f"negative PCIe latency {t_pcie} "
                         f"toward {station.profile.name!r}")
-                by_seq[packet.seq].pcie += t_pcie
+                packet.pcie += t_pcie
                 engine.call_after_id(t_pcie, arrive_id, packet)
             elif station.device._failed and not station._paused:
                 packet.dropped_at = nf_name
@@ -234,7 +235,7 @@ class ChainNetwork:
             if t_pcie < 0.0:
                 raise SimulationError(
                     f"negative PCIe latency {t_pcie} toward {nf_name!r}")
-            self._latency_by_seq[packet.seq].pcie += t_pcie
+            packet.pcie += t_pcie
             self.engine.call_after_id(t_pcie, self._arrive_ids[nf_name],
                                       packet)
         else:
@@ -303,7 +304,6 @@ class ChainNetwork:
         arrive_id = self._arrive_ids[next_name]
         pcie = self._pcie
         engine = self.engine
-        by_seq = self._latency_by_seq
         dropped_append = self.dropped.append
         next_nf_name = next_station.profile.name
 
@@ -316,7 +316,7 @@ class ChainNetwork:
                     raise SimulationError(
                         f"negative PCIe latency {t_pcie} "
                         f"toward {next_station.profile.name!r}")
-                by_seq[packet.seq].pcie += t_pcie
+                packet.pcie += t_pcie
                 engine.call_after_id(t_pcie, arrive_id, packet)
             elif next_station.device._failed and not next_station._paused:
                 packet.dropped_at = next_nf_name
@@ -335,14 +335,13 @@ class ChainNetwork:
         paying wire serialisation only when the egress endpoint is the
         NIC (host-terminated chains hand the packet to an application).
         """
-        record = self._latency_by_seq[packet.seq]
         if from_device is not self.egress_device:
             t_pcie = self._pcie.record_crossing(packet.size_bytes,
                                                 self.engine.now_s)
             if t_pcie < 0.0:
                 raise SimulationError(
                     f"negative PCIe latency {t_pcie} at egress")
-            record.pcie += t_pcie
+            packet.pcie += t_pcie
             self.engine.call_after_id(t_pcie, self._egress_at_endpoint_id,
                                       packet)
             return
@@ -356,7 +355,7 @@ class ChainNetwork:
             if t_wire < 0.0:
                 raise SimulationError(
                     f"negative wire latency {t_wire} at egress")
-            record.wire += t_wire
+            packet.wire += t_wire
             self.engine.call_after_id(t_wire, self._depart_id, packet)
         else:
             self._depart(packet)

@@ -24,7 +24,7 @@ from ..resources.model import LoadModel
 from ..telemetry.metrics import LatencySummary, ThroughputSummary
 from ..traffic.generators import TrafficGenerator
 from .engine import Engine
-from .latency import LatencyLedger
+from .latency import COMPONENTS
 from .network import ChainNetwork
 
 
@@ -211,19 +211,35 @@ class SimulationRunner:
 
     def _collect(self, offered_bps: float) -> SimulationResult:
         delivered = self.network.delivered
-        latencies = [p.latency_s for p in delivered if p.latency_s is not None]
-        latency = LatencySummary.from_samples(latencies) if latencies else None
-        # Goodput counts only packets that left within the workload
-        # horizon; backlog drained during the grace period would
-        # otherwise inflate an overloaded chain's apparent throughput.
+        # One pass over the delivered packets: latencies, the component
+        # sums behind the means, and goodput.  Goodput counts only
+        # packets that left within the workload horizon; backlog
+        # drained during the grace period would otherwise inflate an
+        # overloaded chain's apparent throughput.
         horizon = self.generator.duration_s
-        in_window = [p for p in delivered
-                     if p.departure_s is not None and p.departure_s <= horizon]
+        latencies = []
+        wire = processing = queueing = pcie = 0.0
+        window_packets = window_bytes = 0
+        for packet in delivered:
+            departure_s = packet.departure_s
+            latencies.append(departure_s - packet.arrival_s)
+            wire += packet.wire
+            processing += packet.processing
+            queueing += packet.queueing
+            pcie += packet.pcie
+            if departure_s <= horizon:
+                window_packets += 1
+                window_bytes += packet.size_bytes
+        latency = LatencySummary.from_samples(latencies) if latencies else None
         throughput = ThroughputSummary(
-            delivered_packets=len(in_window),
-            delivered_bytes=sum(p.size_bytes for p in in_window),
+            delivered_packets=window_packets,
+            delivered_bytes=window_bytes,
             window_s=horizon)
-        delivered_seqs = [p.seq for p in delivered]
+        count = len(delivered)
+        component_means_s = (
+            {"wire": wire / count, "processing": processing / count,
+             "queueing": queueing / count, "pcie": pcie / count}
+            if count else dict.fromkeys(COMPONENTS, 0.0))
         migrations = getattr(self.controller, "migrations", [])
         return SimulationResult(
             duration_s=self.generator.duration_s,
@@ -234,7 +250,7 @@ class SimulationRunner:
             offered_bps=offered_bps,
             latency=latency,
             throughput=throughput,
-            component_means_s=self.network.ledger.component_means(delivered_seqs),
+            component_means_s=component_means_s,
             pcie=self.server.pcie.stats,
             final_placement=self.server.placement,
             migration_times_s=[m.completed_s for m in migrations],

@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import Iterable, List, Sequence, Union
 
 from ..errors import ConfigurationError
-from ..sim.latency import COMPONENTS, LatencyLedger
+from ..sim.latency import COMPONENTS
 from ..traffic.packet import Packet
 from .recorder import TimeSeriesRecorder
 
@@ -36,10 +36,11 @@ def series_to_csv(recorder: TimeSeriesRecorder,
 
 def packets_to_jsonl(packets: Iterable[Packet],
                      path: Union[str, Path],
-                     ledger: LatencyLedger = None) -> int:
+                     components: bool = False) -> int:
     """Write one JSON object per packet (outcome + latency breakdown).
 
-    Returns the number of packets written.
+    ``components`` adds one ``latency_<component>_s`` column per
+    latency component.  Returns the number of packets written.
     """
     lines: List[str] = []
     for packet in packets:
@@ -53,10 +54,9 @@ def packets_to_jsonl(packets: Iterable[Packet],
             "dropped_at": packet.dropped_at,
             "filtered_at": packet.filtered_at,
         }
-        if ledger is not None:
-            record = ledger.record_for(packet.seq)
+        if components:
             for component in COMPONENTS:
-                row[f"latency_{component}_s"] = getattr(record, component)
+                row[f"latency_{component}_s"] = getattr(packet, component)
         lines.append(json.dumps(row, sort_keys=True))
     if not lines:
         raise ConfigurationError("no packets to export")

@@ -9,6 +9,7 @@ stable population of 5-tuples and maps packets onto flows.
 from __future__ import annotations
 
 import random
+import zlib
 from bisect import bisect
 from dataclasses import dataclass
 from itertools import accumulate
@@ -30,10 +31,17 @@ class FiveTuple:
     protocol: str = "tcp"
 
     def hash_bucket(self, buckets: int) -> int:
-        """Deterministic hash split used by scale-out load balancing."""
+        """Deterministic hash split used by scale-out load balancing.
+
+        CRC-based over the canonical 5-tuple text, so splits are stable
+        across processes and runs (unlike the built-in ``hash``, which
+        is salted per process).
+        """
         if buckets <= 0:
             raise ConfigurationError("bucket count must be positive")
-        return hash(self) % buckets
+        text = (f"{self.src_ip}|{self.dst_ip}|{self.src_port}|"
+                f"{self.dst_port}|{self.protocol}")
+        return zlib.crc32(text.encode()) % buckets
 
 
 class FlowTable:

@@ -46,6 +46,13 @@ class Packet:
     #: NF that deliberately consumed the packet (firewall block, IDS
     #: quarantine) — a policy outcome, not a loss.
     filtered_at: Optional[str] = None
+    #: Latency components, seconds, accumulated in place on every hop
+    #: (see :mod:`repro.sim.latency`): wire serialisation, NF service,
+    #: queue and migration-buffer waiting, PCIe transfers.
+    wire: float = 0.0
+    processing: float = 0.0
+    queueing: float = 0.0
+    pcie: float = 0.0
 
     @property
     def latency_s(self) -> Optional[float]:

@@ -58,24 +58,23 @@ class TestPacketsJsonl:
     def test_dump_and_load(self, tmp_path, run_network):
         path = tmp_path / "packets.jsonl"
         count = packets_to_jsonl(run_network.delivered, path,
-                                 ledger=run_network.ledger)
+                                 components=True)
         assert count == 20
         rows = load_packets_jsonl(path)
         assert len(rows) == 20
         assert rows[0]["seq"] == 0
         assert rows[0]["latency_s"] > 0
 
-    def test_component_columns_present_with_ledger(self, tmp_path,
-                                                   run_network):
+    def test_component_columns_present_on_request(self, tmp_path,
+                                                  run_network):
         path = tmp_path / "packets.jsonl"
-        packets_to_jsonl(run_network.delivered, path,
-                         ledger=run_network.ledger)
+        packets_to_jsonl(run_network.delivered, path, components=True)
         row = load_packets_jsonl(path)[0]
         component_sum = sum(row[f"latency_{c}_s"] for c in
                             ("wire", "processing", "queueing", "pcie"))
         assert component_sum == pytest.approx(row["latency_s"])
 
-    def test_no_ledger_no_component_columns(self, tmp_path, run_network):
+    def test_no_component_columns_by_default(self, tmp_path, run_network):
         path = tmp_path / "packets.jsonl"
         packets_to_jsonl(run_network.delivered, path)
         assert "latency_pcie_s" not in load_packets_jsonl(path)[0]

@@ -1,17 +1,39 @@
 """Flow table: determinism, Zipf weighting, hash splits."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.errors import ConfigurationError
 from repro.traffic.flows import FiveTuple, FlowTable
+
+
+def _split_in_subprocess(hash_seed):
+    """``repr(FlowTable().split(4))`` from a fresh interpreter whose
+    string hashing is salted with ``hash_seed``."""
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+               PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+    completed = subprocess.run(
+        [sys.executable, "-c",
+         "from repro.traffic.flows import FlowTable; "
+         "print(repr(FlowTable().split(4)))"],
+        env=env, capture_output=True, text=True, check=True)
+    return completed.stdout.strip()
 
 
 class TestFiveTuple:
     def test_hash_bucket_deterministic(self):
         ft = FiveTuple("10.0.0.1", "192.168.0.1", 1234, 80)
         assert ft.hash_bucket(4) == ft.hash_bucket(4)
+        # Splits must not depend on the interpreter's string-hash salt.
+        splits = {_split_in_subprocess(seed) for seed in ("1", "2")}
+        assert len(splits) == 1
+        assert splits == {repr(FlowTable().split(4))}
 
     def test_hash_bucket_in_range(self):
         ft = FiveTuple("10.0.0.1", "192.168.0.1", 1234, 80)

@@ -219,20 +219,49 @@ class TestEventRules:
             heapq.heappush(queue, (when, action))
         """)
 
+    def test_evt301_fires_on_from_import(self):
+        assert "EVT301" in _codes("""
+            from heapq import heappush
+            heappush(queue, (when, action))
+        """)
+        assert "EVT301" in _codes("""
+            from heapq import heappop as take
+            event = take(queue)
+        """)
+
+    def test_evt301_fires_on_module_alias(self):
+        assert "EVT301" in _codes("""
+            import heapq as hq
+            hq.heappush(queue, (when, action))
+        """)
+
+    def test_evt301_silent_on_unrelated_names(self):
+        assert "EVT301" not in _codes("""
+            from bisect import insort
+            import heapq as hq
+            insort(queue, (when, action))
+            heappush(queue, (when, action))
+            hq.heapsize(queue)
+        """)
+
     def test_evt301_silent_inside_eventqueue_module(self):
         assert "EVT301" not in _codes(
             "import heapq\nheapq.heappush(self._heap, event)\n",
             path="src/repro/sim/events.py")
+
+    def test_evt301_silent_inside_engine_module(self):
+        assert "EVT301" not in _codes(
+            "from heapq import heappop\nentry = heappop(heap)\n",
+            path="src/repro/sim/engine.py")
 
     def test_evt302_fires_on_queue_poking(self):
         assert "EVT302" in _codes("""
             def handler(engine):
                 engine._queue.pop()
         """)
-        # The queue's own counters, calendar, cursor and action table.
-        for attr in ("_seq", "_count", "_buckets", "_bucket_heap",
-                     "_current", "_pos", "_action_table", "_action_ids",
-                     "_epoch"):
+        # The queue's seq counter, heap, arrival lane and action table.
+        for attr in ("_seq", "_heap", "_lane", "_action_table",
+                     "_action_ids"):
             assert "EVT302" in _codes(f"""
                 def handler(queue):
                     return queue.{attr}
