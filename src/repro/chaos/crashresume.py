@@ -18,14 +18,15 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..checkpoint import read_journal
-from ..errors import CheckpointError
+from ..errors import CheckpointError, ConfigurationError
 from ..exec import Campaign, make_executor, run_campaign
 from .runner import ChaosCampaign, ChaosConfig, ChaosReport, ChaosRunner
 
@@ -145,7 +146,7 @@ def _count_run_results(journal_path: str) -> int:
 
 def run_crash_resume_check(runs: int = 6, seed: int = 7,
                            duration_s: float = 0.02,
-                           journal_path: str = "crash-resume-journal.jsonl",
+                           journal_path: Optional[str] = None,
                            kill_after_runs: int = 2,
                            workers: int = 1,
                            campaign: str = "chaos") -> CrashResumeOutcome:
@@ -155,7 +156,11 @@ def run_crash_resume_check(runs: int = 6, seed: int = 7,
     subprocess, polls the journal until ``kill_after_runs`` run-results
     are intact, SIGKILLs it, deterministically appends a torn record,
     resumes the campaign in-process from the journal, and compares the
-    merged report against an uninterrupted reference campaign.
+    merged report against an uninterrupted reference campaign.  The
+    journal goes to a fresh temp directory unless ``journal_path`` is
+    given.  ``kill_after_runs`` must lie in ``[1, runs - 1]`` so the
+    kill can land mid-grid; anything else is refused before a
+    subprocess starts.
 
     ``campaign`` selects the campaign kind under test (``chaos``, a
     single-policy ``reliability`` grid, or a shrink-free ``soak``
@@ -172,7 +177,16 @@ def run_crash_resume_check(runs: int = 6, seed: int = 7,
         raise CheckpointError(
             f"crash-resume does not support campaign {campaign!r} "
             f"(known: {', '.join(CAMPAIGNS)})")
+    if not 1 <= kill_after_runs < runs:
+        raise ConfigurationError(
+            f"a kill after {kill_after_runs} run(s) cannot land mid-grid "
+            f"of {runs} run(s): need at least 2 runs and a kill after "
+            f"1 to runs - 1")
     kind = CAMPAIGNS[campaign]
+    if journal_path is None:
+        journal_path = os.path.join(
+            tempfile.mkdtemp(prefix="repro-crash-resume-"),
+            "journal.jsonl")
     src_root = Path(__file__).resolve().parents[2]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

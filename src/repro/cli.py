@@ -351,22 +351,15 @@ def cmd_campaigns(args: argparse.Namespace) -> int:
 
 def cmd_crash_resume(args: argparse.Namespace) -> int:
     """SIGKILL a campaign mid-flight; verify bit-exact resume."""
-    import os
-    import tempfile
     from .chaos.crashresume import CAMPAIGNS, run_crash_resume_check
     if args.campaign not in CAMPAIGNS:
         known = ", ".join(CAMPAIGNS)
         raise ReproError(
             f"crash-resume cannot exercise campaign kind "
             f"{args.campaign!r} (available: {known})")
-    journal = args.journal
-    if journal is None:
-        journal = os.path.join(
-            tempfile.mkdtemp(prefix="repro-crash-resume-"),
-            "journal.jsonl")
     outcome = run_crash_resume_check(
         runs=args.runs, seed=args.seed, duration_s=args.duration,
-        journal_path=journal, kill_after_runs=args.kill_after,
+        journal_path=args.journal, kill_after_runs=args.kill_after,
         workers=args.workers, campaign=args.campaign)
     print(outcome.render())
     return 0 if outcome.match else 1

@@ -202,6 +202,8 @@ class ReliabilityCampaign(Campaign):
                     f"(known: {known})")
         if runs < 1:
             raise ConfigurationError("need at least one run per policy")
+        if duration_s is not None and duration_s <= 0:
+            raise ConfigurationError("duration must be positive")
         if budget_bytes < 0:
             raise ConfigurationError("replica budget must be >= 0")
         self.scenario = scenario

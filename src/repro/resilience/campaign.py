@@ -125,6 +125,8 @@ class ResilienceCampaign(Campaign):
                 f"(known: {known})")
         if runs < 1:
             raise ConfigurationError("need at least one scenario run")
+        if duration_s is not None and duration_s <= 0:
+            raise ConfigurationError("duration must be positive")
         self.scenario = scenario
         self.runs = runs
         self.seed = seed

@@ -307,6 +307,27 @@ class TestCampaignFlagErrors:
                      "--inject-worker-fault", f"0:{fault}"]) == 2
         assert "--workers >= 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["chaos", "--duration", "0"],
+        ["soak", "--duration", "0"],
+        ["resilience", "--duration", "-1"],
+        ["reliability", "--duration", "0"],
+        # A kill that can never land mid-grid, or no grid at all.
+        ["crash-resume", "--runs", "2", "--kill-after", "5"],
+        ["crash-resume", "--runs", "0"]])
+    def test_out_of_range_values_exit_2_before_running(
+            self, argv, monkeypatch, capsys):
+        import subprocess
+        import tempfile
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("validation must precede any run")
+
+        monkeypatch.setattr(subprocess, "Popen", refuse)
+        monkeypatch.setattr(tempfile, "mkdtemp", refuse)
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     @pytest.mark.parametrize("flags", [
         ["--runs", "2"], ["--workers", "2"],
         ["--run-timeout", "2"], ["--max-attempts", "2"],
