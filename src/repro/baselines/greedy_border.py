@@ -9,16 +9,11 @@ loss PAM's stopping rule prevents (bench A3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List
-
-from ..chain.nf import DeviceKind
 from ..chain.placement import Placement
-from ..core.border import border_sets, refreshed_border_sets
-from ..core.feasibility import FeasibilityConfig, cpu_can_host, nic_alleviated
-from ..core.pam import _pick_b0
-from ..core.plan import MigrationAction, MigrationPlan
-from ..resources.model import LoadModel, ThroughputSpec
+from ..core.feasibility import FeasibilityConfig
+from ..core.pam import pick_border, plan_chain
+from ..core.plan import MigrationPlan
+from ..resources.model import ThroughputSpec
 
 POLICY_NAME = "greedy-border"
 
@@ -28,43 +23,12 @@ class GreedyBorderPolicy:
 
     name = POLICY_NAME
 
-    def __init__(self, feasibility: FeasibilityConfig = FeasibilityConfig(),
-                 max_migrations: int = 64) -> None:
+    def __init__(self,
+                 feasibility: FeasibilityConfig = FeasibilityConfig()) -> None:
         self.feasibility = feasibility
-        self.max_migrations = max_migrations
 
     def select(self, placement: Placement,
                throughput: ThroughputSpec) -> MigrationPlan:
         """Migrate every feasible border NF, ignoring the stop rule."""
-        load = LoadModel(placement, throughput)
-        if nic_alleviated(load, self.feasibility):
-            return MigrationPlan.empty(placement, POLICY_NAME,
-                                       notes=("smartnic not overloaded",))
-        borders = border_sets(placement)
-        actions: List[MigrationAction] = []
-        current = placement
-        while len(actions) < self.max_migrations:
-            b0_name = _pick_b0(current, borders)
-            if b0_name is None:
-                break
-            b0 = current.chain.get(b0_name)
-            if not cpu_can_host(load, b0, self.feasibility):
-                borders = borders.without(b0_name)
-                continue
-            was_left = b0_name in borders.left
-            actions.append(MigrationAction(
-                nf_name=b0_name, source=DeviceKind.SMARTNIC,
-                target=DeviceKind.CPU,
-                crossing_delta=current.crossing_delta(b0_name,
-                                                      DeviceKind.CPU)))
-            current = current.moved(b0_name, DeviceKind.CPU)
-            load = LoadModel(current, throughput)
-            borders = refreshed_border_sets(current, borders, b0_name,
-                                            was_left)
-        alleviates = nic_alleviated(load, self.feasibility)
-        plan = MigrationPlan(
-            actions=tuple(actions), before=placement, after=current,
-            alleviates=alleviates, policy=POLICY_NAME,
-            notes=(f"migrated {len(actions)} border NFs greedily",))
-        plan.validate()
-        return plan
+        return plan_chain(placement, throughput, pick_border, POLICY_NAME,
+                          self.feasibility, strict=False, stop_at_eq3=False)

@@ -6,26 +6,32 @@ the chain.  When that NF is mid-segment the move splits a SmartNIC run
 in two and adds two PCIe crossings, which is exactly the latency penalty
 PAM avoids.
 
-For a fair comparison the baseline honours the same feasibility rules
-as PAM: it skips NFs the CPU cannot absorb (Eq. 2) and keeps migrating
-by ascending capacity until the NIC is alleviated (Eq. 3), raising
+For a fair comparison the baseline runs PAM's own loop
+(:func:`repro.core.pam.push_aside`) with a wider candidate pool: it
+skips NFs the CPU cannot absorb (Eq. 2) and keeps migrating by ascending
+capacity until the NIC is alleviated (Eq. 3), raising
 :class:`~repro.errors.ScaleOutRequired` when it runs out of candidates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Set
+from typing import AbstractSet, Optional, Tuple
 
-from ..chain.nf import DeviceKind
 from ..chain.placement import Placement
-from ..core.feasibility import (FeasibilityConfig, cpu_can_host,
-                                nic_alleviated, nic_alleviated_without)
-from ..core.plan import MigrationAction, MigrationPlan
-from ..errors import ScaleOutRequired
-from ..resources.model import LoadModel, ThroughputSpec
+from ..core.feasibility import FeasibilityConfig
+from ..core.pam import Candidate, min_theta, plan_chain
+from ..core.plan import MigrationPlan
+from ..resources.model import ThroughputSpec
 
 POLICY_NAME = "naive"
+
+
+def pick_bottleneck(placements: Tuple[Placement, ...],
+                    rejected: AbstractSet[Candidate]) -> Optional[Candidate]:
+    """The naive Step 2: the minimum-theta^S NF anywhere on the SmartNIC."""
+    return min_theta(placements, rejected,
+                     lambda placement: [nf.name for nf in placement.nic_nfs()])
 
 
 @dataclass(frozen=True)
@@ -34,60 +40,13 @@ class NaiveConfig:
 
     feasibility: FeasibilityConfig = field(default_factory=FeasibilityConfig)
     strict: bool = True
-    max_migrations: int = 64
 
 
 def select(placement: Placement, throughput: ThroughputSpec,
            config: NaiveConfig = NaiveConfig()) -> MigrationPlan:
     """Migrate min-capacity SmartNIC NFs until the NIC is alleviated."""
-    load = LoadModel(placement, throughput)
-    if nic_alleviated(load, config.feasibility):
-        return MigrationPlan.empty(placement, POLICY_NAME,
-                                   notes=("smartnic not overloaded",))
-
-    actions: List[MigrationAction] = []
-    notes: List[str] = []
-    current = placement
-    rejected: Set[str] = set()
-    alleviates = False
-
-    while len(actions) < config.max_migrations:
-        candidates = sorted(
-            (nf for nf in current.nic_nfs() if nf.name not in rejected),
-            key=lambda nf: (nf.nic_capacity_bps,
-                            current.chain.position(nf.name)))
-        if not candidates:
-            notes.append("candidate pool exhausted before alleviation")
-            break
-        bottleneck = candidates[0]
-        if not cpu_can_host(load, bottleneck, config.feasibility):
-            notes.append(f"eq2 rejects {bottleneck.name} (cpu would overload)")
-            rejected.add(bottleneck.name)
-            continue
-        done = nic_alleviated_without(load, bottleneck, config.feasibility)
-        actions.append(MigrationAction(
-            nf_name=bottleneck.name,
-            source=DeviceKind.SMARTNIC,
-            target=DeviceKind.CPU,
-            crossing_delta=current.crossing_delta(bottleneck.name,
-                                                  DeviceKind.CPU)))
-        current = current.moved(bottleneck.name, DeviceKind.CPU)
-        load = LoadModel(current, throughput)
-        if done:
-            alleviates = True
-            notes.append(f"nic alleviated after migrating {bottleneck.name}")
-            break
-
-    plan = MigrationPlan(
-        actions=tuple(actions), before=placement, after=current,
-        alleviates=alleviates, policy=POLICY_NAME, notes=tuple(notes))
-    plan.validate()
-    if not alleviates and config.strict:
-        raise ScaleOutRequired(
-            "naive policy cannot alleviate the SmartNIC; scale out",
-            nic_utilisation=load.nic_load().utilisation,
-            cpu_utilisation=load.cpu_load().utilisation)
-    return plan
+    return plan_chain(placement, throughput, pick_bottleneck, POLICY_NAME,
+                      config.feasibility, config.strict)
 
 
 class NaivePolicy:

@@ -9,16 +9,13 @@ shedding load.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import List, Set
+from typing import AbstractSet, Optional, Tuple
 
-from ..chain.nf import DeviceKind
 from ..chain.placement import Placement
-from ..core.feasibility import (FeasibilityConfig, cpu_can_host,
-                                nic_alleviated, nic_alleviated_without)
-from ..core.plan import MigrationAction, MigrationPlan
-from ..errors import ScaleOutRequired
-from ..resources.model import LoadModel, ThroughputSpec
+from ..core.feasibility import FeasibilityConfig
+from ..core.pam import Candidate, plan_chain
+from ..core.plan import MigrationPlan
+from ..resources.model import ThroughputSpec
 
 POLICY_NAME = "random"
 
@@ -30,49 +27,22 @@ class RandomPolicy:
 
     def __init__(self, seed: int = 42,
                  feasibility: FeasibilityConfig = FeasibilityConfig(),
-                 strict: bool = True, max_migrations: int = 64) -> None:
+                 strict: bool = True) -> None:
         self.rng = random.Random(seed)
         self.feasibility = feasibility
         self.strict = strict
-        self.max_migrations = max_migrations
+
+    def _pick(self, placements: Tuple[Placement, ...],
+              rejected: AbstractSet[Candidate]) -> Optional[Candidate]:
+        """Step 2: a uniform draw over the SmartNIC NFs, in chain order."""
+        pool = [(index, nf.name)
+                for index, placement in enumerate(placements)
+                for nf in placement.nic_nfs()
+                if (index, nf.name) not in rejected]
+        return self.rng.choice(pool) if pool else None
 
     def select(self, placement: Placement,
                throughput: ThroughputSpec) -> MigrationPlan:
         """Migrate random feasible NIC NFs until alleviation."""
-        load = LoadModel(placement, throughput)
-        if nic_alleviated(load, self.feasibility):
-            return MigrationPlan.empty(placement, POLICY_NAME,
-                                       notes=("smartnic not overloaded",))
-        actions: List[MigrationAction] = []
-        current = placement
-        rejected: Set[str] = set()
-        alleviates = False
-        while len(actions) < self.max_migrations:
-            pool = [nf for nf in current.nic_nfs() if nf.name not in rejected]
-            if not pool:
-                break
-            pick = self.rng.choice(pool)
-            if not cpu_can_host(load, pick, self.feasibility):
-                rejected.add(pick.name)
-                continue
-            done = nic_alleviated_without(load, pick, self.feasibility)
-            actions.append(MigrationAction(
-                nf_name=pick.name, source=DeviceKind.SMARTNIC,
-                target=DeviceKind.CPU,
-                crossing_delta=current.crossing_delta(pick.name,
-                                                      DeviceKind.CPU)))
-            current = current.moved(pick.name, DeviceKind.CPU)
-            load = LoadModel(current, throughput)
-            if done:
-                alleviates = True
-                break
-        plan = MigrationPlan(
-            actions=tuple(actions), before=placement, after=current,
-            alleviates=alleviates, policy=POLICY_NAME)
-        plan.validate()
-        if not alleviates and self.strict:
-            raise ScaleOutRequired(
-                "random policy cannot alleviate the SmartNIC",
-                nic_utilisation=load.nic_load().utilisation,
-                cpu_utilisation=load.cpu_load().utilisation)
-        return plan
+        return plan_chain(placement, throughput, self._pick, POLICY_NAME,
+                          self.feasibility, self.strict)

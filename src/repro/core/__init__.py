@@ -1,9 +1,8 @@
 """The paper's contribution: border identification, PAM selection, planning."""
 
-from .border import BorderSets, border_sets, refreshed_border_sets
+from .border import BorderSets, border_sets
 from . import graph_pam
-from .feasibility import (FeasibilityConfig, both_overloaded, cpu_can_host,
-                          nic_alleviated, nic_alleviated_without)
+from .feasibility import FeasibilityConfig, both_overloaded, nic_alleviated
 from .operator import HardenedController, HardeningConfig
 from .pam import PAMConfig, select
 from .plan import MigrationAction, MigrationPlan
@@ -25,10 +24,7 @@ __all__ = [
     "border_sets",
     "graph_pam",
     "both_overloaded",
-    "cpu_can_host",
     "nic_alleviated",
-    "nic_alleviated_without",
-    "refreshed_border_sets",
     "select",
     "select_pullback",
 ]

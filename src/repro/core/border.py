@@ -16,10 +16,10 @@ and property-tested in ``tests/test_property_border.py``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import FrozenSet, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import FrozenSet, Set
 
-from ..chain.nf import DeviceKind, NFProfile
+from ..chain.nf import DeviceKind
 from ..chain.placement import Placement
 from ..errors import SimulationError
 
@@ -38,10 +38,6 @@ class BorderSets:
 
     def __contains__(self, name: object) -> bool:
         return name in self.left or name in self.right
-
-    def without(self, name: str) -> "BorderSets":
-        """Remove an infeasible candidate (Step 3's retry path)."""
-        return BorderSets(left=self.left - {name}, right=self.right - {name})
 
 
 def _neighbour_device(placement: Placement, index: int) -> DeviceKind:
@@ -85,38 +81,3 @@ def _check_invariant(placement: Placement, sets: BorderSets) -> None:
             raise SimulationError(
                 f"border invariant violated: moving {name!r} to CPU would "
                 "add PCIe crossings")
-
-
-def refreshed_border_sets(placement: Placement, sets: BorderSets,
-                          migrated: str, was_left: bool) -> BorderSets:
-    """Maintain the border sets after migrating ``migrated`` (paper Step 3).
-
-    "If b0 ∈ B_L, we remove it from B_L and add its downstream element
-    into the set if the downstream element is also placed on SmartNIC";
-    symmetrically for B_R with the upstream element.  ``placement`` must
-    be the placement *after* the move.
-
-    Recomputing :func:`border_sets` from scratch gives the same answer
-    (property-tested); this incremental form mirrors the paper's loop
-    and is what :mod:`repro.core.pam` uses.
-    """
-    chain = placement.chain
-    left = set(sets.left)
-    right = set(sets.right)
-    if was_left:
-        left.discard(migrated)
-        successor = chain.downstream(migrated)
-        if successor is not None and \
-                placement.device_of(successor.name) is DeviceKind.SMARTNIC:
-            left.add(successor.name)
-    else:
-        right.discard(migrated)
-        predecessor = chain.upstream(migrated)
-        if predecessor is not None and \
-                placement.device_of(predecessor.name) is DeviceKind.SMARTNIC:
-            right.add(predecessor.name)
-    # The migrated NF may also have sat in the other set (a singleton
-    # NIC segment is both a left and a right border); drop it there too.
-    left.discard(migrated)
-    right.discard(migrated)
-    return BorderSets(left=frozenset(left), right=frozenset(right))

@@ -1,7 +1,7 @@
-"""Steps 2-3 constraint checks: Eq. 2 (CPU headroom) and Eq. 3 (NIC relief).
+"""Steps 2-3 constraint settings: Eq. 2 (CPU headroom) and Eq. 3 (NIC relief).
 
-The checks operate on a :class:`~repro.resources.model.LoadModel`
-(placement + current throughput), mirroring the sums in the paper:
+The selection loop (:func:`repro.core.pam.push_aside`) evaluates both
+sums on the placement *after* a candidate move, mirroring the paper:
 
 * Eq. 2 — migrating b0 must not create a new hot spot on the CPU::
 
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..chain.nf import DeviceKind, NFProfile
 from ..errors import ConfigurationError
 from ..resources.model import LoadModel
 
@@ -43,20 +42,6 @@ class FeasibilityConfig:
     def threshold(self) -> float:
         """The utilisation bound both checks compare against."""
         return 1.0 - self.epsilon
-
-
-def cpu_can_host(load: LoadModel, nf: NFProfile,
-                 config: FeasibilityConfig = FeasibilityConfig()) -> bool:
-    """Eq. 2: would the CPU stay under capacity with ``nf`` added?"""
-    if not nf.cpu_capable:
-        return False
-    return load.cpu_load_with(nf) < config.threshold
-
-
-def nic_alleviated_without(load: LoadModel, nf: NFProfile,
-                           config: FeasibilityConfig = FeasibilityConfig()) -> bool:
-    """Eq. 3: does removing ``nf`` bring the SmartNIC under capacity?"""
-    return load.nic_load_without(nf) < config.threshold
 
 
 def nic_alleviated(load: LoadModel,

@@ -19,6 +19,7 @@ from ..chain.graph import GraphPlacement
 from ..chain.nf import DeviceKind
 from ..errors import ScaleOutRequired
 from ..units import gbps
+from .pam import MAX_MIGRATIONS
 
 POLICY_NAME = "pam-graph"
 
@@ -72,7 +73,7 @@ def device_utilisation(placement: GraphPlacement, device: DeviceKind,
 
 
 def select(placement: GraphPlacement, throughput_bps: float,
-           strict: bool = True, max_migrations: int = 64) -> GraphPlan:
+           strict: bool = True) -> GraphPlan:
     """Run graph PAM for one overload episode."""
     nic_util = device_utilisation(placement, DeviceKind.SMARTNIC,
                                   throughput_bps)
@@ -87,7 +88,7 @@ def select(placement: GraphPlacement, throughput_bps: float,
     rejected: set = set()
     alleviates = False
 
-    while len(actions) < max_migrations:
+    while len(actions) < MAX_MIGRATIONS:
         candidates = []
         for nf in current.nic_nfs():
             if nf.name in rejected or not nf.cpu_capable:

@@ -25,6 +25,7 @@ from ..chain.nf import DeviceKind
 from ..chain.placement import Placement
 from ..errors import ConfigurationError
 from ..resources.model import LoadModel, ThroughputSpec
+from .pam import MAX_MIGRATIONS
 from .plan import MigrationAction, MigrationPlan
 
 POLICY_NAME = "pam-pullback"
@@ -40,7 +41,6 @@ class PullbackConfig:
     #: Do not bother pulling anything while the NIC is already above
     #: this (the chain is busy; leave it alone).
     trigger_below: float = 0.5
-    max_migrations: int = 64
 
     def __post_init__(self) -> None:
         if not (0.0 < self.nic_target <= 1.0):
@@ -92,7 +92,7 @@ def select_pullback(placement: Placement, throughput: ThroughputSpec,
 
     actions: List[MigrationAction] = []
     current = placement
-    while len(actions) < config.max_migrations:
+    while len(actions) < MAX_MIGRATIONS:
         moved_any = False
         for name in _pullback_candidates(current, eligible_set):
             nf = current.chain.get(name)

@@ -4,8 +4,7 @@ Real NFV servers consolidate many service chains onto the same SmartNIC
 and CPU (CoCo [5], which the paper builds its resource model on).  The
 linear model composes: device utilisation is the sum of every chain's
 per-NF shares, so overload, Eq. 2 and Eq. 3 all generalise by summing
-across chains.  :class:`MultiChainLoadModel` evaluates those sums and
-provides the per-chain what-ifs the multi-chain PAM loop needs.
+across chains.  :class:`MultiChainLoadModel` evaluates those sums.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from ..chain.nf import DeviceKind, NFProfile
+from ..chain.nf import DeviceKind
 from ..chain.placement import Placement
 from ..errors import ConfigurationError
 from ..resources.model import LoadModel, ThroughputSpec
@@ -80,26 +79,3 @@ class MultiChainLoadModel:
         """
         utilisation = self.device_utilisation(device)
         return float("inf") if utilisation == 0 else 1.0 / utilisation
-
-    # -- what-ifs -----------------------------------------------------------------
-
-    def cpu_with(self, chain_index: int, nf: NFProfile) -> float:
-        """Aggregate Eq. 2 LHS: CPU utilisation with ``nf`` moved there."""
-        extra = self._models[chain_index].throughput[nf.name] / \
-            nf.capacity_on(DeviceKind.CPU) if nf.cpu_capable else float("inf")
-        return self.cpu_utilisation() + extra
-
-    def nic_without(self, chain_index: int, nf: NFProfile) -> float:
-        """Aggregate Eq. 3 LHS: NIC utilisation with ``nf`` removed."""
-        share = self._models[chain_index].device_load(
-            DeviceKind.SMARTNIC).shares.get(nf.name, 0.0)
-        return self.nic_utilisation() - share
-
-    def after_move(self, chain_index: int, nf_name: str,
-                   to: DeviceKind) -> "MultiChainLoadModel":
-        """The model after migrating one NF of one chain."""
-        chains = list(self.chains)
-        moved = chains[chain_index].placement.moved(nf_name, to)
-        chains[chain_index] = ChainLoad(moved,
-                                        chains[chain_index].throughput)
-        return MultiChainLoadModel(chains)

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 from itertools import islice
 from operator import le
-from typing import Dict, Iterable, List, Optional, Tuple, Type
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Type
 
 from ..chaos.invariants import (Violation, check_invariants,
                                 check_resilience_invariants)
@@ -117,30 +117,19 @@ class Observation:
         return self.sim.engine.now_s
 
 
-class _TraceEvent:
-    """Event view rebuilt from a ``(time_s, priority, seq)`` trace key.
-
-    The engine no longer materialises an object per executed event;
-    the default :meth:`RuntimeInvariant.on_batch` rehydrates one shared
-    instance so per-event ``on_event`` overrides keep working.
-    """
-
-    __slots__ = ("time_s", "priority", "seq")
-
-
 class RuntimeInvariant:
     """Base class: override the hooks that apply; yield detail strings.
 
-    ``on_tick``/``on_event``/``on_batch`` yield plain detail strings —
+    ``on_tick``/``on_batch`` yield plain detail strings —
     the engine wraps them into :class:`Violation` under the invariant's
     ``name``.  ``at_end`` yields full :class:`Violation` objects so
     delegating invariants can preserve the primitive checks'
     established names (``packet-conservation``, ``shed-classes``, ...).
 
     Event-level checks arrive as *batches* of ``(time_s, priority,
-    seq)`` keys in execution order.  Override :meth:`on_batch` for a
-    vectorised check, or just :meth:`on_event` — the default
-    ``on_batch`` replays the batch through it one key at a time.
+    seq)`` keys in execution order; the engine keeps only the first
+    detail an ``on_batch`` yields, so a lazy generator may abandon the
+    rest of the batch.
     """
 
     #: Stable identifier; becomes the ``invariant`` field of violations.
@@ -148,22 +137,10 @@ class RuntimeInvariant:
     #: One line for the catalogue and ``--list-invariants``.
     description = ""
 
-    def on_event(self, event, obs: Observation) -> Iterable[str]:
-        """Called for every executed engine event."""
-        return ()
-
     def on_batch(self, keys: List[Tuple[float, int, int]],
                  obs: Observation) -> Iterable[str]:
-        """Called with each batch of executed-event trace keys.
-
-        Lazily delegates to :meth:`on_event` per key: the first
-        yielded detail trips the invariant and abandons the rest of
-        the batch, exactly as the old per-event observer did.
-        """
-        event = _TraceEvent()
-        for key in keys:
-            event.time_s, event.priority, event.seq = key
-            yield from self.on_event(event, obs)
+        """Called with each batch of executed-event trace keys."""
+        return ()
 
     def on_tick(self, obs: Observation) -> Iterable[str]:
         """Called at every monitor-tick quiescent point."""
@@ -185,16 +162,6 @@ class MonotonicVirtualTime(RuntimeInvariant):
     def __init__(self) -> None:
         self._last_s = 0.0
 
-    def on_event(self, event, obs: Observation) -> Iterable[str]:
-        """Flag any executed event that runs virtual time backwards."""
-        at_s = event.time_s
-        if at_s < self._last_s:
-            yield (f"event at {at_s!r}s executed after virtual time "
-                   f"already reached {self._last_s!r}s")
-        if at_s < 0.0:
-            yield f"event scheduled at negative time {at_s!r}s"
-        self._last_s = max(self._last_s, at_s)
-
     def on_batch(self, keys: List[Tuple[float, int, int]],
                  obs: Observation) -> Iterable[str]:
         """Batched monotonicity check with a sorted-batch fast path.
@@ -203,15 +170,24 @@ class MonotonicVirtualTime(RuntimeInvariant):
         sorted, non-negative, and starts at or after the high-water
         mark, one comparison per key (a single C-level pairwise pass —
         ``map(le, keys, keys[1:])`` without the copy) proves the whole
-        batch clean.  Anything suspicious
-        falls back to the exact per-event scan so violation details are
-        byte-identical to :meth:`on_event`'s.
+        batch clean.  Anything suspicious falls back to :meth:`_scan`.
         """
         if (keys and keys[0][0] >= self._last_s and keys[0][0] >= 0.0
                 and all(map(le, keys, islice(keys, 1, None)))):
             self._last_s = keys[-1][0]
             return ()
-        return super().on_batch(keys, obs)
+        return self._scan(keys)
+
+    def _scan(self, keys: List[Tuple[float, int, int]]) -> Iterator[str]:
+        """The exact per-event scan, lazily: the engine stops at the
+        first detail, which trips the invariant and abandons the batch."""
+        for at_s, __, __ in keys:
+            if at_s < self._last_s:
+                yield (f"event at {at_s!r}s executed after virtual time "
+                       f"already reached {self._last_s!r}s")
+            if at_s < 0.0:
+                yield f"event scheduled at negative time {at_s!r}s"
+            self._last_s = max(self._last_s, at_s)
 
 
 @register_invariant
@@ -408,12 +384,11 @@ class InvariantEngine:
         self.invariants = (default_invariants() if invariants is None
                            else list(invariants))
         # The event hook runs per executed-event batch — skip
-        # invariants that override neither per-event nor batch hooks
-        # (same for ticks) to keep the hot path flat.
+        # invariants that do not override the batch hook (same for
+        # ticks) to keep the hot path flat.
         self._event_invariants = [
             inv for inv in self.invariants
-            if type(inv).on_event is not RuntimeInvariant.on_event
-            or type(inv).on_batch is not RuntimeInvariant.on_batch]
+            if type(inv).on_batch is not RuntimeInvariant.on_batch]
         self._tick_invariants = [
             inv for inv in self.invariants
             if type(inv).on_tick is not RuntimeInvariant.on_tick]

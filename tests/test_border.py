@@ -1,11 +1,11 @@
-"""Step 1: border vNF identification and incremental maintenance."""
+"""Step 1: border vNF identification, and the border sets across moves."""
 
 import pytest
 
 from repro.chain import catalog
 from repro.chain.builder import ChainBuilder
 from repro.chain.nf import DeviceKind
-from repro.core.border import BorderSets, border_sets, refreshed_border_sets
+from repro.core.border import border_sets
 
 C = DeviceKind.CPU
 S = DeviceKind.SMARTNIC
@@ -61,50 +61,26 @@ class TestEndpointConventions:
         assert sets.right == {"gateway", "firewall"}
 
 
-class TestWithout:
-    def test_without_removes_from_both_sets(self):
-        sets = BorderSets(left=frozenset({"a", "b"}),
-                          right=frozenset({"a"}))
-        pruned = sets.without("a")
-        assert pruned.left == {"b"}
-        assert pruned.right == frozenset()
-
-    def test_without_missing_is_noop(self):
-        sets = BorderSets(left=frozenset({"a"}), right=frozenset())
-        assert sets.without("zzz") == sets
-
-
 class TestIncrementalMaintenance:
+    """Step 3's bookkeeping, as the selection loop sees it: the border
+    sets recomputed on the placement after each move."""
+
     def test_left_migration_promotes_downstream(self, fig1_placement):
-        sets = border_sets(fig1_placement)
         after = fig1_placement.moved("logger", C)
-        refreshed = refreshed_border_sets(after, sets, "logger",
-                                          was_left=True)
+        refreshed = border_sets(after)
         assert refreshed.left == {"monitor"}
         assert refreshed.right == {"firewall"}
 
     def test_right_migration_promotes_upstream(self, fig1_placement):
-        sets = border_sets(fig1_placement)
         after = fig1_placement.moved("firewall", C)
-        refreshed = refreshed_border_sets(after, sets, "firewall",
-                                          was_left=False)
+        refreshed = border_sets(after)
         assert refreshed.right == {"monitor"}
         assert refreshed.left == {"logger"}
-
-    def test_incremental_matches_recompute(self, fig1_placement):
-        sets = border_sets(fig1_placement)
-        after = fig1_placement.moved("logger", C)
-        incremental = refreshed_border_sets(after, sets, "logger",
-                                            was_left=True)
-        assert incremental == border_sets(after)
 
     def test_last_nic_nf_leaves_empty_sets(self):
         _, placement = (ChainBuilder("s", profiles=catalog.FIGURE1_SCENARIO)
                         .cpu("load_balancer").nic("monitor").cpu("firewall")
                         .build())
-        sets = border_sets(placement)
+        assert border_sets(placement).all == {"monitor"}
         after = placement.moved("monitor", C)
-        refreshed = refreshed_border_sets(after, sets, "monitor",
-                                          was_left=True)
-        assert refreshed.all == frozenset()
-        assert refreshed == border_sets(after)
+        assert border_sets(after).all == frozenset()

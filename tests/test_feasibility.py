@@ -1,13 +1,20 @@
 """Eq. 2 / Eq. 3 constraint checks."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.chain import catalog
+from repro.chain.nf import DeviceKind
 from repro.core.feasibility import (FeasibilityConfig, both_overloaded,
-                                    cpu_can_host, nic_alleviated,
-                                    nic_alleviated_without)
+                                    nic_alleviated)
+from repro.core.pam import PAMConfig, select
 from repro.errors import ConfigurationError
+from repro.harness.scenarios import figure1
 from repro.resources.model import LoadModel
 from repro.units import gbps
+
+C = DeviceKind.CPU
 
 
 @pytest.fixture
@@ -16,40 +23,51 @@ def load(fig1_placement):
 
 
 class TestEq2:
-    def test_logger_fits_on_cpu(self, load, fig1_chain):
-        # 0.45 + 0.45 = 0.9 < 1
-        assert cpu_can_host(load, fig1_chain.get("logger"))
+    """Eq. 2 as the selection loop judges it: the CPU utilisation of the
+    placement with the candidate moved there."""
 
-    def test_strict_inequality_at_exactly_one(self, fig1_placement,
-                                               fig1_chain):
+    def test_logger_fits_on_cpu(self, load):
+        # 0.45 + 0.45 = 0.9 < 1
+        moved = load.after_move("logger", C)
+        assert moved.cpu_load().utilisation == pytest.approx(0.9)
+        assert moved.cpu_load().utilisation < FeasibilityConfig().threshold
+
+    def test_strict_inequality_at_exactly_one(self, fig1_placement):
         # At 2.0 Gbps: 0.5 + 0.5 = 1.0, which the paper's strict
         # inequality rejects.
         load = LoadModel(fig1_placement, gbps(2.0))
-        assert not cpu_can_host(load, fig1_chain.get("logger"))
+        assert load.after_move("logger", C).cpu_load().utilisation == 1.0
+        plan = select(fig1_placement, gbps(2.0), PAMConfig(strict=False))
+        assert "logger" not in plan.migrated_names
+        assert "eq2 rejects logger (cpu would overload)" in plan.notes
 
-    def test_cpu_incapable_nf_rejected(self, fig1_placement):
-        from repro.chain import catalog
-        load = LoadModel(fig1_placement, gbps(0.1))
-        nf = catalog.get("dpi").renamed("x")
-        # dpi can't run on NIC; build a cpu-incapable probe instead.
-        from repro.chain.nf import NFProfile
-        probe = NFProfile(name="logger", cpu_capable=False)
-        assert not cpu_can_host(load, probe)
+    def test_cpu_incapable_nf_rejected(self):
+        profiles = dict(catalog.FIGURE1_SCENARIO)
+        profiles["logger"] = replace(profiles["logger"], cpu_capable=False)
+        placement = figure1(profiles=profiles).placement
+        plan = select(placement, gbps(1.8), PAMConfig(strict=False))
+        assert "logger" not in plan.migrated_names
+        assert "eq2 rejects logger (cpu would overload)" in plan.notes
 
-    def test_epsilon_margin(self, load, fig1_chain):
+    def test_epsilon_margin(self, fig1_placement):
         # 0.9 < 1 passes plainly but fails with a 15% margin.
         tight = FeasibilityConfig(epsilon=0.15)
-        assert not cpu_can_host(load, fig1_chain.get("logger"), tight)
+        plan = select(fig1_placement, gbps(1.8),
+                      PAMConfig(feasibility=tight, strict=False))
+        assert "eq2 rejects logger (cpu would overload)" in plan.notes
 
 
 class TestEq3:
-    def test_removing_logger_alleviates(self, load, fig1_chain):
-        # 1.8 * (1/3.2 + 1/10) = 0.7425 < 1
-        assert nic_alleviated_without(load, fig1_chain.get("logger"))
+    """Eq. 3 as the selection loop judges it: the SmartNIC utilisation
+    of the placement with the candidate gone."""
 
-    def test_removing_firewall_does_not(self, load, fig1_chain):
+    def test_removing_logger_alleviates(self, load):
+        # 1.8 * (1/3.2 + 1/10) = 0.7425 < 1
+        assert nic_alleviated(load.after_move("logger", C))
+
+    def test_removing_firewall_does_not(self, load):
         # 1.8 * (1/4 + 1/3.2) = 1.0125 >= 1
-        assert not nic_alleviated_without(load, fig1_chain.get("firewall"))
+        assert not nic_alleviated(load.after_move("firewall", C))
 
     def test_nic_alleviated_current_state(self, fig1_placement):
         assert not nic_alleviated(LoadModel(fig1_placement, gbps(1.8)))

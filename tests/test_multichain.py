@@ -14,6 +14,8 @@ from repro.traffic.generators import ConstantBitRate
 from repro.traffic.packet import FixedSize
 from repro.units import gbps
 
+from .test_property_pam import EQ2_TIE
+
 C = DeviceKind.CPU
 S = DeviceKind.SMARTNIC
 
@@ -59,15 +61,6 @@ class TestAggregateModel:
         with pytest.raises(ConfigurationError):
             MultiChainLoadModel([])
 
-    def test_what_ifs_consistent_with_after_move(self, chains):
-        model = MultiChainLoadModel(chains)
-        logger = chains[0].placement.chain.get("a/logger")
-        moved = model.after_move(0, "a/logger", C)
-        assert moved.nic_utilisation() == pytest.approx(
-            model.nic_without(0, logger))
-        assert moved.cpu_utilisation() == pytest.approx(
-            model.cpu_with(0, logger))
-
     def test_shared_capacity_headroom(self, chains):
         model = MultiChainLoadModel(chains)
         assert model.shared_capacity(S) == pytest.approx(
@@ -109,8 +102,9 @@ class TestMultiChainPAM:
             select_multichain(chains)
 
     def test_alleviation_judged_on_the_moved_model(self):
-        # Moving c0/nf0 then c0/nf2 leaves the NIC at exactly 1.0, yet
-        # the what-if subtraction (nic_without) rounds just below it.
+        # Eq. 3: moving c0/nf0 then c0/nf2 leaves the NIC at exactly
+        # 1.0, yet subtracting c0/nf2's share from the sum rounds just
+        # below it.
         def load(index, nic_gbps, devices, rate_gbps):
             nfs = [NFProfile(name=f"c{index}/nf{i}",
                              nic_capacity_bps=gbps(capacity),
@@ -127,6 +121,16 @@ class TestMultiChainPAM:
             strict=False)
         assert MultiChainLoadModel(list(plan.after)).nic_utilisation() \
             == 1.0
+        assert not plan.alleviates
+
+        # Eq. 2: moving nf1 would leave the CPU at exactly 1.0, yet
+        # adding nf1's share to the sum rounds just below it.
+        placement, rate = EQ2_TIE
+        moved = ChainLoad(placement.moved("nf1", C), rate)
+        assert MultiChainLoadModel([moved]).cpu_utilisation() == 1.0
+        plan = select_multichain([ChainLoad(placement, rate)],
+                                 strict=False)
+        assert plan.is_noop
         assert not plan.alleviates
 
     def test_actions_for_chain_filter(self):

@@ -98,12 +98,10 @@ class TestStepThreeBookkeeping:
     element into the set if [it] is also placed on SmartNIC.'"""
 
     def test_downstream_promotion(self, fig1_placement):
-        from repro.core.border import refreshed_border_sets
         sets = border_sets(fig1_placement)
         assert "logger" in sets.left
-        after = fig1_placement.moved("logger", C)
-        refreshed = refreshed_border_sets(after, sets, "logger",
-                                          was_left=True)
+        # The selection loop recomputes Step 1 on the moved placement.
+        refreshed = border_sets(fig1_placement.moved("logger", C))
         # logger's downstream (monitor) is on the SmartNIC -> joins B_L.
         assert "monitor" in refreshed.left
         assert "logger" not in refreshed.left

@@ -1,10 +1,9 @@
 """Property-based tests: border-set invariants (the paper's key claim)."""
 
 from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.chain.nf import DeviceKind
-from repro.core.border import border_sets, refreshed_border_sets
+from repro.core.border import border_sets
 
 from .test_property_placement import placements
 
@@ -51,18 +50,3 @@ class TestBorderDefinition:
         for name in both:
             # Surrounded on both sides by CPU hops.
             assert placement.crossing_delta(name, C) == -2
-
-
-class TestIncrementalMaintenance:
-    @given(placements(min_len=1), st.data())
-    def test_incremental_refresh_matches_recompute(self, placement, data):
-        sets = border_sets(placement)
-        candidates = sorted(n for n in sets.all
-                            if placement.chain.get(n).cpu_capable)
-        if not candidates:
-            return
-        name = data.draw(st.sampled_from(candidates))
-        was_left = name in sets.left
-        after = placement.moved(name, C)
-        incremental = refreshed_border_sets(after, sets, name, was_left)
-        assert incremental == border_sets(after)

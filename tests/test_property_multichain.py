@@ -1,6 +1,6 @@
 """Property tests: multi-chain aggregate model and cross-chain PAM."""
 
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chain.chain import ServiceChain
@@ -44,23 +44,6 @@ class TestAggregateConsistency:
                           for c in chains)
             assert model.device_utilisation(device) == \
                 pytest_approx(singles)
-
-    @given(chain_sets(), st.data())
-    @settings(max_examples=50, deadline=None)
-    def test_after_move_matches_what_ifs(self, chains, data):
-        model = MultiChainLoadModel(chains)
-        movable = [(index, nf.name)
-                   for index, chain in enumerate(chains)
-                   for nf in chain.placement.nic_nfs()
-                   if nf.cpu_capable]
-        assume(movable)
-        index, name = data.draw(st.sampled_from(movable))
-        nf = chains[index].placement.chain.get(name)
-        moved = model.after_move(index, name, C)
-        assert moved.nic_utilisation() == pytest_approx(
-            model.nic_without(index, nf))
-        assert moved.cpu_utilisation() == pytest_approx(
-            model.cpu_with(index, nf))
 
 
 class TestCrossChainPAMProperties:

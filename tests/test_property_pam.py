@@ -1,14 +1,21 @@
 """Property-based tests: PAM post-conditions over random chains/loads."""
 
-from hypothesis import assume, given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.chain.nf import DeviceKind
+from repro.baselines.greedy_border import GreedyBorderPolicy
+from repro.baselines.naive import NaiveConfig, NaivePolicy
+from repro.baselines.naive import select as naive_select
+from repro.baselines.random_policy import RandomPolicy
+from repro.chain.chain import ServiceChain
+from repro.chain.nf import DeviceKind, NFProfile
+from repro.chain.placement import Placement
 from repro.core.border import border_sets
 from repro.core.pam import PAMConfig
 from repro.core.pam import select as pam_select
-from repro.baselines.naive import NaiveConfig
-from repro.baselines.naive import select as naive_select
+from repro.core.planner import PAMPolicy
+from repro.multichain import ChainLoad, select_multichain
 from repro.resources.model import LoadModel
 from repro.units import gbps
 
@@ -20,6 +27,34 @@ S = DeviceKind.SMARTNIC
 loads = st.floats(min_value=0.1, max_value=6.0).map(gbps)
 
 
+def placement_of(rows):
+    """A chain with default endpoints from ``(name, theta^S Gbps,
+    theta^C Gbps, device)`` rows."""
+    nfs = [NFProfile(name=name, nic_capacity_bps=gbps(nic),
+                     cpu_capacity_bps=gbps(cpu))
+           for name, nic, cpu, __ in rows]
+    return Placement(ServiceChain(nfs),
+                     {name: device for name, __, __, device in rows})
+
+
+#: Moving nf2 leaves the re-summed NIC load at exactly 1.0, while
+#: subtracting nf2's share from the sum rounds just below it.
+EQ3_TIE = (placement_of([("nf0", 1.0, 5.0, S), ("nf1", 2.0, 3.0, C),
+                         ("nf2", 0.75, 12.0, S), ("nf3", 1.0, 8.0, S)]),
+           gbps(0.5))
+#: Moving nf1 leaves the re-summed CPU load at exactly 1.0, while adding
+#: nf1's share to the sum rounds just below it.
+EQ2_TIE = (placement_of([("nf0", 3.0, 0.5, C), ("nf1", 0.25, 1.5, S),
+                         ("nf2", 1.0, 0.75, C)]),
+           gbps(0.25))
+
+#: Every policy that runs the shared push-aside loop on one chain.
+LOOP_POLICIES = [PAMPolicy(PAMConfig(strict=False)),
+                 NaivePolicy(NaiveConfig(strict=False)),
+                 RandomPolicy(seed=1, strict=False),
+                 GreedyBorderPolicy()]
+
+
 class TestPAMPostConditions:
     @given(placements(min_len=2, max_len=8), loads)
     @settings(max_examples=60, deadline=None)
@@ -28,10 +63,15 @@ class TestPAMPostConditions:
         assert plan.total_crossing_delta <= 0
         assert plan.after.pcie_crossings() <= placement.pcie_crossings()
 
-    @given(placements(min_len=2, max_len=8), loads)
+    @pytest.mark.parametrize("policy", LOOP_POLICIES,
+                             ids=[policy.name for policy in LOOP_POLICIES])
+    @given(placement=placements(min_len=2, max_len=8), load=loads)
+    @example(*EQ3_TIE)
+    @example(*EQ2_TIE)
     @settings(max_examples=60, deadline=None)
-    def test_success_implies_both_devices_ok(self, placement, load):
-        plan = pam_select(placement, load, PAMConfig(strict=False))
+    def test_success_implies_both_devices_ok(self, policy, placement,
+                                             load):
+        plan = policy.select(placement, load)
         if plan.alleviates:
             after = LoadModel(plan.after, load)
             if plan.actions:
@@ -41,7 +81,7 @@ class TestPAMPostConditions:
                 assert after.cpu_load().utilisation < 1.0
             else:
                 # Empty success plan: the NIC was simply not overloaded
-                # (the CPU is not PAM's concern in that case).
+                # (the CPU is not the policy's concern in that case).
                 assert not after.nic_load().overloaded
 
     @given(placements(min_len=2, max_len=8), loads)
@@ -97,3 +137,18 @@ class TestPAMvsNaive:
         if pam.alleviates:
             naive = naive_select(placement, load, NaiveConfig(strict=False))
             assert naive.alleviates
+
+
+class TestPAMvsMultiChain:
+    @given(placement=placements(min_len=2, max_len=8), load=loads)
+    @example(*EQ3_TIE)
+    @settings(max_examples=60, deadline=None)
+    def test_one_chain_multichain_matches_chain_pam(self, placement, load):
+        # A single chain is the one-chain case of the shared loop.
+        chain = pam_select(placement, load, PAMConfig(strict=False))
+        multi = select_multichain([ChainLoad(placement, load)],
+                                  strict=False)
+        assert [(a.chain_index, a.nf_name, a.crossing_delta)
+                for a in multi.actions] == \
+            [(0, a.nf_name, a.crossing_delta) for a in chain.actions]
+        assert multi.alleviates == chain.alleviates
