@@ -217,8 +217,8 @@ class SimStatePickleRule(LintRule):
                  "heap entries and all — producing snapshots that are "
                  "huge, version-fragile, and wrong to restore (a copied "
                  "closure still points at the old object graph). "
-                 "Checkpointing goes through repro.checkpoint's explicit "
-                 "snapshot_state()/restore_state() hooks instead.")
+                 "Work resumes by seeded replay: the repro.checkpoint "
+                 "journal records finished runs, never live state.")
 
     _PICKLE_FNS = ("pickle.dump", "pickle.dumps", "pickle.load",
                    "pickle.loads", "copy.deepcopy", "deepcopy")
@@ -255,9 +255,8 @@ class SimStatePickleRule(LintRule):
             if named is not None:
                 ctx.report(self, node,
                            f"{matched}({named}, ...) serializes live "
-                           "simulation state; checkpoint through "
-                           "repro.checkpoint snapshot_state()/"
-                           "restore_state() hooks instead")
+                           "simulation state; resume by seeded replay "
+                           "through the repro.checkpoint journal instead")
                 return
 
 

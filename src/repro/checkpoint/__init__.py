@@ -1,38 +1,23 @@
-"""Crash-safe campaigns: write-ahead run journal + quiescent snapshots.
+"""Crash-safe campaigns: the write-ahead run journal.
 
-Two complementary durability layers:
-
-* :mod:`repro.checkpoint.journal` — an append-only, fsync'd, per-record
-  checksummed JSONL write-ahead log of campaign/sweep progress, so
-  ``ChaosRunner`` and the harness sweeps replay completed work and skip
-  it on restart (torn trailing records from the crash are tolerated).
-* :mod:`repro.checkpoint.snapshot` / :mod:`repro.checkpoint.manager` —
-  deterministic quiescent-point snapshots of one simulation at
-  monitor-tick boundaries, restored by fast-forward replay plus
-  per-component verify/restore hooks.
-
-This module is the only place allowed to serialize engine, event-queue,
-or RNG state (lint rule ``DET106`` enforces it everywhere else).
+:mod:`repro.checkpoint.journal` is an append-only, fsync'd, per-record
+checksummed JSONL write-ahead log of campaign/sweep progress, so every
+campaign runner takes finished runs' results from it and skips those
+runs on restart (torn trailing records from the crash are tolerated).
+Resuming is seeded replay at run granularity: a run that did not
+finish is simply run again from its seed, so no live engine,
+event-queue, or RNG state is ever serialized (lint rule ``DET106``
+flags it outside this package).
 """
 
 from .journal import (JournalReadResult, JournalWriter, canonical_json,
                       frame_record, read_journal, record_checksum)
-from .manager import CheckpointManager, resume_simulation, simulation_registry
-from .snapshot import (SimulationSnapshot, SnapshotRegistry,
-                       rng_state_from_json, rng_state_to_json)
 
 __all__ = [
-    "CheckpointManager",
     "JournalReadResult",
     "JournalWriter",
-    "SimulationSnapshot",
-    "SnapshotRegistry",
     "canonical_json",
     "frame_record",
     "read_journal",
     "record_checksum",
-    "resume_simulation",
-    "rng_state_from_json",
-    "rng_state_to_json",
-    "simulation_registry",
 ]

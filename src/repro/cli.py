@@ -67,11 +67,9 @@ def _add_campaign_args(parser: argparse.ArgumentParser,
     """The execution flags every campaign command shares.
 
     ``resume_flag`` names the journal-resume flag (resilience and
-    reliability say ``--resume-journal``: resilience's ``--resume-from``
-    takes a simulation snapshot).  ``progress_flag`` adds
+    reliability say ``--resume-journal``).  ``progress_flag`` adds
     ``--checkpoint-every`` for the journal's progress digests; without
-    it (figure2, and resilience, whose flag of that name sets the
-    snapshot interval) the digest interval stays at 5.
+    it (figure2 and resilience) the digest interval stays at 5.
     """
     parser.add_argument("--workers", type=int, default=1,
                         help="worker processes; the merged report is "
@@ -378,42 +376,14 @@ def cmd_reliability(args: argparse.Namespace) -> int:
 
 def cmd_resilience(args: argparse.Namespace) -> int:
     """Run canned resilience scenario(s) and report their verdicts."""
-    from .resilience.campaign import (ResilienceCampaign, render_payload,
-                                      scenario_payload)
-    from .resilience.scenarios import resume_scenario, run_scenario
+    from .resilience.campaign import ResilienceCampaign, render_payload
 
     def render(payloads: List[dict]) -> str:
         return "\n".join(render_payload(payload) for payload in payloads)
 
-    if args.resume_from is None and args.checkpoint_every <= 0:
-        campaign = ResilienceCampaign(args.scenario, runs=args.runs,
-                                      seed=args.seed,
-                                      duration_s=args.duration)
-        return _violations_exit(
-            _run_campaign(args, campaign, render).payloads)
-    # Quiescent-point snapshots cover one simulation, not a grid: the
-    # campaign options make no sense alongside them.
-    if (args.runs != 1 or args.workers != 1 or args.journal is not None
-            or args.resume_journal is not None
-            or args.run_timeout is not None or args.max_attempts != 1
-            or args.max_failures is not None):
-        raise ReproError(
-            "snapshot checkpoint/resume applies to a single run; drop "
-            "--runs/--workers/--journal/--resume-journal/--run-timeout/"
-            "--max-attempts/--max-failures")
-    if args.resume_from is not None:
-        run = resume_scenario(args.resume_from)
-        print(f"resumed from snapshot {args.resume_from}")
-    else:
-        run = run_scenario(args.scenario, seed=args.seed,
-                           duration_s=args.duration,
-                           checkpoint_every=args.checkpoint_every,
-                           checkpoint_dir=args.checkpoint_dir)
-        for path in run.checkpoints:
-            print(f"checkpoint written: {path}")
-    payloads = [scenario_payload(run)]
-    print(render(payloads))
-    return _violations_exit(payloads)
+    campaign = ResilienceCampaign(args.scenario, runs=args.runs,
+                                  seed=args.seed, duration_s=args.duration)
+    return _violations_exit(_run_campaign(args, campaign, render).payloads)
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
@@ -659,15 +629,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="repetitions; run i uses seed+i")
     _add_campaign_args(p_res, resume_flag="--resume-journal",
                        progress_flag=False)
-    p_res.add_argument("--checkpoint-every", type=int, default=0,
-                       help="write a deterministic snapshot every N "
-                            "monitor ticks (needs --checkpoint-dir)")
-    p_res.add_argument("--checkpoint-dir", metavar="DIR",
-                       help="directory for snapshot files")
-    p_res.add_argument("--resume-from", metavar="PATH",
-                       help="resume from a snapshot file (scenario/seed/"
-                            "duration come from its meta block; a run "
-                            "journal resumes with --resume-journal)")
     p_res.set_defaults(func=cmd_resilience)
 
     p_rel = sub.add_parser("reliability",

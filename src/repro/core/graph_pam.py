@@ -77,7 +77,7 @@ def select(placement: GraphPlacement, throughput_bps: float,
     """Run graph PAM for one overload episode."""
     nic_util = device_utilisation(placement, DeviceKind.SMARTNIC,
                                   throughput_bps)
-    if nic_util <= 1.0:
+    if nic_util < 1.0:
         return GraphPlan(actions=(), before=placement, after=placement,
                          alleviates=True,
                          notes=("smartnic not overloaded",))

@@ -216,47 +216,6 @@ class HardenedController:
                                 if r.outcome == OUTCOME_SUCCEEDED}:
                     self._last_moved.pop(name, None)
 
-    # -- checkpointing -----------------------------------------------------
-
-    def snapshot_state(self) -> Dict[str, object]:
-        """Guard-rail and nested-component state for checkpointing."""
-        hook_state = None
-        if self.failure_hook is not None and \
-                callable(getattr(self.failure_hook, "snapshot_state", None)):
-            hook_state = self.failure_hook.snapshot_state()
-        return {
-            "last_plan_s": self._last_plan_s,
-            "last_moved": dict(sorted(self._last_moved.items())),
-            "pushed": sorted(self._pushed),
-            "scaleout_events": list(self.scaleout_events),
-            "suppressed_plans": self.suppressed_plans,
-            "failed_plans": self.failed_plans,
-            "stale_ticks": self.stale_ticks,
-            "detector": self.detector.snapshot_state(),
-            "failure_hook": hook_state,
-            "executor": (self._executor.snapshot_state()
-                         if self._executor is not None else None),
-        }
-
-    def restore_state(self, state: Dict[str, object]) -> None:
-        """Re-impose guard-rail state and nested RNG positions."""
-        last_plan = state["last_plan_s"]
-        self._last_plan_s = None if last_plan is None else float(last_plan)
-        self._last_moved = dict(state["last_moved"])
-        self._pushed = set(state["pushed"])
-        self.scaleout_events = list(state["scaleout_events"])
-        self.suppressed_plans = int(state["suppressed_plans"])
-        self.failed_plans = int(state["failed_plans"])
-        self.stale_ticks = int(state["stale_ticks"])
-        self.detector.restore_state(state["detector"])
-        hook_state = state["failure_hook"]
-        if hook_state is not None and self.failure_hook is not None and \
-                callable(getattr(self.failure_hook, "restore_state", None)):
-            self.failure_hook.restore_state(hook_state)
-        executor_state = state["executor"]
-        if executor_state is not None and self._executor is not None:
-            self._executor.restore_state(executor_state)
-
     # -- the loop --------------------------------------------------------------
 
     def on_tick(self, context: TickContext) -> None:

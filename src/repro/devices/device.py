@@ -188,35 +188,6 @@ class Device:
         """Total per-packet delay in ``nf``: occupancy plus pipeline latency."""
         return self.occupancy_time(nf, packet_bytes) + nf.base_latency_s
 
-    # -- checkpointing -----------------------------------------------------
-
-    def snapshot_state(self) -> Dict[str, object]:
-        """Device state for :mod:`repro.checkpoint`.
-
-        Hosted-NF *profiles* are immutable catalog data; the hosting
-        list (names, in installation order) is enough to restore and
-        verify which NFs live here after a replayed migration history.
-        """
-        return {
-            "hosted": list(self._hosted),
-            "demand": self._demand,
-            "shared_capacity_bps": self._shared_capacity_bps,
-            "derate": self._derate,
-            "failed": self._failed,
-        }
-
-    def restore_state(self, state: Dict[str, object]) -> None:
-        """Re-impose checkpointed load/health scalars.
-
-        The hosted set itself is rebuilt by replay (migrations re-apply
-        deterministically), so only the mutable scalars are written.
-        """
-        self._demand = float(state["demand"])
-        self._shared_capacity_bps = float(state["shared_capacity_bps"])
-        self._derate = float(state["derate"])
-        self._failed = bool(state["failed"])
-        self._rate_cache.clear()
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         names = ", ".join(self._hosted) or "-"
         return f"{type(self).__name__}({self.name!r}, hosts=[{names}])"

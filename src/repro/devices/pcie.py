@@ -137,28 +137,6 @@ class PCIeLink:
         self._busy_until_s = 0.0
         self.fault_extra_latency_s = 0.0
 
-    # -- checkpointing -----------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        """Link counters, occupancy, and fault state."""
-        return {
-            "crossings": self.stats.crossings,
-            "bytes_transferred": self.stats.bytes_transferred,
-            "busy_time_s": self.stats.busy_time_s,
-            "queue_wait_s": self.stats.queue_wait_s,
-            "busy_until_s": self._busy_until_s,
-            "fault_extra_latency_s": self.fault_extra_latency_s,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Re-impose checkpointed link state."""
-        self.stats.crossings = int(state["crossings"])
-        self.stats.bytes_transferred = int(state["bytes_transferred"])
-        self.stats.busy_time_s = float(state["busy_time_s"])
-        self.stats.queue_wait_s = float(state["queue_wait_s"])
-        self._busy_until_s = float(state["busy_until_s"])
-        self.fault_extra_latency_s = float(state["fault_extra_latency_s"])
-
     def bulk_transfer_time(self, nbytes: int) -> float:
         """Time to DMA ``nbytes`` of NF state across the link.
 

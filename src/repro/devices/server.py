@@ -10,7 +10,7 @@ Agilio CX 2x10GbE, 2x Xeon E5-2620 v2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Optional
 
 from ..chain.nf import DeviceKind
 from ..chain.placement import Placement
@@ -127,28 +127,6 @@ class Server:
         self.device(to).host(nf)
         self._placement = new_placement
         return new_placement
-
-    # -- checkpointing -----------------------------------------------------
-
-    def snapshot_state(self) -> Dict[str, object]:
-        """Placement map and last demand refresh for verification.
-
-        The placement itself is rebuilt by replay (the same migration
-        history re-applies), so restore only re-imposes the scalar.
-        """
-        placement: Dict[str, str] = {}
-        if self._placement is not None:
-            placement = {nf.name: self._placement.device_of(nf.name).value
-                         for nf in self._placement.chain}
-        return {
-            "placement": placement,
-            "last_refresh_bps": self.last_refresh_bps,
-        }
-
-    def restore_state(self, state: Dict[str, object]) -> None:
-        """Re-impose the last recorded demand-refresh load."""
-        refresh = state["last_refresh_bps"]
-        self.last_refresh_bps = None if refresh is None else float(refresh)
 
     # -- load bookkeeping -----------------------------------------------------
 

@@ -79,21 +79,6 @@ class SmartNIC(Device):
         self._rx_busy_until_s = 0.0
         self._tx_busy_until_s = 0.0
 
-    # -- checkpointing -----------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        """Device scalars plus port-occupancy state."""
-        state = super().snapshot_state()
-        state["rx_busy_until_s"] = self._rx_busy_until_s
-        state["tx_busy_until_s"] = self._tx_busy_until_s
-        return state
-
-    def restore_state(self, state: dict) -> None:
-        """Re-impose device scalars plus port occupancy."""
-        super().restore_state(state)
-        self._rx_busy_until_s = float(state["rx_busy_until_s"])
-        self._tx_busy_until_s = float(state["tx_busy_until_s"])
-
     @property
     def line_rate_bps(self) -> float:
         """Ingress line rate of one port — the cap on offered load.

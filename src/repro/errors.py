@@ -80,13 +80,14 @@ class CampaignAborted(ExecutionError):
 
 
 class CheckpointError(ReproError):
-    """A checkpoint artifact failed an integrity or fidelity check.
+    """A durability artifact failed an integrity or fidelity check.
 
-    Raised by :mod:`repro.checkpoint` when a journal record fails its
-    checksum mid-file, a snapshot file's digest does not match its
-    payload, or a restored component's state disagrees with the
-    snapshot it claims to resume — anything where continuing would
-    silently produce a run that is *not* the one that was interrupted.
+    Raised when a run journal cannot be read or holds a corrupt record
+    followed by good ones (:mod:`repro.checkpoint`), when a
+    ``crash-resume`` check names an unknown campaign or its killed run
+    left no journal, or when a soak reproducer file is unreadable or
+    malformed — anything where continuing would silently produce a
+    result that is *not* the one it claims to be.
     """
 
 

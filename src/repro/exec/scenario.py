@@ -4,8 +4,8 @@ A scenario is built fully wired (server, workload, controller, faults)
 but not yet run.  The three phases after building are:
 
 * ``prepare()`` — inject the seeded workload and arm control events.
-  Idempotent; split out so checkpoint resume can rebuild the identical
-  event population before fast-forwarding.
+  Idempotent; split out so building the event population is its own
+  phase, apart from the engine run.
 * ``run()`` — drive the engine to completion (including any drain the
   scenario needs before its end state is meaningful).
 * ``collect()`` — aggregate the end state into the scenario's result

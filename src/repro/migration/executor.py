@@ -40,7 +40,6 @@ import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
-from ..checkpoint.snapshot import rng_state_from_json, rng_state_to_json
 from ..devices.server import Server
 
 if TYPE_CHECKING:  # break the core <-> migration import cycle: the
@@ -128,14 +127,6 @@ class ProbabilisticFailure:
         if self.rng.random() < self.probability:
             return self.fraction
         return None
-
-    def snapshot_state(self) -> dict:
-        """RNG position for :mod:`repro.checkpoint`."""
-        return {"rng": list(rng_state_to_json(self.rng.getstate()))}
-
-    def restore_state(self, state: dict) -> None:
-        """Re-impose the failure draw sequence position."""
-        self.rng.setstate(rng_state_from_json(state["rng"]))
 
 
 class ScheduledFailure:
@@ -424,30 +415,6 @@ class MigrationExecutor:
             delay,
             lambda: self._start_attempt(run, remaining, attempt + 1),
             control=True)
-
-    # -- checkpointing -----------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        """Executor state for :mod:`repro.checkpoint`.
-
-        The retry RNG is authoritative (backoff jitter must continue
-        its exact sequence); in-flight plan records are verify-only
-        evidence — the `_PlanRun` closures themselves are rebuilt by
-        deterministic replay of the same control decisions.
-        """
-        return {
-            "busy": self._busy,
-            "retry_rng": list(rng_state_to_json(self._retry_rng.getstate())),
-            "records": [[r.nf_name, r.attempt, r.outcome,
-                         r.started_s, r.completed_s] for r in self.records],
-            "outcomes": [[o.status, o.started_s, o.completed_s,
-                          o.attempts] for o in self.outcomes],
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Re-impose the retry RNG sequence position."""
-        self._retry_rng.setstate(rng_state_from_json(state["retry_rng"]))
-        self._busy = bool(state["busy"])
 
     def _record(self, run: _PlanRun, record: MigrationRecord) -> None:
         run.records.append(record)

@@ -67,8 +67,9 @@ class MultiChainLoadModel:
         return self.device_utilisation(DeviceKind.CPU)
 
     def nic_overloaded(self) -> bool:
-        """Whether the shared SmartNIC is past capacity."""
-        return self.nic_utilisation() > 1.0
+        """Whether the shared SmartNIC is at or past capacity (Eq. 3
+        wants its utilisation strictly below 1)."""
+        return self.nic_utilisation() >= 1.0
 
     def shared_capacity(self, device: DeviceKind) -> float:
         """Largest uniform *scaling* of all chains the device sustains.

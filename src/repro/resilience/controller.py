@@ -142,56 +142,6 @@ class ResilientController:
         self._install(context)
         self._pulse(context.now_s, context)
 
-    # -- checkpointing -------------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        """Resilience state for :mod:`repro.checkpoint` (nested).
-
-        Recovery outcomes are verify-only summaries: the objects (and
-        the closures referencing them) are rebuilt by deterministic
-        replay, so restore re-imposes only scalar estimator state and
-        the nested components' authoritative bits.
-        """
-        return {
-            "inner": self.inner.snapshot_state(),
-            "health": self.health.snapshot_state(),
-            "shedder": self.shedder.snapshot_state(),
-            "ladder": self.ladder.snapshot_state(),
-            "installed": self._installed,
-            "offered_ema_bps": self._offered_ema_bps,
-            "last_pulse_s": self._last_pulse_s,
-            "last_offered_bytes": self._last_offered_bytes,
-            "pulse_scheduled": self._pulse_scheduled,
-            "device_progress": {kind.value: progress for kind, progress
-                                in sorted(self._device_progress.items(),
-                                          key=lambda item: item[0].value)},
-            "served_seen": dict(sorted(self._served_seen.items())),
-            "abandoned_packets": self.abandoned_packets,
-            "active_recoveries": sorted(kind.value
-                                        for kind in self._active),
-            "recoveries": [[r.device.value, r.detected_s, r.status,
-                            r.attempts, sorted(r.evacuated)]
-                           for r in self.recoveries],
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Re-impose estimator scalars and nested component state."""
-        self.inner.restore_state(state["inner"])
-        self.health.restore_state(state["health"])
-        self.shedder.restore_state(state["shedder"])
-        self.ladder.restore_state(state["ladder"])
-        self._offered_ema_bps = float(state["offered_ema_bps"])
-        pulse = state["last_pulse_s"]
-        self._last_pulse_s = None if pulse is None else float(pulse)
-        self._last_offered_bytes = int(state["last_offered_bytes"])
-        self._pulse_scheduled = bool(state["pulse_scheduled"])
-        self._device_progress = {DeviceKind(kind): int(progress)
-                                 for kind, progress
-                                 in state["device_progress"].items()}
-        self._served_seen = {name: int(count) for name, count
-                             in state["served_seen"].items()}
-        self.abandoned_packets = int(state["abandoned_packets"])
-
     # -- setup ---------------------------------------------------------------
 
     def _install(self, context: TickContext) -> None:

@@ -180,31 +180,6 @@ class IngressShedder:
             return False
         return True
 
-    # -- checkpointing ---------------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        """Ladder level and per-class tallies for checkpointing."""
-        return {
-            "level": self._level,
-            "shedding": sorted(self._shedding),
-            "counters": {name: {
-                "offered_packets": c.offered_packets,
-                "offered_bytes": c.offered_bytes,
-                "shed_packets": c.shed_packets,
-                "shed_bytes": c.shed_bytes,
-            } for name, c in sorted(self.counters.items())},
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Re-impose the engaged level and per-class tallies."""
-        self.set_level(int(state["level"]))
-        for name, fields in state["counters"].items():
-            tally = self.counters[name]
-            tally.offered_packets = int(fields["offered_packets"])
-            tally.offered_bytes = int(fields["offered_bytes"])
-            tally.shed_packets = int(fields["shed_packets"])
-            tally.shed_bytes = int(fields["shed_bytes"])
-
     # -- accounting -----------------------------------------------------------
 
     @property
@@ -290,22 +265,3 @@ class DegradationLadder:
     def _engage(self, level: int, now_s: float) -> None:
         self.shedder.set_level(level)
         self.level_changes.append((now_s, level))
-
-    # -- checkpointing ---------------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        """Dwell/decision state for checkpointing."""
-        return {
-            "degraded_time_s": self.degraded_time_s,
-            "level_changes": [list(change) for change in self.level_changes],
-            "last_update_s": self._last_update_s,
-            "lower_since": self._lower_since,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Re-impose dwell timers and the decision trail."""
-        self.degraded_time_s = float(state["degraded_time_s"])
-        self.level_changes = [(float(at_s), int(level))
-                              for at_s, level in state["level_changes"]]
-        self._last_update_s = state["last_update_s"]
-        self._lower_since = state["lower_since"]

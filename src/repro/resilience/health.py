@@ -148,38 +148,6 @@ class HealthTracker:
         watch.stall_since = None
         watch.recover_since = None
 
-    # -- checkpointing -------------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        """Watchdog FSM state for :mod:`repro.checkpoint`."""
-        return {
-            "watches": [[entity, {
-                "state": watch.state.value,
-                "last_progress": watch.last_progress,
-                "reference_mark": watch.reference_mark,
-                "stall_since": watch.stall_since,
-                "recover_since": watch.recover_since,
-                "seen": watch.seen,
-            }] for entity, watch in self._watches.items()],
-            "transitions": len(self.transitions),
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Rebuild every per-entity watchdog from the snapshot.
-
-        The transition log is verify-only (its count is compared); the
-        replayed run re-records identical transitions.
-        """
-        self._watches = {}
-        for entity, fields in state["watches"]:
-            self._watches[entity] = _Watch(
-                state=HealthState(fields["state"]),
-                last_progress=int(fields["last_progress"]),
-                reference_mark=int(fields["reference_mark"]),
-                stall_since=fields["stall_since"],
-                recover_since=fields["recover_since"],
-                seen=bool(fields["seen"]))
-
     # -- the watchdog --------------------------------------------------------
 
     def observe(self, entity: str, progress: int, reference: int,

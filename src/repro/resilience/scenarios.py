@@ -19,13 +19,10 @@ same recovery timeline — which is what lets the CLI, the tests, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from ..chain.nf import DeviceKind
-from ..checkpoint import (CheckpointManager, SimulationSnapshot,
-                          SnapshotRegistry, resume_simulation,
-                          simulation_registry)
 from ..core.operator import HardenedController, HardeningConfig
 from ..core.reverse import PullbackConfig
 from ..errors import ConfigurationError
@@ -61,8 +58,6 @@ class ResilienceScenarioResult:
     stats: ResilienceStats
     controller: ResilientController
     recorder: TimeSeriesRecorder
-    #: Snapshot files written during the run (checkpointing enabled).
-    checkpoints: List[str] = field(default_factory=list)
 
     @property
     def time_to_recover_s(self) -> Optional[float]:
@@ -110,18 +105,15 @@ class ResilienceScenario:
     """One wired resilience scenario (:class:`repro.exec.Scenario`).
 
     Building wires the Figure 1 chain, the recording resilient
-    controller, the optional device-kill injector, and the optional
-    snapshot machinery; ``prepare``/``run``/``collect`` are the three
-    protocol phases the execution core drives.
+    controller, and the optional device-kill injector;
+    ``prepare``/``run``/``collect`` are the three protocol phases the
+    execution core drives.
     """
 
     def __init__(self, name: str, seed: int, generator: ProfiledArrivals,
                  controller: ResilientController,
                  kill_device: Optional[DeviceKind] = None,
-                 kill_at_s: float = 0.0,
-                 checkpoint_every: int = 0,
-                 checkpoint_dir: Optional[str] = None,
-                 resume_snapshot: Optional[str] = None) -> None:
+                 kill_at_s: float = 0.0) -> None:
         self.name = name
         self.seed = seed
         self.generator = generator
@@ -138,35 +130,10 @@ class ResilienceScenario:
             self.injector = FaultInjector(self.sim.network,
                                           self.sim.engine, seed=seed)
             self.injector.kill_device(kill_device, kill_at_s)
-        self._resume_snapshot = resume_snapshot
-        registry: Optional[SnapshotRegistry] = None
-        if checkpoint_every > 0 or resume_snapshot is not None:
-            # Register the resilient controller itself, not the
-            # recording wrapper: the series is rebuilt by replay.
-            registry = simulation_registry(self.sim, controller=controller,
-                                           injector=self.injector)
-        self._registry = registry
-        self._manager: Optional[CheckpointManager] = None
-        if checkpoint_every > 0:
-            if checkpoint_dir is None:
-                raise ConfigurationError(
-                    "checkpoint_every needs a checkpoint_dir to write to")
-            self._manager = CheckpointManager(
-                self.sim, registry, checkpoint_dir,
-                every=checkpoint_every,
-                meta={"scenario": name, "seed": seed,
-                      "duration_s": generator.duration_s})
         self.result: Optional[SimulationResult] = None
 
     def prepare(self) -> None:
-        """Build the seeded event population (or fast-forward to a
-        snapshot's capture point when resuming)."""
-        if self._resume_snapshot is not None:
-            resume_simulation(
-                SimulationSnapshot.load(self._resume_snapshot),
-                self.sim, self._registry)
-            self._resume_snapshot = None
-            return
+        """Build the seeded event population."""
         self.sim.prepare()
 
     def run(self) -> SimulationResult:
@@ -184,38 +151,26 @@ class ResilienceScenario:
         """Freeze the run's accounting for the CLI/bench/tests."""
         if self.result is None:
             raise ConfigurationError("collect() before run()")
-        manager = self._manager
         return ResilienceScenarioResult(
             name=self.name, seed=self.seed, result=self.result,
             stats=snapshot_resilience(self.controller),
-            controller=self.controller, recorder=self.recorder,
-            checkpoints=list(manager.written) if manager is not None
-            else [])
+            controller=self.controller, recorder=self.recorder)
 
 
 def _run(name: str, seed: int, generator: ProfiledArrivals,
          controller: ResilientController,
          kill_device: Optional[DeviceKind] = None,
-         kill_at_s: float = 0.0,
-         checkpoint_every: int = 0,
-         checkpoint_dir: Optional[str] = None,
-         resume_snapshot: Optional[str] = None
-         ) -> ResilienceScenarioResult:
+         kill_at_s: float = 0.0) -> ResilienceScenarioResult:
     scenario = ResilienceScenario(
         name, seed, generator, controller,
-        kill_device=kill_device, kill_at_s=kill_at_s,
-        checkpoint_every=checkpoint_every, checkpoint_dir=checkpoint_dir,
-        resume_snapshot=resume_snapshot)
+        kill_device=kill_device, kill_at_s=kill_at_s)
     scenario.prepare()
     scenario.run()
     return scenario.collect()
 
 
 def run_device_kill(seed: int = 7, duration_s: float = 0.08,
-                    config: ResilienceConfig = ResilienceConfig(),
-                    checkpoint_every: int = 0,
-                    checkpoint_dir: Optional[str] = None,
-                    resume_snapshot: Optional[str] = None
+                    config: ResilienceConfig = ResilienceConfig()
                     ) -> ResilienceScenarioResult:
     """Kill the SmartNIC mid-spike; recover onto the CPU."""
     if duration_s <= 0:
@@ -228,18 +183,12 @@ def run_device_kill(seed: int = 7, duration_s: float = 0.08,
     return _run("device-kill", seed, generator,
                 build_resilient_controller(config),
                 kill_device=DeviceKind.SMARTNIC,
-                kill_at_s=0.3 * duration_s,
-                checkpoint_every=checkpoint_every,
-                checkpoint_dir=checkpoint_dir,
-                resume_snapshot=resume_snapshot)
+                kill_at_s=0.3 * duration_s)
 
 
 def run_overload_shed(seed: int = 7, duration_s: float = 0.06,
                       offered_bps: float = INFEASIBLE_LOAD_BPS,
-                      config: ResilienceConfig = ResilienceConfig(),
-                      checkpoint_every: int = 0,
-                      checkpoint_dir: Optional[str] = None,
-                      resume_snapshot: Optional[str] = None
+                      config: ResilienceConfig = ResilienceConfig()
                       ) -> ResilienceScenarioResult:
     """Sustained load beyond every placement; shed low priority only."""
     if duration_s <= 0:
@@ -249,10 +198,7 @@ def run_overload_shed(seed: int = 7, duration_s: float = 0.06,
                                  duration_s=duration_s, seed=seed,
                                  jitter=False)
     return _run("overload", seed, generator,
-                build_resilient_controller(config),
-                checkpoint_every=checkpoint_every,
-                checkpoint_dir=checkpoint_dir,
-                resume_snapshot=resume_snapshot)
+                build_resilient_controller(config))
 
 
 SCENARIOS = {
@@ -263,10 +209,7 @@ SCENARIOS = {
 
 def run_scenario(name: str, seed: int = 7,
                  duration_s: Optional[float] = None,
-                 config: Optional[ResilienceConfig] = None,
-                 checkpoint_every: int = 0,
-                 checkpoint_dir: Optional[str] = None,
-                 resume_snapshot: Optional[str] = None
+                 config: Optional[ResilienceConfig] = None
                  ) -> ResilienceScenarioResult:
     """Dispatch one named scenario (the CLI entry point)."""
     try:
@@ -276,31 +219,10 @@ def run_scenario(name: str, seed: int = 7,
         raise ConfigurationError(
             f"unknown resilience scenario {name!r} (known: {known})") \
             from None
-    kwargs = {"seed": seed, "checkpoint_every": checkpoint_every,
-              "checkpoint_dir": checkpoint_dir,
-              "resume_snapshot": resume_snapshot}
+    kwargs = {"seed": seed}
     if duration_s is not None:
         kwargs["duration_s"] = duration_s
     if config is not None:
         kwargs["config"] = config
     return runner(**kwargs)
 
-
-def resume_scenario(path: str) -> ResilienceScenarioResult:
-    """Resume a canned scenario from one of its snapshot files.
-
-    The snapshot's meta block records which scenario, seed, and
-    duration produced it, so the path is all a fresh process needs:
-    the identical seeded scenario is rebuilt, fast-forwarded to the
-    capture point, verified against the snapshot, and run to the end.
-    """
-    snapshot = SimulationSnapshot.load(path)
-    meta = snapshot.meta
-    name = str(meta.get("scenario", ""))
-    if name not in SCENARIOS:
-        raise ConfigurationError(
-            f"snapshot {path} does not name a known scenario "
-            f"(meta: {meta})")
-    return run_scenario(name, seed=int(meta["seed"]),
-                        duration_s=float(meta["duration_s"]),
-                        resume_snapshot=path)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import gc
 from heapq import heappop, heappush
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from ..errors import SchedulingError
 from .events import _NO_ARG, PRIORITY_CONTROL, PRIORITY_DATA, EventQueue
@@ -324,31 +324,3 @@ class Engine:
                 gc.enable()
             if tracing:
                 self.flush_trace()
-
-    # -- checkpointing -----------------------------------------------------
-
-    def snapshot_state(self) -> Dict[str, object]:
-        """Deterministic engine state for :mod:`repro.checkpoint`.
-
-        ``now_s`` and ``pending`` are verify-only context: a snapshot
-        is captured *inside* a tick action (the tick event already
-        popped) while replay stops *before* that pop, so the checkpoint
-        registry excludes them from the capture/replay comparison.
-        """
-        queue_state = self._queue.snapshot_state()
-        return {
-            "now_s": self.now_s,
-            "events_processed": self.events_processed,
-            "seq_counter": queue_state["seq_counter"],
-            "pending": queue_state["pending"],
-        }
-
-    def restore_state(self, state: Dict[str, object]) -> None:
-        """Re-impose checkpointed engine counters after replay.
-
-        Deliberately leaves ``now_s`` alone: the clock advances when
-        the replayed tick event pops, and overwriting it here would
-        jump the clock past events still queued before the tick.
-        """
-        self.events_processed = int(state["events_processed"])
-        self._queue.restore_state({"seq_counter": state["seq_counter"]})

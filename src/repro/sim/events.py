@@ -80,9 +80,7 @@ class EventQueue:
     __slots__ = ("_seq", "_heap", "_lane", "_action_table", "_action_ids")
 
     def __init__(self) -> None:
-        # Plain int rather than itertools.count(): the counter is part
-        # of the deterministic simulation state a checkpoint captures,
-        # so it must be readable and settable.
+        # Insertion counter: the last element of every ordering key.
         self._seq = 0
         # Action table: model code registers its recurring callbacks
         # once (at wiring time) and schedules by integer id, so the
@@ -99,23 +97,6 @@ class EventQueue:
 
     def __len__(self) -> int:
         return len(self._heap) + len(self._lane)
-
-    @property
-    def seq_counter(self) -> int:
-        """The seq number the next pushed event will receive."""
-        return self._seq
-
-    def set_seq_counter(self, value: int) -> None:
-        """Restore the insertion counter (checkpoint restore only).
-
-        Rewinding below an already-issued seq would let two live events
-        share an ordering key, so only forward moves are allowed.
-        """
-        if value < self._seq:
-            raise SchedulingError(
-                f"cannot rewind event seq counter from {self._seq} "
-                f"to {value}")
-        self._seq = value
 
     # -- scheduling --------------------------------------------------------
 
@@ -219,22 +200,3 @@ class EventQueue:
         it is never interned and the action table does not grow.
         """
         self.schedule_id(time_s, _CALL_ID, priority, action)
-
-    # -- checkpointing -----------------------------------------------------
-
-    def snapshot_state(self) -> Dict[str, object]:
-        """Deterministic queue state for :mod:`repro.checkpoint`.
-
-        The queued entries are deliberately absent: actions
-        are closures over live model objects, so checkpoints rebuild
-        them by replaying the seeded scenario (docs/checkpointing.md).
-        Only the counters that must survive verbatim are captured.
-        """
-        return {
-            "seq_counter": self._seq,
-            "pending": len(self),
-        }
-
-    def restore_state(self, state: Dict[str, object]) -> None:
-        """Re-impose checkpointed queue counters after replay."""
-        self.set_seq_counter(int(state["seq_counter"]))

@@ -44,7 +44,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..chain.nf import DeviceKind
-from ..checkpoint.snapshot import rng_state_from_json, rng_state_to_json
 from ..errors import ConfigurationError
 from ..sim.engine import Engine
 from ..sim.network import ChainNetwork
@@ -361,46 +360,3 @@ class FaultInjector:
     def total_lost(self) -> int:
         """Packets destroyed by all injected faults so far."""
         return sum(event.packets_lost for event in self.events)
-
-    # -- checkpointing -----------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        """Injector state for :mod:`repro.checkpoint`.
-
-        The RNG state is authoritative (random loss must continue its
-        exact Bernoulli sequence); window bookkeeping is restored as
-        scalars; the fault-event list is a verify-only summary — the
-        events themselves (and their scheduled start/stop closures) are
-        rebuilt by replaying the same schedule.
-        """
-        return {
-            "rng": list(rng_state_to_json(self.rng.getstate())),
-            "failed": sorted(self._failed),
-            "down_until": dict(sorted(self._down_until.items())),
-            "brownout_until": {kind.value: until for kind, until in
-                               sorted(self._brownout_until.items(),
-                                      key=lambda item: item[0].value)},
-            "dead_devices": [kind.value for kind in DeviceKind
-                             if kind in self._dead_devices],
-            "flap_until_s": self._flap_until_s,
-            "frozen_sample": list(self._frozen_sample)
-            if self._frozen_sample is not None else None,
-            "dropout_until_s": self._dropout_until_s,
-            "events": [[e.kind, e.at_s, e.packets_lost]
-                       for e in self.events],
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Re-impose RNG and fault-window state after replay."""
-        self.rng.setstate(rng_state_from_json(state["rng"]))
-        self._failed = set(state["failed"])
-        self._down_until = dict(state["down_until"])
-        self._brownout_until = {DeviceKind(kind): until for kind, until
-                                in state["brownout_until"].items()}
-        self._dead_devices = {DeviceKind(kind)
-                              for kind in state["dead_devices"]}
-        self._flap_until_s = float(state["flap_until_s"])
-        frozen = state["frozen_sample"]
-        self._frozen_sample = (None if frozen is None
-                               else (int(frozen[0]), float(frozen[1])))
-        self._dropout_until_s = float(state["dropout_until_s"])

@@ -381,29 +381,6 @@ class ChainNetwork:
         """
         return self.arrived_bytes, self.engine.now_s
 
-    def snapshot_state(self) -> Dict[str, int]:
-        """Data-plane counters for :mod:`repro.checkpoint`.
-
-        Outcome-list lengths are verify-only evidence that a replay
-        landed at the same point; the packets themselves are rebuilt by
-        the replay, so restore touches only the scalar counters.
-        """
-        return {
-            "injected": self.injected,
-            "injected_bytes": self.injected_bytes,
-            "arrived_bytes": self.arrived_bytes,
-            "delivered": len(self.delivered),
-            "dropped": len(self.dropped),
-            "filtered": len(self.filtered),
-            "shed": len(self.shed),
-        }
-
-    def restore_state(self, state: Dict[str, int]) -> None:
-        """Re-impose checkpointed ingress counters."""
-        self.injected = int(state["injected"])
-        self.injected_bytes = int(state["injected_bytes"])
-        self.arrived_bytes = int(state["arrived_bytes"])
-
     def in_flight(self) -> int:
         """Packets injected with no final outcome yet."""
         return (self.injected - len(self.delivered)

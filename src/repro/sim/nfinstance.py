@@ -66,9 +66,9 @@ class NFStation:
         #: the server is allowed to run on already-readmitted packets.
         self._draining = False
         self._pause_buffer: List[Tuple[Packet, float]] = []
+        #: Packets this station has finished serving (filtered ones
+        #: included) — the resilience watchdog's progress signal.
         self.served_packets: int = 0
-        self.served_bytes: int = 0
-        self.filtered_packets: int = 0
         # Pre-registered engine action ids for the two completions every
         # served packet schedules (see Engine.register_action).  The
         # pass rate is profile-constant, so a station that never
@@ -193,52 +193,19 @@ class NFStation:
         """:meth:`_emit` for stations with ``pass_rate == 1.0``: no
         packet can be filtered, so the token check is skipped."""
         self.served_packets += 1
-        self.served_bytes += packet.size_bytes
         self.on_complete(packet, self.profile.name, self.engine.now_s)
 
     def _emit(self, packet: Packet) -> None:
         self.served_packets += 1
-        self.served_bytes += packet.size_bytes
         name = self.profile.name
         pass_rate = self.profile.pass_rate
         if pass_rate < 1.0 and _filter_token(name, packet.seq) >= pass_rate:
             # Policy decision, not a loss: consume the packet here.
             packet.filtered_at = name
-            self.filtered_packets += 1
             if self.on_filtered is not None:
                 self.on_filtered(packet, name, self.engine.now_s)
             return
         self.on_complete(packet, name, self.engine.now_s)
-
-    # -- checkpointing -------------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        """Station state for :mod:`repro.checkpoint`.
-
-        Queue and pause-buffer *contents* are verify-only lengths — the
-        packets are reconstructed by deterministic replay — while the
-        served counters and mode flags are restored authoritatively.
-        """
-        return {
-            "device": self.device.name,
-            "busy": self._busy,
-            "paused": self._paused,
-            "draining": self._draining,
-            "queued": len(self.queue),
-            "buffered": len(self._pause_buffer),
-            "served_packets": self.served_packets,
-            "served_bytes": self.served_bytes,
-            "filtered_packets": self.filtered_packets,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Re-impose checkpointed counters and mode flags."""
-        self._busy = bool(state["busy"])
-        self._paused = bool(state["paused"])
-        self._draining = bool(state["draining"])
-        self.served_packets = int(state["served_packets"])
-        self.served_bytes = int(state["served_bytes"])
-        self.filtered_packets = int(state["filtered_packets"])
 
     # -- migration support ----------------------------------------------------
 

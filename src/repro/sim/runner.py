@@ -117,10 +117,9 @@ class SimulationRunner:
         self._tick_index = 0
         #: Hooks invoked at the very start of every monitor tick with
         #: the tick's index — before the index increments and before
-        #: any estimator/controller state mutates.  That ordering makes
-        #: the hook a quiescent point: a checkpoint captured there can
-        #: be resumed by replaying to the same event count, and the
-        #: re-executed tick body is identical on both sides.
+        #: any estimator/controller state mutates — so an observer
+        #: (the soak invariant engine) sees the state the previous
+        #: tick left, not a half-updated one.
         self._tick_hooks: List[Callable[[int], None]] = []
 
     # -- control loop ---------------------------------------------------------
@@ -167,9 +166,9 @@ class SimulationRunner:
     def prepare(self) -> None:
         """Inject the workload and arm the first monitor tick.
 
-        Idempotent, and split from :meth:`run` so checkpoint resume can
-        build the identical seeded event population, fast-forward the
-        engine partway, and only then hand control back to :meth:`run`.
+        Idempotent, and split from :meth:`run` so the
+        :class:`repro.exec.Scenario` protocol's prepare phase builds the
+        seeded event population apart from the engine run.
         """
         if self._prepared:
             return
@@ -190,24 +189,6 @@ class SimulationRunner:
         """Aggregate the end state (the :class:`repro.exec.Scenario`
         protocol's third phase; pure inspection, callable repeatedly)."""
         return self._collect(self._offered_mean_bps)
-
-    # -- checkpointing -----------------------------------------------------
-
-    def snapshot_state(self) -> Dict[str, object]:
-        """Monitor-estimator state for :mod:`repro.checkpoint`."""
-        return {
-            "tick_index": self._tick_index,
-            "last_window_bytes": self._last_window_bytes,
-            "last_sample_s": self._last_sample_s,
-            "offered_estimate_bps": self._offered_estimate_bps,
-        }
-
-    def restore_state(self, state: Dict[str, object]) -> None:
-        """Re-impose checkpointed monitor-estimator state."""
-        self._tick_index = int(state["tick_index"])
-        self._last_window_bytes = int(state["last_window_bytes"])
-        self._last_sample_s = float(state["last_sample_s"])
-        self._offered_estimate_bps = float(state["offered_estimate_bps"])
 
     def _collect(self, offered_bps: float) -> SimulationResult:
         delivered = self.network.delivered

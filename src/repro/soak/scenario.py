@@ -84,9 +84,8 @@ class CaseScenario:
     The ``prepare``/``run`` half of the :class:`repro.exec.Scenario`
     protocol.  How the end state is judged is the caller's: the chaos
     runner checks it once drained, a :class:`SoakScenario` watches it
-    online.  Checkpoint tests and the crash-resume check build the
-    *identical* seeded scenario a campaign would run, snapshot it
-    mid-flight, and resume it in a fresh process.
+    online.  Determinism tests build the *identical* seeded scenario
+    a campaign would run twice and compare the two runs.
     """
 
     case: SoakCase

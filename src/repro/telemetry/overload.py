@@ -60,21 +60,3 @@ class OverloadDetector:
         self._over_streak = 0
         self._under_streak = 0
         self._state = False
-
-    # -- checkpointing -----------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        """Debounce state for :mod:`repro.checkpoint`."""
-        return {
-            "over_streak": self._over_streak,
-            "under_streak": self._under_streak,
-            "state": self._state,
-            "episodes": self.episodes,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Re-impose checkpointed debounce state."""
-        self._over_streak = int(state["over_streak"])
-        self._under_streak = int(state["under_streak"])
-        self._state = bool(state["state"])
-        self.episodes = int(state["episodes"])

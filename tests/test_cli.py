@@ -267,8 +267,7 @@ _CAMPAIGN_FLAGS = {
     "resilience": {
         "--scenario": "device-kill", "--seed": 7, "--duration": None,
         "--runs": 1, "--workers": 1, "--journal": None,
-        "--resume-journal": None, "--checkpoint-every": 0,
-        "--checkpoint-dir": None, "--resume-from": None,
+        "--resume-journal": None,
         "--run-timeout": None, "--max-attempts": 1,
         "--max-failures": None,
     },
@@ -328,29 +327,20 @@ class TestCampaignFlagErrors:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
-    @pytest.mark.parametrize("flags", [
-        ["--runs", "2"], ["--workers", "2"],
-        ["--run-timeout", "2"], ["--max-attempts", "2"],
-        ["--max-failures", "1"]])
-    def test_snapshot_mode_rejects_campaign_flags(self, tmp_path, flags,
-                                                  capsys):
-        for mode in (["--checkpoint-every", "5",
-                      "--checkpoint-dir", str(tmp_path)],
-                     ["--resume-from", str(tmp_path / "absent.snap")]):
-            assert main(["resilience", *mode, *flags]) == 2
-            err = capsys.readouterr().err
-            assert "applies to a single run" in err
-            assert flags[0] in err
-
 
 class TestFigure2Journal:
+    @pytest.mark.parametrize("argv,first_flags,resume_flag", [
+        (["figure2", "--sizes", "64", "1500", "--duration", "0.002"],
+         ["--workers", "2"], "--resume-from"),
+        (["resilience", "--scenario", "device-kill", "--runs", "2",
+          "--duration", "0.02"], [], "--resume-journal")],
+        ids=["figure2", "resilience"])
     def test_resume_replays_every_point_and_renders_the_same(
-            self, tmp_path, capsys):
-        journal = str(tmp_path / "f2.jsonl")
-        argv = ["figure2", "--sizes", "64", "1500", "--duration", "0.002"]
-        assert main([*argv, "--workers", "2", "--journal", journal]) == 0
+            self, tmp_path, capsys, argv, first_flags, resume_flag):
+        journal = str(tmp_path / "campaign.jsonl")
+        assert main([*argv, *first_flags, "--journal", journal]) == 0
         first = capsys.readouterr().out
-        assert main([*argv, "--resume-from", journal]) == 0
+        assert main([*argv, resume_flag, journal]) == 0
         resumed = capsys.readouterr().out.splitlines()
         assert resumed[0] == f"replayed 2 run(s) from journal {journal}"
         assert "\n".join(resumed[1:]) + "\n" == first

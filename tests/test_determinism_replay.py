@@ -11,6 +11,11 @@ dependency — this is the test that goes red.
 from dataclasses import dataclass
 from typing import List, Tuple
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.chaos.runner import ChaosRunner
+from repro.chaos.schedule import ChaosConfig
 from repro.core.planner import MigrationController, PAMPolicy
 from repro.harness.scenarios import figure1
 from repro.sim.runner import SimulationResult, SimulationRunner
@@ -87,3 +92,36 @@ class TestSeededReplay:
         base = _run_once(tmp_path, "a", seed=11)
         other = _run_once(tmp_path, "b", seed=12)
         assert base.trace != other.trace
+
+
+def _metrics_key(result: SimulationResult):
+    return (result.injected, result.delivered, result.dropped,
+            result.filtered, result.shed,
+            None if result.latency is None
+            else (result.latency.mean_s, result.latency.p99_s),
+            result.throughput.goodput_bps,
+            result.migration_times_s, result.migrated_nfs,
+            str(result.final_placement))
+
+
+class TestChaosReplayProperty:
+    """Faulted chaos runs replay exactly: the full event trace, not just
+    the summary, is a function of the seed — for both control planes."""
+
+    @given(seed=st.integers(min_value=0, max_value=10_000),
+           resilient=st.booleans())
+    @settings(max_examples=5, deadline=None)
+    def test_fresh_builds_replay_trace_and_metrics(
+            self, seed, resilient):
+        config = ChaosConfig(duration_s=0.02, resilient=resilient)
+        runner = ChaosRunner(runs=1, seed=seed, config=config)
+        runs = []
+        for _ in range(2):
+            scenario = runner.build_scenario(seed)
+            trace: List[Tuple[float, int, int]] = []
+            scenario.sim.engine.trace_to(trace)
+            runs.append((trace, _metrics_key(scenario.sim.run())))
+        (trace_a, metrics_a), (trace_b, metrics_b) = runs
+        assert trace_a, "run executed no events"
+        assert trace_a == trace_b
+        assert metrics_a == metrics_b

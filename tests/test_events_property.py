@@ -21,7 +21,6 @@ hypothesis = pytest.importorskip("hypothesis")
 
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from repro.errors import SchedulingError  # noqa: E402
 from repro.sim.engine import Engine  # noqa: E402
 from repro.sim.events import PRIORITY_CONTROL, PRIORITY_DATA  # noqa: E402
 
@@ -289,31 +288,3 @@ class TestArrivalLane:
         harness.batch([1e-6], PRIORITY_CONTROL)
         harness.drain()
         assert [key[2] for key in harness.trace] == [4, 5, 0, 1, 2, 3]
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=0, max_value=2 ** 40),
-       st.integers(min_value=0, max_value=2 ** 20),
-       st.integers(min_value=1, max_value=2 ** 20))
-def test_seq_counter_snapshot_restore_roundtrip(start, scheduled, rewind):
-    """The counter restores exactly and refuses to run backwards."""
-    engine = Engine()
-    engine.restore_state({"events_processed": 0, "seq_counter": start})
-    for _ in range(scheduled % 5):
-        engine.at(1e-6, lambda: None)
-    state = engine.snapshot_state()
-    assert state["seq_counter"] == start + scheduled % 5
-    assert state["pending"] == engine.pending()
-
-    fresh = Engine()
-    fresh.restore_state(state)
-    trace = []
-    fresh.trace_to(trace)
-    # New events continue the restored numbering.
-    fresh.at(1e-6, lambda: None)
-    fresh.run()
-    assert trace == [(1e-6, PRIORITY_DATA, state["seq_counter"])]
-
-    with pytest.raises(SchedulingError):
-        engine.restore_state({"events_processed": 0,
-                              "seq_counter": state["seq_counter"] - rewind})

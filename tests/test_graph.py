@@ -175,11 +175,20 @@ class TestGraphPAM:
 
     def test_chain_embedding_agrees_with_chain_pam(self, fig1_placement,
                                                    fig1_throughput):
+        from repro.chain.placement import Placement
         from repro.core.pam import select as chain_select
-        graph = ServiceGraph.from_chain(fig1_placement.chain)
-        graph_placement = GraphPlacement(
-            graph, fig1_placement.as_dict(),
-            ingress=fig1_placement.ingress, egress=fig1_placement.egress)
-        graph_plan = graph_pam.select(graph_placement, fig1_throughput)
-        chain_plan = chain_select(fig1_placement, fig1_throughput)
-        assert graph_plan.migrated_names == chain_plan.migrated_names
+        # A NIC at exactly capacity (0.5 + 0.5 at 1 Gbps) is overloaded:
+        # Eq. 3 wants utilisation strictly below 1.
+        tie_chain = ServiceChain([nf("a", nic=2.0, cpu=8.0),
+                                  nf("b", nic=2.0, cpu=8.0)])
+        tie = Placement.all_on(tie_chain, S, egress=C)
+        cases = [(fig1_placement, fig1_throughput), (tie, gbps(1.0))]
+        for placement, throughput_bps in cases:
+            graph = ServiceGraph.from_chain(placement.chain)
+            graph_placement = GraphPlacement(
+                graph, placement.as_dict(),
+                ingress=placement.ingress, egress=placement.egress)
+            graph_plan = graph_pam.select(graph_placement, throughput_bps)
+            chain_plan = chain_select(placement, throughput_bps)
+            assert chain_plan.migrated_names
+            assert graph_plan.migrated_names == chain_plan.migrated_names

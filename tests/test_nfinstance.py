@@ -84,7 +84,6 @@ class TestService:
         h.inject(1, at_s=0.0, size=200)
         h.engine.run()
         assert h.station.served_packets == 2
-        assert h.station.served_bytes == 300
 
 
 class TestDrops:
