@@ -83,6 +83,7 @@ class ChaosRunResult:
     def from_scenario(cls, scenario: CaseScenario,
                       schedule: ChaosSchedule) -> "ChaosRunResult":
         """Aggregate a drained run and check every end-state invariant."""
+        scenario.check_collectable()
         sim = scenario.sim
         hardened = scenario.hardened
         resilient = scenario.resilient
@@ -256,9 +257,12 @@ class ChaosRunner:
         schedule = self._schedule(run_seed)
         try:
             scenario = self.build_scenario(run_seed, schedule)
-            scenario.prepare()
-            scenario.run()
-            return ChaosRunResult.from_scenario(scenario, schedule)
+            try:
+                scenario.prepare()
+                scenario.run()
+                return ChaosRunResult.from_scenario(scenario, schedule)
+            finally:
+                scenario.release()
         # A faithfully-reporting top-level boundary: the crash becomes a
         # recorded violation, never a swallowed one.
         except Exception as exc:  # repro: noqa[EXC402]

@@ -1,7 +1,7 @@
 """The Scenario protocol: one unit of simulated work.
 
 A scenario is built fully wired (server, workload, controller, faults)
-but not yet run.  The three phases after building are:
+but not yet run.  The phases after building are:
 
 * ``prepare()`` — inject the seeded workload and arm control events.
   Idempotent; split out so building the event population is its own
@@ -10,6 +10,13 @@ but not yet run.  The three phases after building are:
   scenario needs before its end state is meaningful).
 * ``collect()`` — aggregate the end state into the scenario's result
   object.  Pure inspection: calling it twice returns equal results.
+* ``release()`` — end the run: drop its pending events and every
+  packet it holds.  A run's object graph is cyclic (the engine's
+  action table points at callbacks that point back at the engine), so
+  an unreleased run stays resident until a full cycle collection.
+  Whoever builds a scenario releases it, in a ``finally`` once
+  ``collect()`` has produced the result.  Idempotent; ``collect()``
+  afterwards raises.
 
 :class:`~repro.sim.runner.SimulationRunner`, soak scenarios
 (:class:`~repro.soak.scenario.SoakScenario`), resilience scenarios
@@ -39,6 +46,9 @@ class Scenario(Protocol):
 
     def collect(self) -> object:
         """Aggregate the end state into the scenario's result object."""
+
+    def release(self) -> None:
+        """Free the run's packets and pending events (idempotent)."""
 
 
 def seed_for(campaign_seed: int, index: int) -> int:

@@ -83,13 +83,20 @@ class ExperimentScenario:
         """Aggregate the end state (pure inspection)."""
         return self.runner.collect()
 
+    def release(self) -> None:
+        """Free the run's packets and pending events (idempotent)."""
+        self.runner.release()
+
 
 def run_experiment(config: ExperimentConfig) -> SimulationResult:
     """Build the scenario, run the workload, return the aggregates."""
     scenario = ExperimentScenario(config)
-    scenario.prepare()
-    scenario.run()
-    return scenario.collect()
+    try:
+        scenario.prepare()
+        scenario.run()
+        return scenario.collect()
+    finally:
+        scenario.release()
 
 
 def steady_state(scenario: Scenario, offered_bps: float,

@@ -19,8 +19,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ..chain.nf import DeviceKind
-from ..chaos.invariants import (Violation, check_invariants,
-                                check_resilience_invariants)
+from ..chaos.invariants import Violation
 from ..errors import ConfigurationError
 from ..exec import Campaign, RunRequest, register_campaign, seed_for
 from ..harness.scenarios import figure1
@@ -77,11 +76,6 @@ def run_payload(scenario: str, policy: str, rep: int, seed: int,
                 budget_bytes: int, plan: ReliabilityPlan,
                 run: ResilienceScenarioResult) -> Dict[str, object]:
     """Flatten one planned-and-measured run into its JSON payload."""
-    controller = run.controller
-    violations = check_invariants(
-        controller.network, controller.server, controller.executor)
-    violations.extend(check_resilience_invariants(
-        controller, controller.config.degradation.max_shed_fraction))
     stats = run.stats
     latency = run.result.latency
     return {
@@ -107,7 +101,7 @@ def run_payload(scenario: str, policy: str, rep: int, seed: int,
              "time_to_recover_s": r.time_to_recover_s,
              "evacuated": list(r.evacuated)}
             for r in stats.recoveries],
-        "violations": [v.to_dict() for v in violations],
+        "violations": [v.to_dict() for v in run.violations],
     }
 
 

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..chaos.invariants import (Violation, check_invariants,
-                                check_resilience_invariants)
+from ..chaos.invariants import Violation
 from ..errors import ConfigurationError
 from ..exec import Campaign, RunRequest, register_campaign, seed_for
 from ..units import as_msec
@@ -26,15 +25,10 @@ from .scenarios import SCENARIOS, ResilienceScenarioResult, run_scenario
 def scenario_payload(run: ResilienceScenarioResult) -> Dict[str, object]:
     """Flatten one scenario run into the campaign's JSON payload.
 
-    Includes the invariant check, which needs the live controller —
-    payload construction is the last moment it exists (a worker ships
-    only this dict back to the parent).
+    Includes the invariant verdict the scenario's ``collect()`` checked
+    on the live run (a worker ships only this dict back to the parent).
     """
     controller = run.controller
-    violations = check_invariants(
-        controller.network, controller.server, controller.executor)
-    violations.extend(check_resilience_invariants(
-        controller, controller.config.degradation.max_shed_fraction))
     stats = run.stats
     return {
         "name": run.name,
@@ -63,7 +57,7 @@ def scenario_payload(run: ResilienceScenarioResult) -> Dict[str, object]:
              "shed_packets": cls.shed_packets,
              "shed_fraction": cls.shed_fraction}
             for cls in stats.classes],
-        "violations": [v.to_dict() for v in violations],
+        "violations": [v.to_dict() for v in run.violations],
     }
 
 

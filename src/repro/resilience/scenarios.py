@@ -20,9 +20,11 @@ same recovery timeline — which is what lets the CLI, the tests, and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
 
 from ..chain.nf import DeviceKind
+from ..chaos.invariants import (Violation, check_invariants,
+                                check_resilience_invariants)
 from ..core.operator import HardenedController, HardeningConfig
 from ..core.reverse import PullbackConfig
 from ..errors import ConfigurationError
@@ -58,6 +60,9 @@ class ResilienceScenarioResult:
     stats: ResilienceStats
     controller: ResilientController
     recorder: TimeSeriesRecorder
+    #: End-state invariant violations, checked at collect time (the
+    #: run's packets are released once its helper returns).
+    violations: List[Violation]
 
     @property
     def time_to_recover_s(self) -> Optional[float]:
@@ -106,8 +111,8 @@ class ResilienceScenario:
 
     Building wires the Figure 1 chain, the recording resilient
     controller, and the optional device-kill injector;
-    ``prepare``/``run``/``collect`` are the three protocol phases the
-    execution core drives.
+    ``prepare``/``run``/``collect``/``release`` are the protocol phases
+    the execution core drives.
     """
 
     def __init__(self, name: str, seed: int, generator: ProfiledArrivals,
@@ -151,10 +156,22 @@ class ResilienceScenario:
         """Freeze the run's accounting for the CLI/bench/tests."""
         if self.result is None:
             raise ConfigurationError("collect() before run()")
+        if self.sim.released:
+            raise ConfigurationError("collect() after release()")
+        controller = self.controller
+        violations = check_invariants(
+            controller.network, controller.server, controller.executor)
+        violations.extend(check_resilience_invariants(
+            controller, controller.config.degradation.max_shed_fraction))
         return ResilienceScenarioResult(
             name=self.name, seed=self.seed, result=self.result,
-            stats=snapshot_resilience(self.controller),
-            controller=self.controller, recorder=self.recorder)
+            stats=snapshot_resilience(controller),
+            controller=controller, recorder=self.recorder,
+            violations=violations)
+
+    def release(self) -> None:
+        """Free the run's packets and pending events (idempotent)."""
+        self.sim.release()
 
 
 def _run(name: str, seed: int, generator: ProfiledArrivals,
@@ -164,9 +181,12 @@ def _run(name: str, seed: int, generator: ProfiledArrivals,
     scenario = ResilienceScenario(
         name, seed, generator, controller,
         kill_device=kill_device, kill_at_s=kill_at_s)
-    scenario.prepare()
-    scenario.run()
-    return scenario.collect()
+    try:
+        scenario.prepare()
+        scenario.run()
+        return scenario.collect()
+    finally:
+        scenario.release()
 
 
 def run_device_kill(seed: int = 7, duration_s: float = 0.08,

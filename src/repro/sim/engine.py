@@ -234,6 +234,18 @@ class Engine:
         """Number of events still queued."""
         return len(self._queue)
 
+    def clear_pending(self) -> None:
+        """Drop every queued entry, heap and arrival lane, unexecuted.
+
+        The end of a run whose result has been collected: entries carry
+        packets and closures, which then go by reference counting
+        instead of waiting for the cycle collector.
+        """
+        if self._running:
+            raise SchedulingError("cannot clear the queue while running")
+        self._queue._heap.clear()
+        self._queue._lane.clear()
+
     # -- execution ----------------------------------------------------------
 
     def run(self, until_s: Optional[float] = None,
@@ -268,8 +280,13 @@ class Engine:
         trace_left = _TRACE_BATCH - len(trace_buffer)
         # The drain loop allocates short-lived acyclic objects (queue
         # entries, packets' latency math) at a rate that keeps tripping
-        # gen-0 collections; none of them need the cycle collector, so
-        # pause it for the duration of the run and restore on exit.
+        # gen-0 collections, so pause the collector for the duration of
+        # the run and restore on exit.  The run's own object graph *is*
+        # cyclic (the action table points at station and network
+        # callbacks, which point back at the engine): a finished run's
+        # packets stay resident until a full collection, which these
+        # pauses make rarer still, unless the run's owner releases it
+        # (SimulationRunner.release).
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()

@@ -52,6 +52,10 @@ class LatencyLedger:
             raise SimulationError(f"no packet with seq {seq} was injected")
         return packet
 
+    def clear(self) -> None:
+        """Forget every indexed packet (the end of a run)."""
+        self._packets.clear()
+
     def __len__(self) -> int:
         return len(self._packets)
 

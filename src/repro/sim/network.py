@@ -387,6 +387,21 @@ class ChainNetwork:
                 - len(self.dropped) - len(self.filtered)
                 - len(self.shed))
 
+    def release(self) -> None:
+        """Let go of every packet the data plane holds (end of a run).
+
+        Empties the outcome lists in place (the fused hop closures hold
+        their bound ``append``), the ledger, and every station's queue
+        and pause buffer.  The counters stay; the outcome lists no
+        longer account for them.
+        """
+        for outcome in (self.delivered, self.dropped, self.filtered,
+                        self.shed):
+            outcome.clear()
+        self.ledger.clear()
+        for station in self.stations.values():
+            station.release()
+
     def check_conservation(self) -> None:
         """Assert injected == delivered + dropped + shed + in-flight (>= 0)."""
         if self.in_flight() < 0:

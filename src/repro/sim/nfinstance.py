@@ -15,7 +15,8 @@ device.
 from __future__ import annotations
 
 import zlib
-from typing import Callable, List, Optional, Tuple
+from collections import deque
+from typing import Callable, Deque, List, Optional, Tuple
 
 from ..chain.nf import NFProfile
 from ..devices.device import Device
@@ -65,7 +66,9 @@ class NFStation:
         #: station still buffers new arrivals (order preservation) but
         #: the server is allowed to run on already-readmitted packets.
         self._draining = False
-        self._pause_buffer: List[Tuple[Packet, float]] = []
+        # A deque: a paced resume replays it from the head, one packet
+        # per pacing interval.
+        self._pause_buffer: Deque[Tuple[Packet, float]] = deque()
         #: Packets this station has finished serving (filtered ones
         #: included) — the resilience watchdog's progress signal.
         self.served_packets: int = 0
@@ -220,7 +223,7 @@ class NFStation:
             raise MigrationError(f"station {self.profile.name} already paused")
         self._paused = True
         drained = self.queue.drain()
-        self._pause_buffer = drained + self._pause_buffer
+        self._pause_buffer.extendleft(reversed(drained))
         return drained
 
     def rebind(self, device: Device) -> None:
@@ -253,7 +256,7 @@ class NFStation:
             raise MigrationError("paced replay rate must be positive")
         if paced_rate_bps is None:
             self._paused = False
-            buffered, self._pause_buffer = self._pause_buffer, []
+            buffered, self._pause_buffer = self._pause_buffer, deque()
             for packet, buffered_at in buffered:
                 self._readmit(packet, buffered_at)
             self._try_start_service()
@@ -270,10 +273,19 @@ class NFStation:
             self._draining = False
             self._try_start_service()
             return
-        packet, buffered_at = self._pause_buffer.pop(0)
+        packet, buffered_at = self._pause_buffer.popleft()
         self._readmit(packet, buffered_at)
         self.engine.after((packet.size_bytes * 8.0) / paced_rate_bps,
                           lambda: self._drain_tick(paced_rate_bps))
+
+    def release(self) -> None:
+        """Let go of every packet held here: queue and pause buffer.
+
+        The end of a run (:meth:`repro.sim.runner.SimulationRunner.release`);
+        the station's counters and state flags stay for inspection.
+        """
+        self.queue.clear()
+        self._pause_buffer.clear()
 
     def _readmit(self, packet: Packet, buffered_at: float) -> None:
         """Move one packet from the migration buffer into the queue."""

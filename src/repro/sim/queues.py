@@ -113,3 +113,13 @@ class PacketQueue:
         self._size = 0
         self.stats.dequeued += len(items)
         return items
+
+    def clear(self) -> None:
+        """Discard every queued packet without counting it anywhere.
+
+        The end of a run (:meth:`repro.sim.runner.SimulationRunner.release`):
+        the packets go, the stats stay for inspection.
+        """
+        self._packets[:] = [None] * self.capacity_packets
+        self._head = 0
+        self._size = 0

@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, Optional, Protocol
 from ..chain.placement import Placement
 from ..devices.pcie import PCIeStats
 from ..devices.server import Server
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, SimulationError
 from ..resources.model import LoadModel
 from ..telemetry.metrics import LatencySummary, ThroughputSummary
 from ..traffic.generators import TrafficGenerator
@@ -114,6 +114,7 @@ class SimulationRunner:
         self._offered_estimate_bps = 0.0
         self._offered_mean_bps = 0.0
         self._prepared = False
+        self._released = False
         self._tick_index = 0
         #: Hooks invoked at the very start of every monitor tick with
         #: the tick's index — before the index increments and before
@@ -187,10 +188,34 @@ class SimulationRunner:
 
     def collect(self) -> SimulationResult:
         """Aggregate the end state (the :class:`repro.exec.Scenario`
-        protocol's third phase; pure inspection, callable repeatedly)."""
+        protocol's third phase; pure inspection, callable repeatedly
+        until :meth:`release`)."""
         return self._collect(self._offered_mean_bps)
 
+    def release(self) -> None:
+        """End the run: drop its pending events and every packet it holds.
+
+        The :class:`repro.exec.Scenario` protocol's last phase, for
+        whoever built the run, once its result is collected.  A run's
+        object graph is cyclic (the engine's action table points at
+        station and network callbacks, which point back at the engine),
+        so without this its packets stay resident until a full
+        cycle collection.  Idempotent; :meth:`collect` afterwards
+        raises rather than report an emptied run.
+        """
+        self._released = True
+        self.engine.clear_pending()
+        self.network.release()
+
+    @property
+    def released(self) -> bool:
+        """Whether :meth:`release` has ended this run."""
+        return self._released
+
     def _collect(self, offered_bps: float) -> SimulationResult:
+        if self._released:
+            raise SimulationError(
+                "collect() after release(): the run's packets are gone")
         delivered = self.network.delivered
         # One pass over the delivered packets: latencies, the component
         # sums behind the means, and goodput.  Goodput counts only
@@ -243,5 +268,9 @@ def simulate(server: Server, generator: TrafficGenerator,
              controller: Optional[Controller] = None,
              monitor_period_s: float = 0.002) -> SimulationResult:
     """One-call convenience wrapper around :class:`SimulationRunner`."""
-    return SimulationRunner(server, generator, controller,
-                            monitor_period_s).run()
+    runner = SimulationRunner(server, generator, controller,
+                              monitor_period_s)
+    try:
+        return runner.run()
+    finally:
+        runner.release()

@@ -155,6 +155,17 @@ class CaseScenario:
         self.sim.engine.run()
         return self.result
 
+    def release(self) -> None:
+        """Free the run's packets and pending events (idempotent)."""
+        self.sim.release()
+
+    def check_collectable(self) -> None:
+        """Raise unless the run has finished and is not yet released."""
+        if self.result is None:
+            raise ConfigurationError("collect() before run()")
+        if self.sim.released:
+            raise ConfigurationError("collect() after release()")
+
 
 @dataclass
 class SoakScenario(CaseScenario):
@@ -185,8 +196,7 @@ class SoakScenario(CaseScenario):
 
     def collect(self) -> Dict[str, object]:
         """Apply any planted corruption, finalize invariants, report."""
-        if self.result is None:
-            raise ConfigurationError("collect() before run()")
+        self.check_collectable()
         self._apply_planted()
         violations = self.invariants.finalize()
         network = self.sim.network
@@ -240,9 +250,12 @@ def run_case(case: SoakCase) -> Dict[str, object]:
     """
     try:
         scenario = build_case_scenario(case)
-        scenario.prepare()
-        scenario.run()
-        return scenario.collect()
+        try:
+            scenario.prepare()
+            scenario.run()
+            return scenario.collect()
+        finally:
+            scenario.release()
     # Faithfully-reporting top-level boundary: the crash becomes a
     # recorded violation carrying its own traceback summary.
     except Exception as exc:  # repro: noqa[EXC402]

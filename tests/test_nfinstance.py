@@ -185,16 +185,27 @@ class TestPacedResume:
     def _paused_with_backlog(self, count=5):
         h = Harness()
         h.engine.at(0.0, h.station.pause)
+        # Every arrival lands before the 2 ms cut, however many.
+        spacing_s = min(1e-6, 5e-4 / count)
         for i in range(count):
-            h.inject(i, at_s=0.001 + i * 1e-6)
+            h.inject(i, at_s=0.001 + i * spacing_s)
         h.engine.run(until_s=0.002)
         return h
 
     def test_paced_resume_preserves_order(self):
-        h = self._paused_with_backlog()
-        h.engine.at(0.003, lambda: h.station.resume(paced_rate_bps=1e9))
-        h.engine.run()
-        assert [seq for seq, _ in h.completed] == list(range(5))
+        # Several thousand buffered packets too: the replay takes the
+        # buffer's head once per pacing interval.
+        for count in (5, 4000):
+            h = self._paused_with_backlog(count)
+            assert h.station.buffered == count
+            h.engine.at(0.003,
+                        lambda: h.station.resume(paced_rate_bps=1e9))
+            h.engine.run()
+            assert [seq for seq, _ in h.completed] == list(range(count))
+            # Releases are spaced by one pacing interval each (256 B at
+            # 1 Gbps).
+            last_done = max(t for _, t in h.completed)
+            assert last_done >= 0.003 + (count - 1) * (2048 / 1e9)
 
     def test_paced_resume_spreads_admissions(self):
         h = self._paused_with_backlog()

@@ -9,8 +9,6 @@ frozen telemetry sample must not mask an NF crash from the watchdog.
 import pytest
 
 from repro.chain.nf import DeviceKind
-from repro.chaos.invariants import (check_invariants,
-                                    check_resilience_invariants)
 from repro.harness.scenarios import figure1
 from repro.resilience import HealthState
 from repro.resilience.scenarios import (build_resilient_controller,
@@ -22,15 +20,6 @@ from repro.sim.runner import SimulationRunner
 from repro.traffic.packet import FixedSize
 from repro.traffic.patterns import ProfiledArrivals, constant
 from repro.units import gbps
-
-
-def scenario_violations(run):
-    controller = run.controller
-    violations = check_invariants(controller.network, controller.server,
-                                  controller.executor)
-    violations.extend(check_resilience_invariants(
-        controller, controller.config.degradation.max_shed_fraction))
-    return violations
 
 
 class TestDeviceKillScenario:
@@ -61,7 +50,7 @@ class TestDeviceKillScenario:
         assert run.time_to_recover_s > 0.0
 
     def test_no_violations_no_protected_shed_no_abandonment(self, run):
-        assert scenario_violations(run) == []
+        assert run.violations == []
         assert run.stats.protected_shed_packets == 0
         assert run.stats.abandoned_packets == 0
         assert run.result.delivered > 0
@@ -99,7 +88,7 @@ class TestOverloadScenario:
 
     def test_no_failures_and_no_violations(self, run):
         assert run.stats.recoveries == ()
-        assert scenario_violations(run) == []
+        assert run.violations == []
 
 
 class TestDeterminism:
