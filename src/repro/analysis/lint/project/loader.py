@@ -107,8 +107,8 @@ class ModuleInfo:
     path: str
     source: str
     tree: ast.Module
-    #: Local alias -> fully dotted target.  ``import numpy as np`` maps
-    #: ``np -> numpy``; ``from .scenario import seed_for`` maps
+    #: Local alias -> fully dotted target.  ``import os.path as osp``
+    #: maps ``osp -> os.path``; ``from .scenario import seed_for`` maps
     #: ``seed_for -> repro.exec.scenario.seed_for``.
     imports: Dict[str, str] = field(default_factory=dict)
     #: Module-level names bound to constant literals.

@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-import numpy as _np
-
 from ..chaos.invariants import Violation
 from ..chaos.schedule import ChaosConfig, ChaosFault, ChaosSchedule
 from ..core.operator import HardenedController, HardeningConfig
@@ -62,18 +60,6 @@ def _case_profile(case: SoakCase,
                 rate = max(rate, window.magnitude)
         return rate
 
-    base_rates = base.rates
-
-    def rates(t_s: "_np.ndarray") -> "_np.ndarray":
-        """Vectorised overlay, element-identical to ``profile``."""
-        rate = base_rates(t_s)
-        for window in overloads:
-            _np.maximum(rate, window.magnitude, out=rate,
-                        where=((t_s >= window.at_s)
-                               & (t_s < window.at_s + window.duration_s)))
-        return rate
-
-    profile.rates = rates
     return profile
 
 

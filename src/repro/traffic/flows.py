@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import List, Tuple
 
-import numpy as _np
-
 from ..errors import ConfigurationError
 
 
@@ -79,7 +77,6 @@ class FlowTable:
         self._cum_weights = list(accumulate(self._weights))
         self._total_weight = self._cum_weights[-1] + 0.0
         self._hi = num_flows - 1
-        self._cum_array = _np.asarray(self._cum_weights)
 
     def __len__(self) -> int:
         return len(self.flows)
@@ -93,27 +90,6 @@ class FlowTable:
         """
         return bisect(self._cum_weights, rng.random() * self._total_weight,
                       0, self._hi)
-
-    def pick_flow_from(self, uniform: float) -> int:
-        """:meth:`pick_flow` with the uniform draw supplied by the caller.
-
-        The batched generators pre-draw their uniforms in one numpy
-        call; this maps each draw to the same flow id the scalar path
-        would have picked.
-        """
-        return bisect(self._cum_weights, uniform * self._total_weight,
-                      0, self._hi)
-
-    def pick_flows(self, uniforms: "_np.ndarray") -> "_np.ndarray":
-        """Vectorised :meth:`pick_flow` over an array of uniform draws.
-
-        ``searchsorted(side='right')`` clamped to the same ceiling is
-        element-for-element identical to the scalar bisect, so a batch
-        of draws yields exactly the flow ids the scalar loop would.
-        """
-        idx = _np.searchsorted(self._cum_array,
-                               uniforms * self._total_weight, side="right")
-        return _np.minimum(idx, self._hi)
 
     def flow(self, flow_id: int) -> FiveTuple:
         """The 5-tuple of ``flow_id``."""

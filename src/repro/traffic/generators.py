@@ -16,38 +16,13 @@ fully deterministic so experiments are reproducible run to run.
 
 from __future__ import annotations
 
-import math
 import random
 from typing import Iterator, Optional
-
-import numpy
 
 from ..errors import ConfigurationError
 from ..units import bits
 from .flows import FlowTable
 from .packet import FixedSize, Packet, SizeDistribution
-
-#: Packets per vectorised chunk in the batched generators — large
-#: enough to amortise the numpy calls, small enough that a short
-#: horizon does not over-draw wastefully.
-_BATCH_PACKETS = 4096
-
-
-def _numpy_stream(rng: random.Random) -> "numpy.random.RandomState":
-    """A numpy RandomState positioned exactly where ``rng`` is.
-
-    CPython's ``random.Random`` and numpy's legacy ``RandomState``
-    share the MT19937 core and the 53-bit double construction, so
-    transplanting the 624-word key block and cursor yields the
-    bit-identical uniform stream — batched draws replace scalar
-    ``rng.random()`` calls one for one.
-    """
-    _, internal, _ = rng.getstate()
-    stream = numpy.random.RandomState()
-    stream.set_state(("MT19937",
-                      numpy.array(internal[:-1], dtype=numpy.uint32),
-                      internal[-1]))
-    return stream
 
 
 class TrafficGenerator:
@@ -119,45 +94,6 @@ class ConstantBitRate(TrafficGenerator):
         """The configured constant rate."""
         return self.rate_bps
 
-    def packets(self) -> Iterator[Packet]:
-        """Generate the stream, vectorised per epoch when possible.
-
-        With a fixed frame size the gap is one constant, so arrival
-        timestamps are an exact running sum (numpy's cumsum adds left
-        to right, bit-identical to the scalar ``now += gap`` loop) and
-        the only per-packet draw is the flow pick, generated as one
-        MT19937 batch.  Variable sizes run the scalar loop.
-        """
-        if not isinstance(self.size_dist, FixedSize):
-            return super().packets()
-        return self._packets_batched()
-
-    def _packets_batched(self) -> Iterator[Packet]:
-        size = self.size_dist.size_bytes
-        gap = bits(size) / self.rate_bps
-        duration = self.duration_s
-        flow_table = self.flow_table
-        stream = _numpy_stream(random.Random(self.seed))
-        now = 0.0
-        seq = 0
-        while True:
-            gaps = numpy.full(_BATCH_PACKETS, gap)
-            # Seeding the first slot with ``now + gap`` makes every
-            # prefix sum equal the scalar loop's accumulation exactly.
-            gaps[0] = now + gap
-            times = numpy.cumsum(gaps)
-            n = int(numpy.searchsorted(times, duration, side="left"))
-            if n:
-                flows = flow_table.pick_flows(stream.random_sample(n))
-                for arrival, flow_id in zip(times[:n].tolist(),
-                                            flows.tolist()):
-                    yield Packet(seq=seq, size_bytes=size,
-                                 arrival_s=arrival, flow_id=flow_id)
-                    seq += 1
-            if n < _BATCH_PACKETS:
-                return
-            now = float(times[-1])
-
 
 class PoissonArrivals(TrafficGenerator):
     """Poisson arrivals with exponential interarrival times."""
@@ -178,41 +114,6 @@ class PoissonArrivals(TrafficGenerator):
     def mean_rate_bps(self) -> float:
         """The configured average rate."""
         return self.rate_bps
-
-    def packets(self) -> Iterator[Packet]:
-        """Generate the stream with batched uniform draws when possible.
-
-        Each packet consumes two uniforms — the exponential gap, then
-        the flow pick — so the batch draws ``2 * chunk`` variates in
-        one MT19937 call and stride-slices them back in consumption
-        order.  The exponential inversion stays ``math.log`` per value
-        (numpy's log is a different libm; bit-exactness wins).  With
-        variable sizes the scalar loop runs instead.
-        """
-        if not isinstance(self.size_dist, FixedSize):
-            return super().packets()
-        return self._packets_batched()
-
-    def _packets_batched(self) -> Iterator[Packet]:
-        size = self.size_dist.size_bytes
-        mean_gap = bits(self.size_dist.mean_bytes()) / self.rate_bps
-        lambd = 1.0 / mean_gap
-        log = math.log
-        duration = self.duration_s
-        pick = self.flow_table.pick_flow_from
-        stream = _numpy_stream(random.Random(self.seed))
-        now = 0.0
-        seq = 0
-        while True:
-            u = stream.random_sample(2 * _BATCH_PACKETS).tolist()
-            for i in range(0, 2 * _BATCH_PACKETS, 2):
-                # Same expression expovariate() evaluates, same draw.
-                now += -log(1.0 - u[i]) / lambd
-                if now >= duration:
-                    return
-                yield Packet(seq=seq, size_bytes=size, arrival_s=now,
-                             flow_id=pick(u[i + 1]))
-                seq += 1
 
 
 class OnOffBursts(TrafficGenerator):

@@ -12,15 +12,13 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Callable, Iterator, List, Optional, Tuple
-
-import numpy as _np
+from typing import Callable, Iterator, Optional
 
 from ..errors import ConfigurationError
 from ..units import bits
 from .flows import FlowTable
-from .generators import _BATCH_PACKETS, _numpy_stream, TrafficGenerator
-from .packet import FixedSize, Packet, SizeDistribution
+from .generators import TrafficGenerator
+from .packet import Packet, SizeDistribution
 
 RateProfile = Callable[[float], float]
 
@@ -38,23 +36,11 @@ def spike(base_bps: float, peak_bps: float, start_s: float,
     if duration_s <= 0:
         raise ConfigurationError("spike duration must be positive")
 
-    def profile(t_s: float) -> float:
-        return peak_bps if start_s <= t_s < start_s + duration_s else base_bps
-
     end_s = start_s + duration_s
 
-    def rates(t_s: "_np.ndarray") -> "_np.ndarray":
-        """Vectorised ``profile`` over an array of times.
+    def profile(t_s: float) -> float:
+        return peak_bps if start_s <= t_s < end_s else base_bps
 
-        Element-for-element identical to the scalar closure (same
-        comparisons, same constant rates), which lets the batched
-        arrival renderer validate a whole chunk of timestamps in one
-        call — see ``ProfiledArrivals._packets_profiled_batched``.
-        """
-        return _np.where((t_s >= start_s) & (t_s < end_s),
-                         peak_bps, base_bps)
-
-    profile.rates = rates
     return profile
 
 
@@ -91,9 +77,7 @@ def constant(rate_bps: float) -> RateProfile:
     """A flat profile (useful to compose with the same machinery)."""
     if rate_bps <= 0:
         raise ConfigurationError("rate must be positive")
-    profile = lambda t_s: rate_bps
-    profile.rates = lambda t_s: _np.full(len(t_s), rate_bps)
-    return profile
+    return lambda t_s: rate_bps
 
 
 class ProfiledArrivals(TrafficGenerator):
@@ -129,58 +113,7 @@ class ProfiledArrivals(TrafficGenerator):
         """
         if self.jitter:
             return super().packets()
-        if (isinstance(self.size_dist, FixedSize)
-                and getattr(self.profile, "rates", None) is not None):
-            return self._packets_profiled_batched()
         return self._packets_deterministic()
-
-    def _packets_profiled_batched(self) -> Iterator[Packet]:
-        """Chunked :meth:`_packets_deterministic` for vectorisable profiles.
-
-        Each chunk assumes the rate seen at its first packet and builds
-        timestamps as one exact running sum (``cumsum`` adds left to
-        right, matching the scalar ``now += gap`` accumulation bit for
-        bit).  The profile's vectorised ``rates`` then validates the
-        chunk: a timestamp is exact as long as every *earlier* one
-        still saw the chunk rate, so the prefix up to and including the
-        first differing index is kept and the next chunk restarts from
-        there at the new rate.  Flow picks draw one MT19937 batch per
-        chunk, one uniform per emitted packet, exactly as the scalar
-        loop consumes them.
-        """
-        size = self.size_dist.size_bytes
-        size_bits = size * 8.0
-        duration = self.duration_s
-        profile = self.profile
-        rates = profile.rates
-        flow_table = self.flow_table
-        stream = _numpy_stream(random.Random(self.seed))
-        now = 0.0
-        seq = 0
-        while True:
-            rate = profile(now)
-            if rate <= 0:
-                raise ConfigurationError(
-                    f"profile returned non-positive rate at t={now}")
-            gap = size_bits / rate
-            gaps = _np.full(_BATCH_PACKETS, gap)
-            gaps[0] = now + gap
-            times = _np.cumsum(gaps)
-            differs = _np.nonzero(rates(times) != rate)[0]
-            valid = int(differs[0]) + 1 if differs.size else _BATCH_PACKETS
-            n = int(_np.searchsorted(times[:valid], duration, side="left"))
-            if n:
-                flows = flow_table.pick_flows(stream.random_sample(n))
-                for arrival, flow_id in zip(times[:n].tolist(),
-                                            flows.tolist()):
-                    yield Packet(seq=seq, size_bytes=size,
-                                 arrival_s=arrival, flow_id=flow_id)
-                    seq += 1
-            if n < valid:
-                # A timestamp inside the exact prefix reached the
-                # horizon: the scalar loop would stop right there.
-                return
-            now = float(times[valid - 1])
 
     def _packets_deterministic(self) -> Iterator[Packet]:
         rng = random.Random(self.seed)

@@ -1,6 +1,8 @@
 """Arrival-process generators: rates, determinism, shapes."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.chaos.schedule import ChaosFault
 from repro.errors import ConfigurationError
@@ -14,7 +16,7 @@ from repro.traffic.packet import FixedSize
 from repro.traffic.patterns import ProfiledArrivals, constant, spike
 from repro.units import bits, gbps, mbps
 
-#: Long enough that every batched generator crosses a chunk boundary.
+#: Long enough that every stream holds more than 4096 packets.
 _ORACLE_DURATION_S = 0.02
 
 
@@ -29,6 +31,19 @@ def _overlay_profile():
                     base_bps=gbps(1.2), peak_bps=gbps(1.8),
                     faults=(overload,))
     return _case_profile(case, [overload])
+
+
+def _overlays_profile():
+    """Two overlapping windows over the 4-12 ms spike: the first lifts
+    the base but stays under the peak, the second tops the peak."""
+    under = ChaosFault(kind="overload", at_s=0.003, duration_s=0.006,
+                       magnitude=1.5e9)
+    over = ChaosFault(kind="overload", at_s=0.007, duration_s=0.008,
+                      magnitude=2.4e9)
+    case = SoakCase(seed=5, duration_s=_ORACLE_DURATION_S, packet_bytes=512,
+                    base_bps=gbps(1.2), peak_bps=gbps(1.8),
+                    faults=(under, over))
+    return _case_profile(case, [under, over])
 
 
 _GENERATORS = {
@@ -48,6 +63,9 @@ _GENERATORS = {
     "profiled-overlay": lambda flows: ProfiledArrivals(
         _overlay_profile(), FixedSize(512), _ORACLE_DURATION_S, seed=3,
         jitter=False, flow_table=flows),
+    "profiled-overlays": lambda flows: ProfiledArrivals(
+        _overlays_profile(), FixedSize(512), _ORACLE_DURATION_S, seed=3,
+        jitter=False, flow_table=flows),
 }
 
 
@@ -55,8 +73,24 @@ def _stream(packets):
     return [(p.seq, p.size_bytes, p.arrival_s, p.flow_id) for p in packets]
 
 
+def _spike_source(rate_bps, size, duration_s, seed, flows, overloads=(),
+                  profile_horizon_s=None):
+    """A jitter-free soak case spike, overload windows overlaid, that
+    spans ``profile_horizon_s`` (by default the generator's horizon)."""
+    case = SoakCase(seed=seed, duration_s=profile_horizon_s or duration_s,
+                    packet_bytes=size, base_bps=rate_bps,
+                    peak_bps=1.5 * rate_bps, faults=tuple(overloads))
+    return ProfiledArrivals(_case_profile(case, list(overloads)),
+                            FixedSize(size), duration_s, seed=seed,
+                            jitter=False, flow_table=flows)
+
+
 class TestBatchedMatchesScalarOracle:
-    """The numpy-batched generators against the base-class scalar loop."""
+    """Each generator's ``packets()`` against the base-class scalar loop.
+
+    Jitter-free profiles run their own loop; CBR and Poisson run the
+    base loop itself, so for them this checks determinism.
+    """
 
     @pytest.mark.parametrize("num_flows", [None, 1, 64])
     @pytest.mark.parametrize("name", sorted(_GENERATORS))
@@ -67,9 +101,67 @@ class TestBatchedMatchesScalarOracle:
             return _GENERATORS[name](flows)
 
         scalar = _stream(TrafficGenerator.packets(build()))
-        batched = _stream(build().packets())
+        fast = _stream(build().packets())
         assert len(scalar) > 4096
-        assert batched == scalar
+        assert fast == scalar
+
+    @settings(max_examples=100, deadline=None)
+    @given(rate_bps=st.floats(min_value=1e8, max_value=1e10),
+           size=st.integers(min_value=64, max_value=1500),
+           gaps=st.floats(min_value=0.01, max_value=600.0),
+           seed=st.integers(min_value=0, max_value=2**32 - 1),
+           num_flows=st.integers(min_value=1, max_value=256),
+           windows=st.lists(st.tuples(st.floats(0.0, 1.0),
+                                      st.floats(0.01, 1.0)), max_size=2))
+    @example(rate_bps=1e9, size=512, gaps=0.99, seed=1, num_flows=4,
+             windows=[(0.0, 1.0)])
+    def test_profiled_spike_property(self, rate_bps, size, gaps, seed,
+                                     num_flows, windows):
+        # ``gaps`` is the horizon in base-rate gaps: below 1 the horizon
+        # is shorter than one gap.
+        duration_s = gaps * bits(size) / rate_bps
+        overloads = [ChaosFault(kind="overload", at_s=start * duration_s,
+                                duration_s=length * duration_s,
+                                magnitude=2.0 * rate_bps)
+                     for start, length in windows]
+
+        def build():
+            return _spike_source(rate_bps, size, duration_s, seed,
+                                 FlowTable(num_flows=num_flows, seed=seed),
+                                 overloads)
+
+        assert (_stream(build().packets())
+                == _stream(TrafficGenerator.packets(build())))
+
+    @pytest.mark.parametrize("count", [4096, 4097])
+    def test_profiled_spike_exact_count(self, count):
+        # The horizon is the arrival of packet ``count``, so exactly
+        # ``count`` packets arrive before it.
+        horizon_s = 6000 * bits(256) / gbps(1.0)
+        overload = [ChaosFault(kind="overload", at_s=0.5 * horizon_s,
+                               duration_s=0.1 * horizon_s,
+                               magnitude=gbps(2.0))]
+
+        def build(duration_s):
+            return _spike_source(gbps(1.0), 256, duration_s, 3,
+                                 FlowTable(num_flows=16, seed=3), overload,
+                                 profile_horizon_s=horizon_s)
+
+        reference = list(TrafficGenerator.packets(build(horizon_s)))
+        cutoff_s = reference[count].arrival_s
+        scalar = _stream(TrafficGenerator.packets(build(cutoff_s)))
+        assert len(scalar) == count
+        assert _stream(build(cutoff_s).packets()) == scalar
+
+
+class TestCaseProfile:
+    def test_windows_overlay_the_spike_half_open(self):
+        # Spike [4, 12) ms at 1.8 Gbps over 1.2; windows [3, 9) ms at
+        # 1.5 and [7, 15) ms at 2.4 Gbps.
+        profile = _overlays_profile()
+        expected = {0.0: 1.2e9, 0.003: 1.5e9, 0.004: 1.8e9, 0.007: 2.4e9,
+                    0.012: 2.4e9, 0.0149: 2.4e9, 0.015: 1.2e9}
+        assert {t: profile(t) for t in expected} == expected
 
 
 class TestConstantBitRate:

@@ -1,5 +1,7 @@
 """Latency/throughput aggregation."""
 
+import statistics
+
 import pytest
 
 from repro.errors import SimulationError
@@ -30,8 +32,16 @@ class TestPercentile:
         with pytest.raises(SimulationError):
             percentile([1.0], 1.5)
 
+    def test_matches_statistics_inclusive(self):
+        # The "inclusive" method is the same linear estimator (type 7).
+        values = sorted([3.0, 1.0, 4.0, 1.5, 9.0, 2.6, 5.3])
+        cuts = statistics.quantiles(values, n=100, method="inclusive")
+        for q in (0.1, 0.25, 0.5, 0.9, 0.99):
+            assert percentile(values, q) == \
+                pytest.approx(cuts[round(q * 100) - 1])
+
     def test_matches_numpy_linear(self):
-        import numpy
+        numpy = pytest.importorskip("numpy")
         values = sorted([3.0, 1.0, 4.0, 1.5, 9.0, 2.6, 5.3])
         for q in (0.1, 0.25, 0.5, 0.9, 0.99):
             assert percentile(values, q) == \
