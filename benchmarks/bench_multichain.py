@@ -16,9 +16,10 @@ from conftest import report
 from repro.chain import catalog
 from repro.chain.builder import ChainBuilder
 from repro.chain.nf import DeviceKind
+from repro.devices.server import ServerProfile
 from repro.harness.tables import render_table
-from repro.multichain import (ChainLoad, MultiChainLoadModel,
-                              MultiChainRunner, select_multichain)
+from repro.multichain import ChainLoad, MultiChainLoadModel, select_multichain
+from repro.sim.runner import SimulationRunner
 from repro.traffic.generators import ConstantBitRate
 from repro.traffic.packet import FixedSize
 from repro.units import as_usec, gbps
@@ -43,12 +44,13 @@ def chain_b():
 
 
 def run_pair(rate_a, rate_b, placements=None):
-    pair_a, pair_b = placements or (chain_a(), chain_b())
-    runner = MultiChainRunner([
-        (pair_a, ConstantBitRate(rate_a, FixedSize(256), 0.006)),
-        (pair_b, ConstantBitRate(rate_b, FixedSize(256), 0.006, seed=2)),
+    server = ServerProfile().build()
+    server.install(*(placements or (chain_a(), chain_b())))
+    runner = SimulationRunner(server, [
+        ConstantBitRate(rate_a, FixedSize(256), 0.006),
+        ConstantBitRate(rate_b, FixedSize(256), 0.006, seed=2),
     ])
-    return {r.chain_name: r for r in runner.run()}
+    return {r.final_placement.chain.name: r for r in runner.run_chains()}
 
 
 def test_multichain_pam(benchmark):

@@ -14,9 +14,10 @@ Run:  python examples/consolidation.py
 from repro.chain import catalog
 from repro.chain.builder import ChainBuilder
 from repro.chain.nf import DeviceKind
+from repro.devices.server import ServerProfile
 from repro.harness.tables import render_table
-from repro.multichain import (ChainLoad, MultiChainLoadModel,
-                              MultiChainRunner, select_multichain)
+from repro.multichain import ChainLoad, MultiChainLoadModel, select_multichain
+from repro.sim.runner import SimulationRunner
 from repro.traffic.generators import ConstantBitRate
 from repro.traffic.packet import FixedSize
 from repro.units import as_usec, gbps
@@ -37,11 +38,13 @@ def build_chains():
 
 
 def measure(chain_a, chain_b, rate_a, rate_b):
-    runner = MultiChainRunner([
-        (chain_a, ConstantBitRate(rate_a, FixedSize(256), 0.006)),
-        (chain_b, ConstantBitRate(rate_b, FixedSize(256), 0.006, seed=2)),
+    server = ServerProfile().build()
+    server.install(chain_a, chain_b)
+    runner = SimulationRunner(server, [
+        ConstantBitRate(rate_a, FixedSize(256), 0.006),
+        ConstantBitRate(rate_b, FixedSize(256), 0.006, seed=2),
     ])
-    return {r.chain_name: r for r in runner.run()}
+    return {r.final_placement.chain.name: r for r in runner.run_chains()}
 
 
 def main() -> None:

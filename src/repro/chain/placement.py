@@ -22,6 +22,23 @@ from .chain import ServiceChain
 from .nf import DeviceKind, NFProfile
 
 
+def check_unique_names(placements: Sequence["Placement"]) -> None:
+    """Reject co-located chains that share an NF name.
+
+    NF names key hosting, stations and migration actions on a server, so
+    every NF across its chains needs its own name.
+    """
+    owner: Dict[str, int] = {}
+    for index, placement in enumerate(placements):
+        for nf in placement.chain:
+            if nf.name in owner:
+                raise PlacementError(
+                    f"NF name {nf.name!r} appears in chains "
+                    f"{owner[nf.name]} and {index}; co-located chains "
+                    "need globally unique NF names (use renamed())")
+            owner[nf.name] = index
+
+
 class Segment(Tuple[str, ...]):
     """A maximal run of consecutive same-device NFs (names, in order)."""
 

@@ -46,7 +46,7 @@ from typing import (AbstractSet, Callable, Iterable, List, Optional, Set,
 from ..chain.nf import DeviceKind
 from ..chain.placement import Placement
 from ..errors import ScaleOutRequired
-from ..resources.model import LoadModel, ThroughputSpec
+from ..resources.model import LoadModel, ThroughputSpec, shared_utilisation
 from .border import border_sets
 from .feasibility import FeasibilityConfig
 from .plan import MigrationAction, MigrationPlan
@@ -88,11 +88,6 @@ class Selection:
     notes: Tuple[str, ...]
 
 
-def _utilisation(loads: Tuple[LoadModel, ...], device: DeviceKind) -> float:
-    """Summed utilisation of the shared ``device`` over every chain."""
-    return sum(load.device_load(device).utilisation for load in loads)
-
-
 def min_theta(placements: Tuple[Placement, ...],
               rejected: AbstractSet[Candidate],
               pool: Callable[[Placement], Iterable[str]]
@@ -129,7 +124,7 @@ def push_aside(loads: Tuple[LoadModel, ...], pick: PickRule, policy: str,
     empties (the greedy-border ablation).
     """
     threshold = feasibility.threshold
-    if _utilisation(loads, DeviceKind.SMARTNIC) < threshold:
+    if shared_utilisation(loads, DeviceKind.SMARTNIC) < threshold:
         return Selection(moves=(),
                          after=tuple(load.placement for load in loads),
                          alleviates=True, notes=("smartnic not overloaded",))
@@ -150,7 +145,7 @@ def push_aside(loads: Tuple[LoadModel, ...], pick: PickRule, policy: str,
                      + (loads[index].after_move(name, DeviceKind.CPU),)
                      + loads[index + 1:])
         if moved is None or \
-                _utilisation(moved, DeviceKind.CPU) >= threshold:
+                shared_utilisation(moved, DeviceKind.CPU) >= threshold:
             # Eq. 2 failed: migrating b0 would create a CPU hot spot.
             notes.append(f"eq2 rejects {name} (cpu would overload)")
             rejected.add(choice)
@@ -162,18 +157,18 @@ def push_aside(loads: Tuple[LoadModel, ...], pick: PickRule, policy: str,
             crossing_delta=placement.crossing_delta(name, DeviceKind.CPU))))
         loads = moved
         if stop_at_eq3 and \
-                _utilisation(loads, DeviceKind.SMARTNIC) < threshold:
+                shared_utilisation(loads, DeviceKind.SMARTNIC) < threshold:
             notes.append(f"eq3 satisfied after migrating {name}")
             break
 
-    nic_utilisation = _utilisation(loads, DeviceKind.SMARTNIC)
+    nic_utilisation = shared_utilisation(loads, DeviceKind.SMARTNIC)
     alleviates = nic_utilisation < threshold
     if not alleviates and strict:
         raise ScaleOutRequired(
             f"{policy} cannot alleviate the SmartNIC by migration; "
             "scale out per OpenNF",
             nic_utilisation=nic_utilisation,
-            cpu_utilisation=_utilisation(loads, DeviceKind.CPU))
+            cpu_utilisation=shared_utilisation(loads, DeviceKind.CPU))
     return Selection(moves=tuple(moves),
                      after=tuple(load.placement for load in loads),
                      alleviates=alleviates, notes=tuple(notes))

@@ -1,21 +1,23 @@
 """Server: one SmartNIC + one CPU + the PCIe link between them.
 
-:class:`Server` aggregates the three device models and installs a chain
-placement onto them.  :class:`ServerProfile` bundles construction
-parameters so experiments can describe hardware declaratively;
-:data:`PAPER_TESTBED` mirrors the paper's evaluation box (Netronome
-Agilio CX 2x10GbE, 2x Xeon E5-2620 v2).
+:class:`Server` aggregates the three device models and installs one or
+more chain placements onto them (co-located chains share the devices).
+:class:`ServerProfile` bundles construction parameters so experiments
+can describe hardware declaratively; :data:`PAPER_TESTBED` mirrors the
+paper's evaluation box (Netronome Agilio CX 2x10GbE, 2x Xeon E5-2620
+v2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Tuple
 
 from ..chain.nf import DeviceKind
-from ..chain.placement import Placement
-from ..errors import PlacementError
-from ..resources.model import LoadModel, ThroughputSpec
+from ..chain.placement import Placement, check_unique_names
+from ..errors import ConfigurationError, PlacementError
+from ..resources.model import (LoadModel, ThroughputSpec, shared_capacity,
+                               shared_utilisation)
 from ..units import gbps, usec
 from .cpu import CPU
 from .device import Device
@@ -74,11 +76,11 @@ class Server:
         self.nic = nic or SmartNIC(f"{name}/nic")
         self.cpu = cpu or CPU(f"{name}/cpu")
         self.pcie = pcie or PCIeLink()
-        self._placement: Optional[Placement] = None
+        self._placements: Tuple[Placement, ...] = ()
         #: Offered load used by the most recent refresh_demand call;
         #: the chaos invariant checker recomputes utilisation from it
         #: to verify demand was refreshed after migrations/rollbacks.
-        self.last_refresh_bps: Optional[float] = None
+        self.last_refresh_bps: Optional[ThroughputSpec] = None
 
     # -- placement installation ---------------------------------------------
 
@@ -86,15 +88,20 @@ class Server:
         """The device object of the given kind."""
         return self.nic if kind is DeviceKind.SMARTNIC else self.cpu
 
-    def install(self, placement: Placement) -> None:
-        """Host every NF of ``placement`` on its assigned device.
+    def install(self, *placements: Placement) -> None:
+        """Host every NF of each placement on its assigned device.
 
-        Replaces any previously installed placement.
+        One placement per co-located chain; NF names must be unique
+        across them.  Replaces whatever was installed before.
         """
+        if not placements:
+            raise ConfigurationError("need at least one placement")
+        check_unique_names(placements)
         self.clear()
-        for nf in placement.chain:
-            self.device(placement.device_of(nf.name)).host(nf)
-        self._placement = placement
+        for placement in placements:
+            for nf in placement.chain:
+                self.device(placement.device_of(nf.name)).host(nf)
+        self._placements = placements
 
     def clear(self) -> None:
         """Evict all hosted NFs (between experiments)."""
@@ -104,45 +111,64 @@ class Server:
             device.set_demand(0.0)
         self.pcie.reset()
         self.nic.reset_ports()
-        self._placement = None
+        self._placements = ()
+
+    @property
+    def placements(self) -> Tuple[Placement, ...]:
+        """Every installed chain's current placement, in install order."""
+        if not self._placements:
+            raise PlacementError(
+                f"server {self.name!r} has no installed placement")
+        return self._placements
 
     @property
     def placement(self) -> Placement:
-        """The currently installed placement."""
-        if self._placement is None:
-            raise PlacementError(f"server {self.name!r} has no installed placement")
-        return self._placement
+        """The installed placement of a single-chain server."""
+        placements = self.placements
+        if len(placements) > 1:
+            raise PlacementError(
+                f"server {self.name!r} hosts {len(placements)} chains; "
+                "this needs a single-chain server")
+        return placements[0]
 
     def apply_move(self, nf_name: str, to: DeviceKind) -> Placement:
         """Move one NF between devices, updating hosting and placement.
 
         This is the mechanical half of a migration (the state-transfer
-        timing lives in :mod:`repro.migration`).  Returns the new
-        placement.
+        timing lives in :mod:`repro.migration`).  The NF's server-unique
+        name finds its chain.  Returns that chain's new placement.
         """
-        placement = self.placement
+        placements = self.placements
+        # An unknown name falls to chain 0, whose moved() raises the
+        # uniform unknown-NF error.
+        index = next((i for i, placement in enumerate(placements)
+                      if nf_name in placement.chain), 0)
+        placement = placements[index]
         new_placement = placement.moved(nf_name, to)  # validates
         nf = placement.chain.get(nf_name)
         self.device(to.other()).evict(nf_name)
         self.device(to).host(nf)
-        self._placement = new_placement
+        self._placements = (placements[:index] + (new_placement,)
+                            + placements[index + 1:])
         return new_placement
 
     # -- load bookkeeping -----------------------------------------------------
 
-    def refresh_demand(self, throughput: ThroughputSpec) -> LoadModel:
+    def refresh_demand(self, throughput: ThroughputSpec
+                       ) -> Tuple[LoadModel, ...]:
         """Recompute both devices' aggregate demand for a throughput level.
 
         Called by the runner at the start of a run and after each
         migration so the processor-sharing slowdown matches the paper's
-        utilisation sums.
+        utilisation sums.  ``throughput`` applies to every chain; a
+        per-NF map covers co-located chains with different loads.
+        Returns one load model per chain, in install order.
         """
-        model = LoadModel(self.placement, throughput)
+        placements = self.placements
+        models = tuple(LoadModel(placement, throughput)
+                       for placement in placements)
         self.last_refresh_bps = throughput
-        self.nic.set_demand(
-            model.nic_load().utilisation,
-            model.max_sustainable_throughput(DeviceKind.SMARTNIC))
-        self.cpu.set_demand(
-            model.cpu_load().utilisation,
-            model.max_sustainable_throughput(DeviceKind.CPU))
-        return model
+        for device in (self.nic, self.cpu):
+            device.set_demand(shared_utilisation(models, device.kind),
+                              shared_capacity(placements, device.kind))
+        return models

@@ -38,7 +38,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
+                    Tuple, Union)
 
 from ..devices.server import Server
 
@@ -46,6 +47,7 @@ if TYPE_CHECKING:  # break the core <-> migration import cycle: the
     # executor only consumes plan objects, it never constructs them.
     from ..core.plan import MigrationAction, MigrationPlan
 from ..errors import ConfigurationError, MigrationError
+from ..resources.model import ThroughputSpec
 from ..sim.engine import Engine
 from ..sim.network import ChainNetwork
 from ..units import usec
@@ -209,14 +211,12 @@ DEFAULT_DRAIN_TIMEOUT_S = 0.01
 class _PlanRun:
     """Mutable bookkeeping for one in-flight plan."""
 
-    def __init__(self, plan: "MigrationPlan", offered_bps: float,
+    def __init__(self, plan: "MigrationPlan", offered_bps: ThroughputSpec,
                  started_s: float,
-                 on_done: Optional[Callable[[], None]],
                  on_outcome: Optional[Callable[[PlanOutcome], None]]) -> None:
         self.plan = plan
         self.offered_bps = offered_bps
         self.started_s = started_s
-        self.on_done = on_done
         self.on_outcome = on_outcome
         self.attempts = 0
         self.completed = 0
@@ -224,9 +224,19 @@ class _PlanRun:
 
 
 class MigrationExecutor:
-    """Executes plans against one (server, network, engine) triple."""
+    """Executes plans against one (server, networks, engine) triple.
 
-    def __init__(self, server: Server, network: ChainNetwork, engine: Engine,
+    ``network`` is a single chain's live network, or one per chain of a
+    server hosting co-located chains: an action names its NF, and NF
+    names are unique across the server, so the name alone finds the
+    station to move.  A multi-chain plan
+    (:class:`repro.multichain.MultiChainPlan`) executes like a
+    single-chain one.
+    """
+
+    def __init__(self, server: Server,
+                 network: Union[ChainNetwork, Sequence[ChainNetwork]],
+                 engine: Engine,
                  cost_model: MigrationCostModel = MigrationCostModel(),
                  active_flows: int = 0,
                  paced_replay_rate_bps: Optional[float] = None,
@@ -240,7 +250,10 @@ class MigrationExecutor:
         if drain_timeout_s <= 0:
             raise ConfigurationError("drain timeout must be positive")
         self.server = server
-        self.network = network
+        networks = ((network,) if isinstance(network, ChainNetwork)
+                    else network)
+        self._stations = {name: station for chain in networks
+                          for name, station in chain.stations.items()}
         self.engine = engine
         self.cost_model = cost_model
         self.active_flows = active_flows
@@ -268,23 +281,20 @@ class MigrationExecutor:
         """Records of attempts that actually moved an NF."""
         return [r for r in self.records if r.outcome == OUTCOME_SUCCEEDED]
 
-    def apply(self, plan: "MigrationPlan", offered_bps: float,
-              on_done: Optional[Callable[[], None]] = None,
+    def apply(self, plan: "MigrationPlan", offered_bps: ThroughputSpec,
               on_outcome: Optional[Callable[[PlanOutcome], None]] = None
               ) -> None:
         """Start executing ``plan``; returns immediately (event-driven).
 
         ``offered_bps`` is the controller's current load estimate, used
-        to refresh device demand after each move.  ``on_done`` fires
-        once every action has completed (success only, kept for
-        backward compatibility); ``on_outcome`` fires on every terminal
-        outcome, success or abort, with the :class:`PlanOutcome`.
+        to refresh device demand after each move.  ``on_outcome`` fires
+        on every terminal outcome, success or abort, with the
+        :class:`PlanOutcome`.
         """
         if self._busy:
             raise MigrationError("executor is already running a plan")
         plan.validate()
-        run = _PlanRun(plan, offered_bps, self.engine.now_s,
-                       on_done, on_outcome)
+        run = _PlanRun(plan, offered_bps, self.engine.now_s, on_outcome)
         if plan.is_noop:
             self._complete(run, OUTCOME_SUCCEEDED)
             return
@@ -304,7 +314,7 @@ class MigrationExecutor:
                        remaining: "List[MigrationAction]",
                        attempt: int) -> None:
         action = remaining[0]
-        station = self.network.stations.get(action.nf_name)
+        station = self._stations.get(action.nf_name)
         if station is None:
             raise MigrationError(f"no station for NF {action.nf_name!r}")
         if station.device.kind is not action.source:
@@ -437,5 +447,3 @@ class MigrationExecutor:
         self.outcomes.append(outcome)
         if run.on_outcome is not None:
             run.on_outcome(outcome)
-        if status == OUTCOME_SUCCEEDED and run.on_done is not None:
-            run.on_done()

@@ -1,19 +1,20 @@
-"""Multiple co-located service chains sharing one SmartNIC + CPU."""
+"""Multiple co-located service chains sharing one SmartNIC + CPU.
 
-from .controller import (MultiChainController, MultiChainMigrationRecord)
+Planning lives here; a run hosts the chains on one
+:class:`~repro.devices.server.Server` and drives them with
+:class:`~repro.sim.runner.SimulationRunner`, whose
+:class:`~repro.core.operator.HardenedController` executes a
+:class:`MultiChainPlan` through the one migration executor.
+"""
+
 from .model import ChainLoad, MultiChainLoadModel
 from .pam import MultiChainAction, MultiChainPlan
 from .pam import select as select_multichain
-from .sim import ChainResult, MultiChainRunner
 
 __all__ = [
     "ChainLoad",
-    "ChainResult",
     "MultiChainAction",
-    "MultiChainController",
     "MultiChainLoadModel",
-    "MultiChainMigrationRecord",
     "MultiChainPlan",
-    "MultiChainRunner",
     "select_multichain",
 ]

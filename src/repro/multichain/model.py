@@ -10,12 +10,12 @@ across chains.  :class:`MultiChainLoadModel` evaluates those sums.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from ..chain.nf import DeviceKind
-from ..chain.placement import Placement
+from ..chain.placement import Placement, check_unique_names
 from ..errors import ConfigurationError
-from ..resources.model import LoadModel, ThroughputSpec
+from ..resources.model import LoadModel, ThroughputSpec, shared_utilisation
 
 
 @dataclass(frozen=True)
@@ -36,27 +36,15 @@ class MultiChainLoadModel:
     def __init__(self, chains: Sequence[ChainLoad]) -> None:
         if not chains:
             raise ConfigurationError("need at least one chain")
-        names: Dict[str, int] = {}
-        for index, chain_load in enumerate(chains):
-            for nf in chain_load.placement.chain:
-                if nf.name in names:
-                    raise ConfigurationError(
-                        f"NF name {nf.name!r} appears in chains "
-                        f"{names[nf.name]} and {index}; co-located chains "
-                        "need globally unique NF names (use renamed())")
-                names[nf.name] = index
+        check_unique_names([chain_load.placement for chain_load in chains])
         self.chains: Tuple[ChainLoad, ...] = tuple(chains)
         self._models = [c.model() for c in chains]
-
-    def __len__(self) -> int:
-        return len(self.chains)
 
     # -- aggregates ---------------------------------------------------------
 
     def device_utilisation(self, device: DeviceKind) -> float:
         """Summed utilisation of ``device`` over every chain."""
-        return sum(model.device_load(device).utilisation
-                   for model in self._models)
+        return shared_utilisation(self._models, device)
 
     def nic_utilisation(self) -> float:
         """Aggregate SmartNIC utilisation."""

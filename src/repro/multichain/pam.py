@@ -15,27 +15,28 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from ..chain.nf import DeviceKind
 from ..core.feasibility import FeasibilityConfig
 from ..core.pam import pick_border, push_aside
+from ..core.plan import MigrationAction, MigrationPlan
 from .model import ChainLoad, MultiChainLoadModel
 
 POLICY_NAME = "pam-multichain"
 
 
 @dataclass(frozen=True)
-class MultiChainAction:
-    """One move: (chain index, NF, target device)."""
+class MultiChainAction(MigrationAction):
+    """One move of a multi-chain plan, tagged with its chain's index."""
 
     chain_index: int
-    nf_name: str
-    target: DeviceKind
-    crossing_delta: int
 
 
 @dataclass(frozen=True)
 class MultiChainPlan:
-    """Ordered moves across chains plus predicted placements."""
+    """Ordered moves across chains plus predicted placements.
+
+    Executes through :class:`~repro.migration.executor.MigrationExecutor`
+    like a single-chain :class:`~repro.core.plan.MigrationPlan`.
+    """
 
     actions: Tuple[MultiChainAction, ...]
     before: Tuple[ChainLoad, ...]
@@ -48,14 +49,23 @@ class MultiChainPlan:
         """Whether the plan moves nothing."""
         return not self.actions
 
+    @property
+    def migrated_names(self) -> List[str]:
+        """Names of NFs the plan moves, in execution order."""
+        return [action.nf_name for action in self.actions]
+
     def actions_for_chain(self, chain_index: int) -> List[MultiChainAction]:
         """The moves touching one chain, in order."""
         return [a for a in self.actions if a.chain_index == chain_index]
 
-    @property
-    def total_crossing_delta(self) -> int:
-        """Net PCIe-crossing change summed over every chain."""
-        return sum(action.crossing_delta for action in self.actions)
+    def validate(self) -> None:
+        """Check each chain's moves take its before placement to its
+        after placement (see :meth:`MigrationPlan.validate`)."""
+        for index, (before, after) in enumerate(zip(self.before,
+                                                    self.after)):
+            MigrationPlan(tuple(self.actions_for_chain(index)),
+                          before.placement, after.placement,
+                          self.alleviates).validate()
 
 
 def select(chains: Sequence[ChainLoad],
@@ -68,7 +78,8 @@ def select(chains: Sequence[ChainLoad],
     return MultiChainPlan(
         actions=tuple(MultiChainAction(
             chain_index=index, nf_name=action.nf_name,
-            target=action.target, crossing_delta=action.crossing_delta)
+            source=action.source, target=action.target,
+            crossing_delta=action.crossing_delta)
             for index, action in selection.moves),
         before=before,
         after=tuple(ChainLoad(placement, chain.throughput)

@@ -17,7 +17,7 @@ throughput) pair and answers the three questions PAM asks:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Union
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Union
 
 from ..chain.nf import DeviceKind, NFProfile
 from ..chain.placement import Placement
@@ -43,6 +43,31 @@ def filtered_throughput(chain, offered_bps: float) -> Dict[str, float]:
         throughput[nf.name] = carried
         carried *= nf.pass_rate
     return throughput
+
+
+def shared_utilisation(loads: Sequence["LoadModel"],
+                       device: DeviceKind) -> float:
+    """Summed utilisation of the shared ``device`` over co-located chains.
+
+    The linear model composes across chains: every chain's per-NF
+    shares add onto the same device.  One chain gives its own
+    utilisation exactly.
+    """
+    return sum(load.device_load(device).utilisation for load in loads)
+
+
+def shared_capacity(placements: Iterable[Placement],
+                    device: DeviceKind) -> float:
+    """Largest uniform throughput ``device`` carries for every chain.
+
+    Solves ``sum theta/theta_i^D = 1`` for theta over the NFs the
+    placements put on ``device``, summed in chain order.  Infinite when
+    the device hosts nothing.
+    """
+    inv_sum = sum(1.0 / nf.capacity_on(device)
+                  for placement in placements
+                  for nf in placement.on_device(device))
+    return float("inf") if inv_sum == 0 else 1.0 / inv_sum
 
 
 def _normalise_throughput(placement: Placement,
@@ -155,9 +180,7 @@ class LoadModel:
         Solves ``sum theta/theta_i^D = 1`` for theta over the NFs placed
         on ``device``.  Infinite when the device hosts nothing.
         """
-        hosted = self.placement.on_device(device)
-        inv_sum = sum(1.0 / nf.capacity_on(device) for nf in hosted)
-        return float("inf") if inv_sum == 0 else 1.0 / inv_sum
+        return shared_capacity((self.placement,), device)
 
     def chain_capacity(self) -> float:
         """Largest uniform throughput the whole placement sustains.

@@ -32,9 +32,9 @@ class ChainNetwork:
                  placement: Optional[Placement] = None) -> None:
         """Wire one chain onto ``server``.
 
-        ``placement`` defaults to the server's installed placement; the
-        multi-chain runner passes each co-located chain's placement
-        explicitly (the server then hosts the union of their NFs).
+        ``placement`` defaults to the placement of a single-chain
+        server; on a server hosting co-located chains the runner wires
+        one network per installed placement.
         """
         self.server = server
         self.engine = engine

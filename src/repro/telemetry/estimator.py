@@ -124,9 +124,9 @@ class SmoothedController:
         smoothed = max(smoothed, 0.0)
         self.inner.on_tick(TickContext(
             now_s=context.now_s,
-            offered_bps=smoothed,
-            load=LoadModel(context.server.placement, smoothed),
+            offered=smoothed,
+            loads=(LoadModel(context.server.placement, smoothed),),
             server=context.server,
-            network=context.network,
+            networks=context.networks,
             engine=context.engine,
-            telemetry_age_s=getattr(context, "telemetry_age_s", 0.0)))
+            telemetry_age_s=context.telemetry_age_s))

@@ -37,7 +37,7 @@ class LoadMonitor:
         self.recorder.record(SERIES_OFFERED, context.now_s,
                              context.offered_bps)
         self.recorder.record(SERIES_TELEMETRY_AGE, context.now_s,
-                             getattr(context, "telemetry_age_s", 0.0))
+                             context.telemetry_age_s)
         if self.inner is not None:
             self.inner.on_tick(context)
 

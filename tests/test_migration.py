@@ -93,11 +93,12 @@ class TestExecutor:
         plan = pam_select(fig1_scenario.placement, gbps(1.8))
         h.inject_cbr(500)
         done = []
-        h.engine.at(1e-4, lambda: h.executor.apply(plan, gbps(1.8),
-                                                   on_done=lambda: done.append(1)),
+        h.engine.at(1e-4, lambda: h.executor.apply(
+            plan, gbps(1.8),
+            on_outcome=lambda outcome: done.append(outcome.succeeded)),
                     control=True)
         h.engine.run()
-        assert done == [1]
+        assert done == [True]
         assert h.server.placement.device_of("logger").value == "cpu"
         assert len(h.executor.records) == 1
 
@@ -142,8 +143,9 @@ class TestExecutor:
         h = LiveHarness(fig1_scenario)
         done = []
         plan = MigrationPlan.empty(fig1_scenario.placement, "noop")
-        h.executor.apply(plan, gbps(1.0), on_done=lambda: done.append(1))
-        assert done == [1]
+        h.executor.apply(plan, gbps(1.0), on_outcome=lambda outcome:
+                         done.append(outcome.succeeded))
+        assert done == [True]
         assert not h.executor.busy
 
     def test_concurrent_apply_rejected(self, fig1_scenario):

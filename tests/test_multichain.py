@@ -7,9 +7,12 @@ from repro.chain.builder import ChainBuilder
 from repro.chain.chain import ServiceChain
 from repro.chain.nf import DeviceKind, NFProfile
 from repro.chain.placement import Placement
-from repro.errors import ConfigurationError, ScaleOutRequired
-from repro.multichain import (ChainLoad, MultiChainLoadModel,
-                              MultiChainRunner, select_multichain)
+from repro.core.operator import HardenedController, HardeningConfig
+from repro.devices.server import ServerProfile
+from repro.errors import ConfigurationError, PlacementError, ScaleOutRequired
+from repro.migration.executor import ScheduledFailure
+from repro.multichain import ChainLoad, MultiChainLoadModel, select_multichain
+from repro.sim.runner import SimulationRunner
 from repro.traffic.generators import ConstantBitRate
 from repro.traffic.packet import FixedSize
 from repro.units import gbps
@@ -38,6 +41,22 @@ def chain_b():
                     .cpu("load_balancer", rename="b/lb")
                     .build())
     return placement
+
+
+def two_chain_runner(rate_a, rate_b, duration, controller=None,
+                     placements=None):
+    """Chains a and b co-located on one server, one CBR workload each."""
+    server = ServerProfile().build()
+    server.install(*(placements or (chain_a(), chain_b())))
+    return SimulationRunner(server, [
+        ConstantBitRate(rate_a, FixedSize(256), duration),
+        ConstantBitRate(rate_b, FixedSize(256), duration, seed=2),
+    ], controller)
+
+
+def by_chain(results):
+    """Per-chain results keyed by chain name."""
+    return {r.final_placement.chain.name: r for r in results}
 
 
 @pytest.fixture
@@ -144,22 +163,17 @@ class TestMultiChainPAM:
 class TestMultiChainSim:
     def make_runner(self, rate_a=gbps(0.8), rate_b=gbps(0.8),
                     duration=0.004):
-        return MultiChainRunner([
-            (chain_a(), ConstantBitRate(rate_a, FixedSize(256), duration)),
-            (chain_b(), ConstantBitRate(rate_b, FixedSize(256), duration,
-                                        seed=2)),
-        ])
+        return two_chain_runner(rate_a, rate_b, duration)
 
     def test_both_chains_deliver(self):
-        results = self.make_runner().run()
+        results = self.make_runner().run_chains()
         assert len(results) == 2
         for result in results:
             assert result.delivered == result.injected
             assert result.dropped == 0
 
     def test_per_chain_latency_reflects_geometry(self):
-        results = self.make_runner().run()
-        by_name = {r.chain_name: r for r in results}
+        by_name = by_chain(self.make_runner().run_chains())
         # Chain a crosses PCIe twice (C ingress-adjacent + host egress),
         # chain b also twice, but chain a has the slower logger; just
         # check both yield sane, distinct latency profiles.
@@ -169,11 +183,20 @@ class TestMultiChainSim:
     def test_interference_through_shared_device(self):
         # Chain b's latency must rise when chain a overloads the NIC,
         # even though chain b's own load is unchanged.
-        light = self.make_runner(rate_a=gbps(0.3)).run()
-        heavy = self.make_runner(rate_a=gbps(1.8)).run()
-        b_light = next(r for r in light if r.chain_name == "b")
-        b_heavy = next(r for r in heavy if r.chain_name == "b")
+        light = by_chain(self.make_runner(rate_a=gbps(0.3)).run_chains())
+        heavy = by_chain(self.make_runner(rate_a=gbps(1.8)).run_chains())
+        b_light = light["b"]
+        b_heavy = heavy["b"]
         assert b_heavy.latency.mean_s > b_light.latency.mean_s
+
+    def test_single_chain_views_refuse_colocated_chains(self):
+        runner = self.make_runner()
+        for view in (runner.run, lambda: runner.network,
+                     lambda: runner.server.placement):
+            with pytest.raises(PlacementError):
+                view()
+        with pytest.raises(ConfigurationError, match="one generator each"):
+            SimulationRunner(runner.server, runner.generators[0])
 
     def test_pam_plan_restores_multichain_health(self):
         chains = [ChainLoad(chain_a(), gbps(1.1)),
@@ -184,42 +207,39 @@ class TestMultiChainSim:
         assert after.cpu_utilisation() < 1.0
 
     def test_duplicate_names_rejected_at_hosting(self):
-        with pytest.raises(Exception):
-            MultiChainRunner([
-                (chain_a(), ConstantBitRate(gbps(0.5), FixedSize(256),
-                                            0.002)),
-                (chain_a(), ConstantBitRate(gbps(0.5), FixedSize(256),
-                                            0.002)),
-            ])
+        server = ServerProfile().build()
+        with pytest.raises(PlacementError, match="unique"):
+            server.install(chain_a(), chain_a())
+        # The same name on different devices clashes too, although
+        # neither device hosts it twice.
+        x = NFProfile(name="x", nic_capacity_bps=gbps(1.0),
+                      cpu_capacity_bps=gbps(1.0))
+        on_nic = Placement(ServiceChain([x], name="p"), {"x": S})
+        on_cpu = Placement(ServiceChain([x], name="q"), {"x": C})
+        with pytest.raises(PlacementError, match="unique"):
+            server.install(on_nic, on_cpu)
 
 
 class TestLiveMultiChainControl:
     """Closed-loop cross-chain migration on the shared server."""
 
-    def run_closed_loop(self, rate_a, rate_b, duration=0.03):
-        from repro.multichain import MultiChainController
-
-        def factory(server, engine, networks):
-            return MultiChainController(server, engine, networks)
-
-        runner = MultiChainRunner(
-            [(chain_a(), ConstantBitRate(rate_a, FixedSize(256),
-                                         duration)),
-             (chain_b(), ConstantBitRate(rate_b, FixedSize(256),
-                                         duration, seed=2))],
-            controller_factory=factory)
-        results = runner.run()
-        return runner, {r.chain_name: r for r in results}
+    def run_closed_loop(self, rate_a, rate_b, duration=0.03,
+                        config=HardeningConfig(enable_pullback=False),
+                        failure_hook=None):
+        controller = HardenedController(config=config,
+                                        failure_hook=failure_hook)
+        runner = two_chain_runner(rate_a, rate_b, duration, controller)
+        return runner, by_chain(runner.run_chains())
 
     def test_overload_triggers_cross_chain_migration(self):
         runner, results = self.run_closed_loop(gbps(1.1), gbps(1.0))
-        records = runner.controller.records
+        records = runner.controller.migrations
         assert len(records) >= 1
         assert records[0].nf_name == "a/monitor"
 
     def test_no_migration_under_light_load(self):
         runner, __ = self.run_closed_loop(gbps(0.6), gbps(0.6))
-        assert runner.controller.records == []
+        assert runner.controller.migrations == []
 
     def test_no_loss_through_live_migration(self):
         __, results = self.run_closed_loop(gbps(1.1), gbps(1.0))
@@ -228,10 +248,47 @@ class TestLiveMultiChainControl:
 
     def test_final_placements_reflect_moves(self):
         runner, __ = self.run_closed_loop(gbps(1.1), gbps(1.0))
-        final = runner.final_placements()
-        moved = runner.controller.records[0]
-        assert final[moved.chain_index].device_of(moved.nf_name) is C
+        moved = runner.controller.migrations[0]
+        final = next(placement for placement in runner.server.placements
+                     if moved.nf_name in placement.chain)
+        assert final.device_of(moved.nf_name) is C
 
     def test_aggregate_demand_relaxed_after_migration(self):
         runner, __ = self.run_closed_loop(gbps(1.1), gbps(1.0))
         assert runner.server.nic.demand < 1.0
+
+    def test_failed_move_rolls_back_and_retries(self):
+        hook = ScheduledFailure({("a/monitor", 1): 0.5})
+        runner, results = self.run_closed_loop(gbps(1.1), gbps(1.0),
+                                               failure_hook=hook)
+        assert hook.triggered == [("a/monitor", 1)]
+        assert [(r.nf_name, r.outcome) for r in runner.controller.attempts] \
+            == [("a/monitor", "rolled_back"), ("a/monitor", "succeeded")]
+        assert runner.server.placements[0].device_of("a/monitor") is C
+        for result in results.values():
+            assert result.dropped == 0
+
+    def test_budget_caps_cross_chain_migrations(self):
+        # Chain p's load needs both of its NFs pushed aside at once; a
+        # budget of one move suppresses that plan.
+        def chain(name, nic_gbps):
+            nfs = [NFProfile(name=f"{name}/nf{i}",
+                             nic_capacity_bps=gbps(capacity),
+                             cpu_capacity_bps=gbps(10.0))
+                   for i, capacity in enumerate(nic_gbps)]
+            return Placement(ServiceChain(nfs, name=name),
+                             {nf.name: S for nf in nfs}, egress=C)
+
+        controller = HardenedController(config=HardeningConfig(
+            migration_budget=1, enable_pullback=False))
+        runner = two_chain_runner(gbps(2.2), gbps(1.0), 0.01, controller,
+                                  placements=(chain("p", [2.0, 2.0]),
+                                              chain("q", [10.0])))
+        runner.run_chains()
+        assert controller.suppressed_plans >= 1
+        assert len(controller.migrations) <= 1
+
+    def test_pullback_refused_on_colocated_chains(self):
+        with pytest.raises(ConfigurationError, match="pull-back"):
+            self.run_closed_loop(gbps(0.6), gbps(0.6),
+                                 config=HardeningConfig())

@@ -80,7 +80,7 @@ class TestApplyMove:
 class TestRefreshDemand:
     def test_demands_match_load_model(self, fig1_scenario):
         server = fig1_scenario.build_server()
-        model = server.refresh_demand(gbps(1.8))
+        (model,) = server.refresh_demand(gbps(1.8))
         assert server.nic.demand == pytest.approx(
             model.nic_load().utilisation)
         assert server.cpu.demand == pytest.approx(
