@@ -111,7 +111,13 @@ class HardenedController:
         #: pull-back pass may return (restores the baseline placement).
         self._pushed: set = set()
         self.scaleout_events: List[float] = []
+        #: Distinct plans the guard rails refused (damped, or over the
+        #: remaining budget).  A plan re-selected and refused again on
+        #: the next tick with the same moves counts once.
         self.suppressed_plans: int = 0
+        # The (nf_name, target) moves of the last suppressed plan;
+        # forgotten once a plan is admitted or a tick plans nothing.
+        self._suppressed_moves: Optional[tuple] = None
         #: Plans the executor aborted after exhausting retries.
         self.failed_plans: int = 0
         #: Ticks skipped because the monitor sample was stale.
@@ -182,16 +188,19 @@ class HardenedController:
         """Apply guard rails; execute the plan if it passes."""
         now = context.now_s
         if plan.is_noop:
+            self._suppressed_moves = None
             return False
-        if self._damped(plan, now):
-            self.suppressed_plans += 1
-            return False
-        if len(plan.actions) > self.budget_left:
-            self.suppressed_plans += 1
+        if self._damped(plan, now) or \
+                len(plan.actions) > self.budget_left:
+            moves = tuple((a.nf_name, a.target) for a in plan.actions)
+            if moves != self._suppressed_moves:
+                self._suppressed_moves = moves
+                self.suppressed_plans += 1
             return False
         executor = self._executor_for(context)
         if executor.busy:
             return False
+        self._suppressed_moves = None
         # Charge the cooldown now; a failed plan hands it back in
         # _on_outcome so planning re-enters on the next tick.
         previous_plan_s = self._last_plan_s
@@ -272,3 +281,5 @@ class HardenedController:
                                    self.config.pullback,
                                    eligible=self._pushed)
             self._admit(plan, context)
+        else:
+            self._suppressed_moves = None

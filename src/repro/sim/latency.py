@@ -11,8 +11,9 @@ packet's life to one of four components:
 
 The components are slots of the :class:`~repro.traffic.packet.Packet`
 itself, accumulated in place on every hop, so attributing a hop costs
-one attribute update and no lookup.  :class:`LatencyLedger` indexes a
-run's packets by seq and provides the aggregations the harness reports.
+one attribute update and no lookup.  :class:`LatencyLedger` indexes
+the packets a caller hands it by seq and aggregates their components;
+the data plane keeps no such index (its outcome lists hold the packets).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ def add_latency(packet: Packet, component: str, seconds: float) -> None:
 
 
 class LatencyLedger:
-    """A run's packets by seq, filled at injection, and their aggregates."""
+    """Packets by seq, filled by :meth:`index`, and their aggregates."""
 
     def __init__(self) -> None:
         self._packets: Dict[int, Packet] = {}

@@ -21,7 +21,6 @@ from ..errors import SimulationError
 from ..traffic.packet import Packet
 from ..units import ETHERNET_OVERHEAD_BYTES
 from .engine import Engine
-from .latency import LatencyLedger
 from .nfinstance import NFStation
 
 
@@ -38,9 +37,6 @@ class ChainNetwork:
         """
         self.server = server
         self.engine = engine
-        #: The run's injected packets by seq (their latency components
-        #: live on the packets themselves).
-        self.ledger = LatencyLedger()
         if placement is None:
             placement = server.placement
         self.chain = placement.chain
@@ -126,7 +122,6 @@ class ChainNetwork:
         """Schedule a packet's wire arrival (call before engine.run)."""
         self.injected += 1
         self.injected_bytes += packet.size_bytes
-        self.ledger.index((packet,))
         self.engine.call_at_id(packet.arrival_s, self._ingress_id, packet)
 
     def inject_batch(self, packets: List[Packet]) -> None:
@@ -137,7 +132,6 @@ class ChainNetwork:
         """
         self.injected += len(packets)
         self.injected_bytes += sum(p.size_bytes for p in packets)
-        self.ledger.index(packets)
         self.engine.call_at_id_many(
             self._ingress_id, ((p.arrival_s, p) for p in packets))
 
@@ -391,14 +385,13 @@ class ChainNetwork:
         """Let go of every packet the data plane holds (end of a run).
 
         Empties the outcome lists in place (the fused hop closures hold
-        their bound ``append``), the ledger, and every station's queue
-        and pause buffer.  The counters stay; the outcome lists no
-        longer account for them.
+        their bound ``append``) and every station's queue and pause
+        buffer.  The counters stay; the outcome lists no longer account
+        for them.
         """
         for outcome in (self.delivered, self.dropped, self.filtered,
                         self.shed):
             outcome.clear()
-        self.ledger.clear()
         for station in self.stations.values():
             station.release()
 

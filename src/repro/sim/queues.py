@@ -4,17 +4,17 @@ Every NF instance owns one ingress queue.  The queue tracks occupancy,
 drops, and per-packet enqueue timestamps so the latency decomposition
 can attribute waiting time separately from service time.
 
-Storage is an array-backed ring: two preallocated slot arrays (packet,
-enqueue time) indexed by a wrapping head cursor, so steady-state
-enqueue/dequeue touches fixed slots instead of allocating per-packet
-nodes.  Accounting (drop-tail, enqueued/dequeued/dropped/peak counters)
-is identical to the previous deque-backed implementation.
+Storage is two ``collections.deque``s (packets, enqueue times), so a
+queue costs what it holds, not what it could hold: an empty 4096-slot
+queue is about 2 KB.  The capacity bound is enforced by drop-tail
+accounting, not by the storage.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Deque, List, Optional, Tuple
 
 from ..errors import ConfigurationError
 from ..traffic.packet import Packet
@@ -44,11 +44,10 @@ class PacketQueue:
             raise ConfigurationError("queue capacity must be positive")
         self.capacity_packets = capacity_packets
         self.name = name
-        # Ring storage: fixed-size parallel slot arrays plus a head
-        # cursor; occupied slots are [head, head + size) modulo capacity.
-        self._packets: List[Optional[Packet]] = [None] * capacity_packets
-        self._times: List[float] = [0.0] * capacity_packets
-        self._head = 0
+        self._packets: Deque[Packet] = deque()
+        self._times: Deque[float] = deque()
+        # Occupancy, kept beside the deques so the station's hot path
+        # reads one attribute instead of calling len().
         self._size = 0
         self.stats = QueueStats()
 
@@ -63,16 +62,12 @@ class PacketQueue:
     def enqueue(self, packet: Packet, now_s: float) -> bool:
         """Append a packet; returns False (and counts a drop) when full."""
         size = self._size
-        capacity = self.capacity_packets
         stats = self.stats
-        if size >= capacity:
+        if size >= self.capacity_packets:
             stats.dropped += 1
             return False
-        tail = self._head + size
-        if tail >= capacity:
-            tail -= capacity
-        self._packets[tail] = packet
-        self._times[tail] = now_s
+        self._packets.append(packet)
+        self._times.append(now_s)
         size += 1
         self._size = size
         stats.enqueued += 1
@@ -84,33 +79,19 @@ class PacketQueue:
         """Pop the oldest (packet, enqueue_time), or None when empty."""
         if not self._size:
             return None
-        head = self._head
-        item = (self._packets[head], self._times[head])
-        self._packets[head] = None
-        head += 1
-        self._head = 0 if head >= self.capacity_packets else head
         self._size -= 1
         self.stats.dequeued += 1
-        return item
+        return self._packets.popleft(), self._times.popleft()
 
-    def drain(self):
+    def drain(self) -> List[Tuple[Packet, float]]:
         """Remove and return all queued (packet, enqueue_time) pairs.
 
         Used by the migration executor when it moves an NF: queued
         packets are carried to the buffer, not lost (OpenNF loss-free
         semantics).
         """
-        capacity = self.capacity_packets
-        head = self._head
-        items = []
-        for offset in range(self._size):
-            slot = head + offset
-            if slot >= capacity:
-                slot -= capacity
-            items.append((self._packets[slot], self._times[slot]))
-            self._packets[slot] = None
-        self._head = 0
-        self._size = 0
+        items = list(zip(self._packets, self._times))
+        self.clear()
         self.stats.dequeued += len(items)
         return items
 
@@ -120,6 +101,6 @@ class PacketQueue:
         The end of a run (:meth:`repro.sim.runner.SimulationRunner.release`):
         the packets go, the stats stay for inspection.
         """
-        self._packets[:] = [None] * self.capacity_packets
-        self._head = 0
+        self._packets.clear()
+        self._times.clear()
         self._size = 0

@@ -1,5 +1,7 @@
 """Bounded FIFO packet queues."""
 
+import tracemalloc
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -88,6 +90,25 @@ class TestDrain:
         queue.enqueue(packet(0), 0.0)
         queue.drain()
         assert queue.stats.dequeued == 1
+
+
+class TestFootprint:
+    def test_empty_queue_does_not_preallocate_its_capacity(self):
+        # Storage follows occupancy: a CPU-sized queue that holds
+        # nothing must not cost capacity-sized slot arrays.
+        PacketQueue(8)  # warm any lazily built class state
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            queue = PacketQueue(4096)
+            allocated = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert len(queue) == 0
+        assert allocated < 4096
 
 
 class TestValidation:
