@@ -17,13 +17,7 @@ Quick tour
 See ``examples/quickstart.py`` for the full simulate-and-compare flow.
 """
 
-from . import (analysis, baselines, chain, core, devices, harness,
-               migration, multichain, resources, sim, telemetry, traffic,
-               units)
-from .errors import (CapacityError, ConfigurationError, InfeasiblePlanError,
-                     MigrationError, PlacementError, ReproError,
-                     ScaleOutRequired, SchedulingError, SimulationError,
-                     UnknownNFError)
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -52,3 +46,32 @@ __all__ = [
     "traffic",
     "units",
 ]
+
+#: Public name -> defining submodule (see :mod:`repro._lazy`).
+_EXPORTS = {
+    "analysis": "analysis",
+    "baselines": "baselines",
+    "chain": "chain",
+    "core": "core",
+    "devices": "devices",
+    "harness": "harness",
+    "migration": "migration",
+    "multichain": "multichain",
+    "resources": "resources",
+    "sim": "sim",
+    "telemetry": "telemetry",
+    "traffic": "traffic",
+    "units": "units",
+    "CapacityError": "errors",
+    "ConfigurationError": "errors",
+    "InfeasiblePlanError": "errors",
+    "MigrationError": "errors",
+    "PlacementError": "errors",
+    "ReproError": "errors",
+    "ScaleOutRequired": "errors",
+    "SchedulingError": "errors",
+    "SimulationError": "errors",
+    "UnknownNFError": "errors",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

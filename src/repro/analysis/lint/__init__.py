@@ -29,15 +29,7 @@ pre-existing ones live in a committed, per-entry-justified baseline
 (:mod:`repro.analysis.lint.baseline`).
 """
 
-from .baseline import Baseline, BaselineEntry, DEFAULT_BASELINE_NAME
-from .findings import PARSE_ERROR_RULE, Finding, Severity
-from .runner import (LintReport, collect_files, format_json, format_text,
-                     lint_paths, lint_source, rule_catalogue,
-                     visit_source)
-from .sarif import format_sarif
-from .suppress import apply_suppressions
-from .visitor import (LintRule, LintVisitor, ModuleContext, RULE_REGISTRY,
-                      all_rules, register)
+from ..._lazy import lazy_exports
 
 __all__ = [
     "Baseline",
@@ -63,3 +55,31 @@ __all__ = [
     "rule_catalogue",
     "visit_source",
 ]
+
+#: Public name -> defining submodule (see :mod:`repro._lazy`).
+_EXPORTS = {
+    "Baseline": "baseline",
+    "BaselineEntry": "baseline",
+    "DEFAULT_BASELINE_NAME": "baseline",
+    "PARSE_ERROR_RULE": "findings",
+    "Finding": "findings",
+    "Severity": "findings",
+    "LintReport": "runner",
+    "collect_files": "runner",
+    "format_json": "runner",
+    "format_text": "runner",
+    "lint_paths": "runner",
+    "lint_source": "runner",
+    "rule_catalogue": "runner",
+    "visit_source": "runner",
+    "format_sarif": "sarif",
+    "apply_suppressions": "suppress",
+    "LintRule": "visitor",
+    "LintVisitor": "visitor",
+    "ModuleContext": "visitor",
+    "RULE_REGISTRY": "visitor",
+    "all_rules": "visitor",
+    "register": "visitor",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -19,16 +19,7 @@ Run it as ``python -m repro lint --project`` (see
 ``docs/static-analysis.md`` for architecture and known limits).
 """
 
-from .callgraph import (CallGraph, CallSite, build_callgraph,
-                        dump_callgraph, resolve_call)
-from .dataflow import (FunctionSummary, ProjectAnalysis, Tag,
-                       analyze_project, dump_summaries)
-from .engine import (PROJECT_RULE_REGISTRY, ProjectContext, ProjectRule,
-                     all_project_rules, analyze_files, lint_project_files,
-                     parse_files, project_rule_codes, register_project,
-                     run_project_rules)
-from .loader import (ClassInfo, FunctionInfo, ModuleInfo, Project,
-                     build_project, load_module, module_name_from_layout)
+from ...._lazy import lazy_exports
 
 __all__ = [
     "CallGraph",
@@ -59,3 +50,36 @@ __all__ = [
     "resolve_call",
     "run_project_rules",
 ]
+
+#: Public name -> defining submodule (see :mod:`repro._lazy`).
+_EXPORTS = {
+    "CallGraph": "callgraph",
+    "CallSite": "callgraph",
+    "build_callgraph": "callgraph",
+    "dump_callgraph": "callgraph",
+    "resolve_call": "callgraph",
+    "FunctionSummary": "dataflow",
+    "ProjectAnalysis": "dataflow",
+    "Tag": "dataflow",
+    "analyze_project": "dataflow",
+    "dump_summaries": "dataflow",
+    "PROJECT_RULE_REGISTRY": "engine",
+    "ProjectContext": "engine",
+    "ProjectRule": "engine",
+    "all_project_rules": "engine",
+    "analyze_files": "engine",
+    "lint_project_files": "engine",
+    "parse_files": "engine",
+    "project_rule_codes": "engine",
+    "register_project": "engine",
+    "run_project_rules": "engine",
+    "ClassInfo": "loader",
+    "FunctionInfo": "loader",
+    "ModuleInfo": "loader",
+    "Project": "loader",
+    "build_project": "loader",
+    "load_module": "loader",
+    "module_name_from_layout": "loader",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

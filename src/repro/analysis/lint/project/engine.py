@@ -11,6 +11,7 @@ identically.
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Type
 
@@ -46,8 +47,9 @@ def register_project(rule_class: Type[ProjectRule]) -> Type[ProjectRule]:
 
 def all_project_rules() -> List[ProjectRule]:
     """Fresh instances of every project rule, ordered by code."""
-    from . import (rules_flow, rules_journal,  # noqa: F401
-                   rules_unitflow)
+    # Importing the rule modules populates the registry exactly once.
+    for module in ("rules_flow", "rules_journal", "rules_unitflow"):
+        importlib.import_module(f"{__package__}.{module}")
     return [PROJECT_RULE_REGISTRY[code]()
             for code in sorted(PROJECT_RULE_REGISTRY)]
 

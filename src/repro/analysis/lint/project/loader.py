@@ -109,7 +109,8 @@ class ModuleInfo:
     tree: ast.Module
     #: Local alias -> fully dotted target.  ``import os.path as osp``
     #: maps ``osp -> os.path``; ``from .scenario import seed_for`` maps
-    #: ``seed_for -> repro.exec.scenario.seed_for``.
+    #: ``seed_for -> repro.exec.scenario.seed_for``; a package's lazy
+    #: ``_EXPORTS`` table adds its re-exports the same way.
     imports: Dict[str, str] = field(default_factory=dict)
     #: Module-level names bound to constant literals.
     constants: Dict[str, ast.Constant] = field(default_factory=dict)
@@ -149,6 +150,8 @@ def load_module(path: Path, source: str, tree: ast.Module) -> ModuleInfo:
     info = ModuleInfo(name=name, path=path.as_posix(), source=source,
                       tree=tree, is_package=path.stem == "__init__")
     _collect_imports(info)
+    if info.is_package:
+        _collect_lazy_exports(info)
     _collect_symbols(info)
     return info
 
@@ -172,6 +175,35 @@ def _collect_imports(info: ModuleInfo) -> None:
                 local = alias.asname or alias.name
                 info.imports[local] = (f"{base}.{alias.name}"
                                        if base else alias.name)
+
+
+def _collect_lazy_exports(info: ModuleInfo) -> None:
+    """Read a package's ``_EXPORTS`` table (:mod:`repro._lazy`) as imports.
+
+    A lazy package re-exports ``name`` from the submodule its table
+    names, exactly as ``from .submodule import name`` would: ``"engine"``
+    maps ``Engine -> <package>.engine.Engine``, ``"pam:select"`` maps
+    ``select_multichain -> <package>.pam.select``, and a name equal to
+    its submodule stands for the submodule itself.
+    """
+    for node in info.tree.body:
+        if not (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)
+                and node.targets[0].id == "_EXPORTS"
+                and isinstance(node.value, ast.Dict)):
+            continue
+        for key, value in zip(node.value.keys, node.value.values):
+            if isinstance(key, ast.Constant) and isinstance(key.value, str) \
+                    and isinstance(value, ast.Constant) \
+                    and isinstance(value.value, str):
+                name = key.value
+                submodule, _, attr = value.value.partition(":")
+                target = f"{info.name}.{submodule}"
+                if attr:
+                    target = f"{target}.{attr}"
+                elif submodule != name:
+                    target = f"{target}.{name}"
+                info.imports[name] = target
 
 
 def _resolve_from_base(info: ModuleInfo,
@@ -300,7 +332,8 @@ class Project:
 
         Checks, in order: local imports, module-level functions and
         classes, and re-exports through package ``__init__`` chains
-        (``from .scenario import seed_for`` in ``repro.exec`` makes
+        (``"seed_for": "scenario"`` in the ``_EXPORTS`` table of
+        ``repro.exec``, like ``from .scenario import seed_for``, makes
         ``repro.exec.seed_for`` an alias of the real definition).
         """
         if name in module.imports:

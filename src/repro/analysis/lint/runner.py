@@ -146,7 +146,8 @@ def lint_paths(paths: Sequence[PathLike],
                                         rules=active_rules)
     active_codes = {rule.code for rule in active_rules}
     if project:
-        from .project import lint_project_files, project_rule_codes
+        from .project.engine import (lint_project_files,
+                                     project_rule_codes)
         active_codes.update(project_rule_codes())
         for finding in lint_project_files(files):
             raw_by_file.setdefault(finding.path, []).append(finding)
@@ -218,7 +219,7 @@ def rule_catalogue(rules: Optional[Iterable[LintRule]] = None) -> str:
     if rules is not None:
         active: List[LintRule] = list(rules)
     else:
-        from .project import all_project_rules
+        from .project.engine import all_project_rules
         active = sorted(all_rules() + list(all_project_rules()),
                         key=lambda rule: rule.code)
     lines = []

@@ -15,6 +15,7 @@ directly under a multiplication" or "a call inside a sort key".
 from __future__ import annotations
 
 import ast
+import importlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Type
@@ -116,8 +117,9 @@ def register(rule_class: Type[LintRule]) -> Type[LintRule]:
 def all_rules() -> List[LintRule]:
     """Fresh instances of every registered rule, ordered by code."""
     # Importing the rule modules populates the registry exactly once.
-    from . import (rules_determinism, rules_events,  # noqa: F401
-                   rules_exceptions, rules_units, suppress)
+    for module in ("rules_determinism", "rules_events", "rules_exceptions",
+                   "rules_units", "suppress"):
+        importlib.import_module(f"{__package__}.{module}")
     return [RULE_REGISTRY[code]() for code in sorted(RULE_REGISTRY)]
 
 

@@ -1,10 +1,6 @@
 """Comparison policies: naive (UNO-style), noop, random, greedy, scale-out."""
 
-from .greedy_border import GreedyBorderPolicy
-from .naive import NaiveConfig, NaivePolicy
-from .noop import NoopPolicy
-from .random_policy import RandomPolicy
-from .scaleout import (ScaleOutFallbackPolicy, ScaleOutPlan, plan_scaleout)
+from .._lazy import lazy_exports
 
 __all__ = [
     "GreedyBorderPolicy",
@@ -16,3 +12,17 @@ __all__ = [
     "ScaleOutPlan",
     "plan_scaleout",
 ]
+
+#: Public name -> defining submodule (see :mod:`repro._lazy`).
+_EXPORTS = {
+    "GreedyBorderPolicy": "greedy_border",
+    "NaiveConfig": "naive",
+    "NaivePolicy": "naive",
+    "NoopPolicy": "noop",
+    "RandomPolicy": "random_policy",
+    "ScaleOutFallbackPolicy": "scaleout",
+    "ScaleOutPlan": "scaleout",
+    "plan_scaleout": "scaleout",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -1,15 +1,6 @@
 """Service-chain substrate: NF profiles, chains, and placements."""
 
-from . import catalog
-from .builder import ChainBuilder
-from .constraints import (DEFAULT_SFC_RULES, AtMostOne, MustBeEdge,
-                          MustPrecede, Rule, Violation, check_chain,
-                          validate_chain)
-from .chain import ServiceChain
-from .diagram import render_placement
-from .graph import EGRESS, INGRESS, Edge, GraphPlacement, ServiceGraph
-from .nf import DeviceKind, NFInstanceId, NFKind, NFProfile
-from .placement import Placement, Segment
+from .._lazy import lazy_exports
 
 __all__ = [
     "AtMostOne",
@@ -36,3 +27,32 @@ __all__ = [
     "check_chain",
     "validate_chain",
 ]
+
+#: Public name -> defining submodule (see :mod:`repro._lazy`).
+_EXPORTS = {
+    "catalog": "catalog",
+    "ChainBuilder": "builder",
+    "DEFAULT_SFC_RULES": "constraints",
+    "AtMostOne": "constraints",
+    "MustBeEdge": "constraints",
+    "MustPrecede": "constraints",
+    "Rule": "constraints",
+    "Violation": "constraints",
+    "check_chain": "constraints",
+    "validate_chain": "constraints",
+    "ServiceChain": "chain",
+    "render_placement": "diagram",
+    "EGRESS": "graph",
+    "INGRESS": "graph",
+    "Edge": "graph",
+    "GraphPlacement": "graph",
+    "ServiceGraph": "graph",
+    "DeviceKind": "nf",
+    "NFInstanceId": "nf",
+    "NFKind": "nf",
+    "NFProfile": "nf",
+    "Placement": "placement",
+    "Segment": "placement",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

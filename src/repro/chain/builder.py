@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..errors import ConfigurationError
-from . import catalog as _catalog
+from .catalog import EXTENDED, get as get_profile
 from .chain import ServiceChain
 from .nf import DeviceKind, NFProfile
 from .placement import Placement
@@ -29,7 +29,7 @@ class ChainBuilder:
     """Accumulates (NF, device) pairs and builds a validated chain+placement."""
 
     def __init__(self, name: str = "chain",
-                 profiles: Mapping[str, NFProfile] = _catalog.EXTENDED) -> None:
+                 profiles: Mapping[str, NFProfile] = EXTENDED) -> None:
         self.name = name
         self._profiles = profiles
         self._nfs: List[NFProfile] = []
@@ -42,7 +42,7 @@ class ChainBuilder:
         ``rename`` gives the instance a distinct name, allowing the same
         catalog profile to appear twice in one chain.
         """
-        profile = nf if isinstance(nf, NFProfile) else _catalog.get(nf, self._profiles)
+        profile = nf if isinstance(nf, NFProfile) else get_profile(nf, self._profiles)
         if rename:
             profile = profile.renamed(rename)
         if profile.name in self._devices:

@@ -11,11 +11,7 @@ The subsystem every scale-out PR leans on to stay correct:
   (``python -m repro crash-resume``).
 """
 
-from .crashresume import CrashResumeOutcome, run_crash_resume_check
-from .invariants import (Violation, check_invariants,
-                         check_resilience_invariants)
-from .runner import ChaosReport, ChaosRunner, ChaosRunResult
-from .schedule import ChaosConfig, ChaosFault, ChaosSchedule
+from .._lazy import lazy_exports
 
 __all__ = [
     "ChaosConfig", "ChaosFault", "ChaosSchedule",
@@ -23,3 +19,20 @@ __all__ = [
     "CrashResumeOutcome", "run_crash_resume_check",
     "Violation", "check_invariants", "check_resilience_invariants",
 ]
+
+#: Public name -> defining submodule (see :mod:`repro._lazy`).
+_EXPORTS = {
+    "CrashResumeOutcome": "crashresume",
+    "run_crash_resume_check": "crashresume",
+    "Violation": "invariants",
+    "check_invariants": "invariants",
+    "check_resilience_invariants": "invariants",
+    "ChaosReport": "runner",
+    "ChaosRunner": "runner",
+    "ChaosRunResult": "runner",
+    "ChaosConfig": "schedule",
+    "ChaosFault": "schedule",
+    "ChaosSchedule": "schedule",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -25,9 +25,16 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..checkpoint import read_journal
+from ..checkpoint.journal import read_journal
 from ..errors import CheckpointError, ConfigurationError
-from ..exec import Campaign, make_executor, run_campaign
+from ..exec.campaign import Campaign
+from ..exec.driver import run_campaign
+from ..exec.executors import make_executor
+from ..reliability.campaign import ReliabilityCampaign
+from ..reliability.campaign import render_payloads as render_reliability
+from ..soak.campaign import SoakCampaign
+from ..soak.campaign import render_payloads as render_soak
+from ..soak.fuzzer import default_space
 from .runner import ChaosCampaign, ChaosConfig, ChaosReport, ChaosRunner
 
 #: Seconds between journal polls while the campaign subprocess runs.
@@ -38,32 +45,17 @@ _POLL_INTERVAL_S = 0.05
 _MAX_POLLS = 1200
 
 
-# The soak and reliability packages import repro.chaos, so their
-# builders and renderers import them on call.
-
 def _reliability_campaign(runs: int, seed: int,
                           duration_s: float) -> Campaign:
-    from ..reliability import ReliabilityCampaign
     return ReliabilityCampaign(scenario="device-kill", policies=("joint",),
                                runs=runs, seed=seed, duration_s=duration_s)
-
-
-def _render_reliability(payloads: List[Dict[str, object]]) -> str:
-    from ..reliability import render_payloads
-    return render_payloads(payloads)
 
 
 def _soak_campaign(runs: int, seed: int, duration_s: float) -> Campaign:
     # Both sides build the space through default_space(duration), or
     # the journal fingerprint check refuses the resume.
-    from ..soak import SoakCampaign, default_space
     return SoakCampaign(runs=runs, seed=seed,
                         space=default_space(duration_s))
-
-
-def _render_soak(payloads: List[Dict[str, object]]) -> str:
-    from ..soak import render_payloads
-    return render_payloads(payloads)
 
 
 @dataclass(frozen=True)
@@ -90,11 +82,11 @@ CAMPAIGNS: Dict[str, CrashResumeKind] = {
     # Single-policy grid: `runs` keeps its meaning of total runs.
     "reliability": CrashResumeKind(
         ("reliability", "--scenario", "device-kill", "--policies",
-         "joint"), _reliability_campaign, _render_reliability),
+         "joint"), _reliability_campaign, render_reliability),
     # No shrinking in the subprocess: the kill must land mid-grid, not
     # mid-shrink, and the resume compares grid reports only.
     "soak": CrashResumeKind(("soak", "--no-shrink"), _soak_campaign,
-                            _render_soak),
+                            render_soak),
 }
 
 

@@ -36,9 +36,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..errors import ConfigurationError
-from ..exec import (Campaign, RunRequest, register_campaign, run_campaign,
-                    seed_for)
+from ..exec.campaign import Campaign, RunRequest, register_campaign
+from ..exec.driver import run_campaign
 from ..exec.errinfo import exception_payload
+from ..exec.scenario import seed_for
 from ..harness.scenarios import figure1
 from ..migration.executor import OUTCOME_SUCCEEDED
 from ..soak.fuzzer import SoakCase

@@ -10,8 +10,7 @@ event-queue, or RNG state is ever serialized (lint rule ``DET106``
 flags it outside this package).
 """
 
-from .journal import (JournalReadResult, JournalWriter, canonical_json,
-                      frame_record, read_journal, record_checksum)
+from .._lazy import lazy_exports
 
 __all__ = [
     "JournalReadResult",
@@ -21,3 +20,15 @@ __all__ = [
     "read_journal",
     "record_checksum",
 ]
+
+#: Public name -> defining submodule (see :mod:`repro._lazy`).
+_EXPORTS = {
+    "JournalReadResult": "journal",
+    "JournalWriter": "journal",
+    "canonical_json": "journal",
+    "frame_record": "journal",
+    "read_journal": "journal",
+    "record_checksum": "journal",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -28,31 +28,19 @@ import argparse
 import sys
 from typing import Callable, List, Optional
 
-from .baselines.naive import NaivePolicy
-from .baselines.noop import NoopPolicy
-from .chain import catalog
-from .core.planner import MigrationController, PAMPolicy
+# Only what several handlers share is imported here.  A handler imports
+# what only it runs, so ``--help`` and every other command skip the
+# simulator, the linter and the artefact harness they do not use.
 from .errors import ReproError, ScaleOutRequired
-from .analysis.explain import explain_placement
-from .analysis.placement_opt import optimise_placement
-from .harness import config as config_mod
-from .harness.compare import compare_policies, latency_gap
-from .harness.results import ResultRecord
-from .harness.paper import reproduce_all
-from .harness.suite import check_suite, render_checks, run_suite
 from .harness.scenarios import figure1
-from .harness.sweep import SizeSweepCampaign, SizeSweepPoint
-from .harness.tables import (render_figure1, render_figure2_latency,
-                             render_figure2_throughput, render_table)
-from .resources.capacity import CapacityTable
-from .sim.runner import SimulationRunner
-from .telemetry.monitor import LoadMonitor
-from .traffic.packet import PAPER_SIZE_SWEEP, FixedSize
-from .traffic.patterns import ProfiledArrivals, spike
+from .traffic.packet import PAPER_SIZE_SWEEP
 from .units import as_gbps, as_msec, as_usec, gbps
 
 
 def _policy_by_name(name: str):
+    from .baselines.naive import NaivePolicy
+    from .baselines.noop import NoopPolicy
+    from .core.planner import PAMPolicy
     policies = {"pam": PAMPolicy, "naive": NaivePolicy, "noop": NoopPolicy}
     try:
         return policies[name]()
@@ -111,7 +99,9 @@ def _run_campaign(args: argparse.Namespace, campaign,
     Returns the :class:`~repro.exec.CampaignOutcome`; a resumed run
     first notes how many runs the journal replayed.
     """
-    from .exec import SupervisionPolicy, make_executor, run_campaign
+    from .exec.driver import run_campaign
+    from .exec.executors import make_executor
+    from .exec.supervisor import SupervisionPolicy
     policy = SupervisionPolicy(run_timeout_s=args.run_timeout,
                                max_attempts=args.max_attempts,
                                max_failures=args.max_failures)
@@ -135,13 +125,17 @@ def _violations_exit(payloads: List[dict]) -> int:
 
 def cmd_table1(args: argparse.Namespace) -> int:
     """Print the Table 1 capacity table."""
-    table = CapacityTable.from_mapping(catalog.TABLE1)
+    from .chain.catalog import TABLE1
+    from .resources.capacity import CapacityTable
+    table = CapacityTable.from_mapping(TABLE1)
     print(table.render())
     return 0
 
 
 def cmd_figure1(args: argparse.Namespace) -> int:
     """Run and print the Figure 1 policy comparison."""
+    from .harness.compare import compare_policies, latency_gap
+    from .harness.tables import render_figure1
     outcomes = compare_policies(figure1(), duration_s=args.duration)
     print(render_figure1(outcomes))
     gap = latency_gap(outcomes)
@@ -151,6 +145,9 @@ def cmd_figure1(args: argparse.Namespace) -> int:
 
 def cmd_figure2(args: argparse.Namespace) -> int:
     """Run and print the Figure 2 packet-size sweep."""
+    from .harness.sweep import SizeSweepCampaign, SizeSweepPoint
+    from .harness.tables import (render_figure2_latency,
+                                 render_figure2_throughput)
 
     def render(payloads: List[dict]) -> str:
         points = [SizeSweepPoint.from_record(payload)
@@ -175,6 +172,7 @@ def cmd_figure2(args: argparse.Namespace) -> int:
 
 def cmd_plan(args: argparse.Namespace) -> int:
     """Run one selection policy and print its plan."""
+    from .harness.tables import render_table
     scenario = figure1()
     policy = _policy_by_name(args.policy)
     try:
@@ -198,6 +196,11 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 def cmd_spike(args: argparse.Namespace) -> int:
     """Run the closed-loop traffic-spike episode."""
+    from .core.planner import MigrationController
+    from .sim.runner import SimulationRunner
+    from .telemetry.monitor import LoadMonitor
+    from .traffic.packet import FixedSize
+    from .traffic.patterns import ProfiledArrivals, spike
     profile = spike(base_bps=gbps(args.base), peak_bps=gbps(args.peak),
                     start_s=0.01, duration_s=1.0)
     generator = ProfiledArrivals(profile, FixedSize(args.size),
@@ -219,7 +222,9 @@ def cmd_spike(args: argparse.Namespace) -> int:
 
 def cmd_run_config(args: argparse.Namespace) -> int:
     """Run a JSON-described experiment."""
-    spec = config_mod.load(args.config)
+    from .harness.config import load
+    from .harness.results import ResultRecord
+    spec = load(args.config)
     result = spec.run()
     record = ResultRecord.from_result(result, label=spec.name)
     if args.output:
@@ -238,6 +243,7 @@ def cmd_run_config(args: argparse.Namespace) -> int:
 
 def cmd_explain(args: argparse.Namespace) -> int:
     """Print the placement diagram and analysis report."""
+    from .analysis.explain import explain_placement
     scenario = figure1()
     print(explain_placement(scenario.placement, gbps(args.load),
                             packet_bytes=args.size))
@@ -246,6 +252,8 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
 def cmd_optimise(args: argparse.Namespace) -> int:
     """Exhaustively search for the optimal placement."""
+    from .analysis.placement_opt import optimise_placement
+    from .harness.tables import render_table
     scenario = figure1()
     try:
         result = optimise_placement(
@@ -269,6 +277,7 @@ def cmd_optimise(args: argparse.Namespace) -> int:
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
     """Regenerate and check every paper artefact in one call."""
+    from .harness.paper import reproduce_all
     report_obj = reproduce_all(duration_s=args.duration)
     print(report_obj.render())
     return 0 if report_obj.all_passed else 1
@@ -276,9 +285,9 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
 
 def cmd_chaos(args: argparse.Namespace) -> int:
     """Run randomized chaos scenarios and check every invariant."""
-    from .chaos import ChaosConfig, ChaosReport, ChaosRunner
-    from .chaos.runner import ChaosCampaign
-    from .exec import FaultInjectedCampaign, FaultPlan
+    from .chaos.runner import ChaosCampaign, ChaosReport, ChaosRunner
+    from .chaos.schedule import ChaosConfig
+    from .exec.faultinject import FaultInjectedCampaign, FaultPlan
     config = ChaosConfig(duration_s=args.duration,
                          migration_failure_rate=args.failure_rate,
                          max_device_kills=args.device_kills,
@@ -301,10 +310,12 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
 def cmd_soak(args: argparse.Namespace) -> int:
     """Soak-fuzz chaos schedules under the online invariant engine."""
-    from .soak import (SoakCampaign, SoakCase, default_space,
-                       failing_payloads, invariant_catalogue, parse_plant,
-                       render_payloads, replay_reproducer, shrink_case,
-                       soak_budget, write_reproducer)
+    from .soak.campaign import (SoakCampaign, failing_payloads,
+                                render_payloads, soak_budget)
+    from .soak.fuzzer import SoakCase, default_space, parse_plant
+    from .soak.invariants import invariant_catalogue
+    from .soak.shrinker import (replay_reproducer, shrink_case,
+                                write_reproducer)
     if args.list_invariants:
         for name, description in invariant_catalogue():
             print(f"{name}: {description}")
@@ -341,7 +352,7 @@ def cmd_soak(args: argparse.Namespace) -> int:
 
 def cmd_campaigns(args: argparse.Namespace) -> int:
     """List the registered campaign kinds."""
-    from .exec import campaign_kinds
+    from .exec.campaign import campaign_kinds
     for kind, description in campaign_kinds().items():
         print(f"{kind}: {description}")
     return 0
@@ -365,7 +376,7 @@ def cmd_crash_resume(args: argparse.Namespace) -> int:
 
 def cmd_reliability(args: argparse.Namespace) -> int:
     """Run a reliability-planning campaign and report its verdicts."""
-    from .reliability import ReliabilityCampaign, render_payloads
+    from .reliability.campaign import ReliabilityCampaign, render_payloads
     campaign = ReliabilityCampaign(
         scenario=args.scenario, policies=tuple(args.policies),
         runs=args.runs, seed=args.seed, duration_s=args.duration,
@@ -388,9 +399,11 @@ def cmd_resilience(args: argparse.Namespace) -> int:
 
 def cmd_lint(args: argparse.Namespace) -> int:
     """Run the simulation-safety linter over source paths."""
-    from .analysis.lint import (Baseline, DEFAULT_BASELINE_NAME, Severity,
-                                format_json, format_sarif, format_text,
-                                lint_paths, rule_catalogue)
+    from .analysis.lint.baseline import Baseline, DEFAULT_BASELINE_NAME
+    from .analysis.lint.findings import Severity
+    from .analysis.lint.runner import (format_json, format_text, lint_paths,
+                                       rule_catalogue)
+    from .analysis.lint.sarif import format_sarif
     if args.list_rules:
         print(rule_catalogue())
         return 0
@@ -421,8 +434,8 @@ def cmd_lint(args: argparse.Namespace) -> int:
     if args.format == "json":
         rendered = format_json(report)
     elif args.format == "sarif":
-        from .analysis.lint import all_rules
-        from .analysis.lint.project import all_project_rules
+        from .analysis.lint.project.engine import all_project_rules
+        from .analysis.lint.visitor import all_rules
         rendered = format_sarif(
             report, sorted(all_rules() + list(all_project_rules()),
                            key=lambda rule: rule.code))
@@ -437,6 +450,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 def cmd_suite(args: argparse.Namespace) -> int:
     """Run or regression-check a directory of experiments."""
+    from .harness.suite import check_suite, render_checks, run_suite
     if args.check:
         checks = check_suite(args.directory)
         print(render_checks(checks))

@@ -1,13 +1,6 @@
 """The paper's contribution: border identification, PAM selection, planning."""
 
-from .border import BorderSets, border_sets
-from . import graph_pam
-from .feasibility import FeasibilityConfig, both_overloaded, nic_alleviated
-from .operator import HardenedController, HardeningConfig
-from .pam import PAMConfig, select
-from .plan import MigrationAction, MigrationPlan
-from .planner import MigrationController, PAMPolicy, SelectionPolicy
-from .reverse import PullbackConfig, select_pullback
+from .._lazy import lazy_exports
 
 __all__ = [
     "BorderSets",
@@ -28,3 +21,26 @@ __all__ = [
     "select",
     "select_pullback",
 ]
+
+#: Public name -> defining submodule (see :mod:`repro._lazy`).
+_EXPORTS = {
+    "BorderSets": "border",
+    "border_sets": "border",
+    "graph_pam": "graph_pam",
+    "FeasibilityConfig": "feasibility",
+    "both_overloaded": "feasibility",
+    "nic_alleviated": "feasibility",
+    "HardenedController": "operator",
+    "HardeningConfig": "operator",
+    "PAMConfig": "pam",
+    "select": "pam",
+    "MigrationAction": "plan",
+    "MigrationPlan": "plan",
+    "MigrationController": "planner",
+    "PAMPolicy": "planner",
+    "SelectionPolicy": "planner",
+    "PullbackConfig": "reverse",
+    "select_pullback": "reverse",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -1,12 +1,6 @@
 """Simulated hardware: SmartNIC, CPU, PCIe link, and the server aggregate."""
 
-from .cpu import CPU
-from .device import Device
-from .fpga import (DEFAULT_RECONFIGURATION_S, FPGASmartNIC, fpga_cost_model)
-from .pcie import (DEFAULT_CROSSING_LATENCY_S, DEFAULT_PCIE_BANDWIDTH_BPS,
-                   PCIeLink, PCIeStats)
-from .server import PAPER_TESTBED, Server, ServerProfile
-from .smartnic import SmartNIC
+from .._lazy import lazy_exports
 
 __all__ = [
     "CPU",
@@ -23,3 +17,22 @@ __all__ = [
     "SmartNIC",
     "fpga_cost_model",
 ]
+
+#: Public name -> defining submodule (see :mod:`repro._lazy`).
+_EXPORTS = {
+    "CPU": "cpu",
+    "Device": "device",
+    "DEFAULT_RECONFIGURATION_S": "fpga",
+    "FPGASmartNIC": "fpga",
+    "fpga_cost_model": "fpga",
+    "DEFAULT_CROSSING_LATENCY_S": "pcie",
+    "DEFAULT_PCIE_BANDWIDTH_BPS": "pcie",
+    "PCIeLink": "pcie",
+    "PCIeStats": "pcie",
+    "PAPER_TESTBED": "server",
+    "Server": "server",
+    "ServerProfile": "server",
+    "SmartNIC": "smartnic",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

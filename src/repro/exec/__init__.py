@@ -41,15 +41,7 @@ order, or how many times supervision had to retry a run.
 ``--workers 4`` and ``--workers 1`` render byte-identical reports.
 """
 
-from .campaign import (Campaign, RunRequest, build_campaign,
-                       campaign_kinds, register_campaign)
-from .driver import CampaignOutcome, StopPredicate, run_campaign
-from .errinfo import exception_payload
-from .executors import (Executor, ParallelExecutor, SerialExecutor,
-                        make_executor)
-from .faultinject import FaultInjectedCampaign, FaultPlan, WorkerFault
-from .scenario import Scenario, seed_for
-from .supervisor import SupervisionPolicy
+from .._lazy import lazy_exports
 
 __all__ = [
     "Campaign",
@@ -72,3 +64,28 @@ __all__ = [
     "run_campaign",
     "seed_for",
 ]
+
+#: Public name -> defining submodule (see :mod:`repro._lazy`).
+_EXPORTS = {
+    "Campaign": "campaign",
+    "RunRequest": "campaign",
+    "build_campaign": "campaign",
+    "campaign_kinds": "campaign",
+    "register_campaign": "campaign",
+    "CampaignOutcome": "driver",
+    "StopPredicate": "driver",
+    "run_campaign": "driver",
+    "exception_payload": "errinfo",
+    "Executor": "executors",
+    "ParallelExecutor": "executors",
+    "SerialExecutor": "executors",
+    "make_executor": "executors",
+    "FaultInjectedCampaign": "faultinject",
+    "FaultPlan": "faultinject",
+    "WorkerFault": "faultinject",
+    "Scenario": "scenario",
+    "seed_for": "scenario",
+    "SupervisionPolicy": "supervisor",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -147,13 +147,13 @@ def _ensure_builtin_campaigns() -> None:
     Imports are local to keep the layering acyclic (those modules import
     :mod:`repro.exec` at module level).
     """
-    from ..chaos import runner as _chaos_runner  # noqa: F401
-    from ..harness import suite as _suite  # noqa: F401
-    from ..harness import sweep as _sweep  # noqa: F401
-    from ..reliability import campaign as _reliability  # noqa: F401
-    from ..resilience import campaign as _resilience  # noqa: F401
-    from ..soak import campaign as _soak  # noqa: F401
-    from . import faultinject as _faultinject  # noqa: F401
+    from ..chaos.runner import ChaosCampaign  # noqa: F401
+    from ..harness.suite import SuiteCampaign  # noqa: F401
+    from ..harness.sweep import SizeSweepCampaign  # noqa: F401
+    from ..reliability.campaign import ReliabilityCampaign  # noqa: F401
+    from ..resilience.campaign import ResilienceCampaign  # noqa: F401
+    from ..soak.campaign import SoakCampaign  # noqa: F401
+    from .faultinject import FaultInjectedCampaign  # noqa: F401
 
 
 def campaign_kinds() -> Dict[str, str]:

@@ -41,8 +41,8 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-from ..checkpoint import (JournalWriter, canonical_json, read_journal,
-                          record_checksum)
+from ..checkpoint.journal import (JournalWriter, canonical_json,
+                                  read_journal, record_checksum)
 from ..errors import CampaignAborted, ConfigurationError
 from .campaign import Campaign
 from .executors import Executor, SerialExecutor

@@ -27,8 +27,8 @@ pickled (lint rule ``DET106``).
 
 from __future__ import annotations
 
-from multiprocessing import Pipe, Process, connection
-from typing import Dict, Iterator, List, Optional, Protocol, Tuple
+from typing import (TYPE_CHECKING, Dict, Iterator, List, Optional, Protocol,
+                    Tuple)
 
 from ..errors import ConfigurationError, ExecutionError
 from .campaign import Campaign, RunRequest, build_campaign
@@ -37,6 +37,11 @@ from .supervisor import (ATTEMPT_ERROR, ATTEMPT_GARBAGE, ATTEMPT_TIMEOUT,
                          ATTEMPT_WORKER_DEATH, DeadlineClock, EventSink,
                          SupervisionPolicy, _quarantine_error,
                          _set_current_attempt, attempt_record)
+
+if TYPE_CHECKING:
+    # Imported where workers are spawned and awaited, so a serial run
+    # never loads multiprocessing.
+    from multiprocessing import Process, connection
 
 #: Yield type of ``Executor.map``: (request index, result payload).
 Completion = Tuple[int, Dict[str, object]]
@@ -210,6 +215,7 @@ class _WorkerSlot:
 
 def _spawn_worker(kind: str, spec: Dict[str, object]) -> _WorkerSlot:
     """Start one worker process wired to a fresh duplex pipe."""
+    from multiprocessing import Pipe, Process
     parent_conn, child_conn = Pipe()
     process = Process(target=_worker_main,
                       args=(kind, spec, child_conn, parent_conn),
@@ -346,6 +352,7 @@ class ParallelExecutor(_Supervised):
                      queue: List[_Flight], done: List[Completion],
                      kind: str, spec: Dict[str, object]) -> None:
         """Wait once; absorb results, deaths, and expired deadlines."""
+        from multiprocessing import connection
         waitables: List[object] = [slot.conn for slot in slots]
         waitables.extend(slot.process.sentinel for slot in slots)
         ready = connection.wait(waitables,

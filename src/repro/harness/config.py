@@ -33,7 +33,7 @@ from typing import Any, Dict, Mapping, Optional, Union
 from ..baselines.naive import NaivePolicy
 from ..baselines.noop import NoopPolicy
 from ..baselines.random_policy import RandomPolicy
-from ..chain import catalog
+from ..chain.catalog import EXTENDED, FIGURE1_SCENARIO, TABLE1
 from ..chain.builder import ChainBuilder
 from ..chain.nf import DeviceKind
 from ..core.planner import MigrationController, PAMPolicy
@@ -47,9 +47,9 @@ from ..traffic.patterns import ProfiledArrivals, spike
 from ..units import gbps, usec
 
 PROFILE_SETS = {
-    "table1": catalog.TABLE1,
-    "figure1": catalog.FIGURE1_SCENARIO,
-    "extended": catalog.EXTENDED,
+    "table1": TABLE1,
+    "figure1": FIGURE1_SCENARIO,
+    "extended": EXTENDED,
 }
 
 _DEVICES = {"smartnic": DeviceKind.SMARTNIC, "cpu": DeviceKind.CPU}

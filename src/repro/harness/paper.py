@@ -14,7 +14,7 @@ import statistics
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..chain import catalog
+from ..chain.catalog import TABLE1, get as get_profile
 from ..chain.nf import DeviceKind
 from ..telemetry.metrics import relative_change
 from ..units import gbps
@@ -71,7 +71,7 @@ def _table1(duration_s: float) -> ArtefactResult:
     rows = []
     worst = 0.0
     for name, device, configured in cases:
-        scenario = single_nf_scenario(catalog.get(name, catalog.TABLE1),
+        scenario = single_nf_scenario(get_profile(name, TABLE1),
                                       device)
         loads = [gbps(configured * f)
                  for f in (0.5, 0.9, 0.95, 1.0, 1.05, 1.2)]

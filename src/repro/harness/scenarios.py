@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Mapping, Optional, Tuple
 
-from ..chain import catalog
+from ..chain.catalog import EXTENDED, FIGURE1_SCENARIO, TABLE1
 from ..chain.builder import ChainBuilder
 from ..chain.chain import ServiceChain
 from ..chain.nf import DeviceKind, NFProfile
@@ -76,7 +76,7 @@ class Scenario:
                         throughput_bps=self.throughput_bps)
 
 
-def figure1(profiles: Mapping[str, NFProfile] = catalog.FIGURE1_SCENARIO,
+def figure1(profiles: Mapping[str, NFProfile] = FIGURE1_SCENARIO,
             server_profile: ServerProfile = PAPER_TESTBED) -> Scenario:
     """The paper's Figure 1(a) configuration."""
     chain, placement = (
@@ -97,7 +97,7 @@ def table1_chain() -> Scenario:
     so naive and PAM pick the same vNF — the degenerate case DESIGN.md
     discusses.
     """
-    return figure1(profiles=catalog.TABLE1).renamed("table1")
+    return figure1(profiles=TABLE1).renamed("table1")
 
 
 def _extended_nf_cycle() -> List[str]:
@@ -115,7 +115,7 @@ def datacenter_inline(server_profile: ServerProfile = PAPER_TESTBED
     between the wire and a CPU island, giving asymmetric borders.
     """
     chain, placement = (
-        ChainBuilder("datacenter", profiles=catalog.EXTENDED)
+        ChainBuilder("datacenter", profiles=EXTENDED)
         .nic("gateway")
         .nic("firewall")
         .cpu("ids")
@@ -133,7 +133,7 @@ def enterprise_edge(server_profile: ServerProfile = PAPER_TESTBED
     monitoring and caching on the host, host-terminated (egress CPU).
     """
     chain, placement = (
-        ChainBuilder("edge", profiles=catalog.EXTENDED)
+        ChainBuilder("edge", profiles=EXTENDED)
         .nic("vpn")
         .nic("firewall")
         .nic("monitor")
@@ -158,7 +158,7 @@ def long_chain(num_nfs: int, nic_fraction: float = 0.75,
         raise ConfigurationError("long_chain needs at least 3 NFs")
     if not (0.0 < nic_fraction <= 1.0):
         raise ConfigurationError("nic_fraction must be in (0, 1]")
-    builder = ChainBuilder(f"long{num_nfs}", profiles=catalog.EXTENDED)
+    builder = ChainBuilder(f"long{num_nfs}", profiles=EXTENDED)
     builder.cpu("load_balancer")
     body = num_nfs - 1
     nic_count = max(1, round(body * nic_fraction))

@@ -18,7 +18,8 @@ from pathlib import Path
 from typing import Dict, List, Sequence, Union
 
 from ..errors import ConfigurationError
-from ..exec import Campaign, RunRequest, register_campaign, run_campaign
+from ..exec.campaign import Campaign, RunRequest, register_campaign
+from ..exec.driver import run_campaign
 from .config import load as load_config
 from .results import Mismatch, ResultRecord, compare
 

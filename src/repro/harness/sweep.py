@@ -20,7 +20,8 @@ from ..chain.placement import Placement
 from ..core.planner import SelectionPolicy
 from ..devices.server import ServerProfile
 from ..errors import ConfigurationError
-from ..exec import Campaign, RunRequest, register_campaign, run_campaign
+from ..exec.campaign import Campaign, RunRequest, register_campaign
+from ..exec.driver import run_campaign
 from ..traffic.packet import PAPER_SIZE_SWEEP
 from ..units import as_gbps, as_usec
 from .compare import PolicyOutcome, compare_policies

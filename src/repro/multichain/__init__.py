@@ -7,9 +7,7 @@ Planning lives here; a run hosts the chains on one
 :class:`MultiChainPlan` through the one migration executor.
 """
 
-from .model import ChainLoad, MultiChainLoadModel
-from .pam import MultiChainAction, MultiChainPlan
-from .pam import select as select_multichain
+from .._lazy import lazy_exports
 
 __all__ = [
     "ChainLoad",
@@ -18,3 +16,14 @@ __all__ = [
     "MultiChainPlan",
     "select_multichain",
 ]
+
+#: Public name -> defining submodule (see :mod:`repro._lazy`).
+_EXPORTS = {
+    "ChainLoad": "model",
+    "MultiChainLoadModel": "model",
+    "MultiChainAction": "pam",
+    "MultiChainPlan": "pam",
+    "select_multichain": "pam:select",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

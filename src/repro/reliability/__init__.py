@@ -10,14 +10,7 @@ Public surface:
 * the planner dataclasses for tooling and tests.
 """
 
-from .campaign import (DEFAULT_BUDGET_BYTES, PLANNING_LOAD_BPS,
-                       ReliabilityCampaign, config_for, plan_for,
-                       render_payload, render_payloads, run_payload)
-from .planner import (DEFAULT_SYNC_REFRESH_HZ, ReliabilityAction,
-                      ReliabilityPlan, ReplicaCandidate,
-                      assess_candidates, finalise_plan, shed_damage_at)
-from .policy import (RELIABILITY_POLICIES, ReliabilityPolicy,
-                     build_policy, plan_reliability, register_policy)
+from .._lazy import lazy_exports
 
 __all__ = [
     "DEFAULT_BUDGET_BYTES",
@@ -41,3 +34,29 @@ __all__ = [
     "run_payload",
     "shed_damage_at",
 ]
+
+#: Public name -> defining submodule (see :mod:`repro._lazy`).
+_EXPORTS = {
+    "DEFAULT_BUDGET_BYTES": "campaign",
+    "PLANNING_LOAD_BPS": "campaign",
+    "ReliabilityCampaign": "campaign",
+    "config_for": "campaign",
+    "plan_for": "campaign",
+    "render_payload": "campaign",
+    "render_payloads": "campaign",
+    "run_payload": "campaign",
+    "DEFAULT_SYNC_REFRESH_HZ": "planner",
+    "ReliabilityAction": "planner",
+    "ReliabilityPlan": "planner",
+    "ReplicaCandidate": "planner",
+    "assess_candidates": "planner",
+    "finalise_plan": "planner",
+    "shed_damage_at": "planner",
+    "RELIABILITY_POLICIES": "policy",
+    "ReliabilityPolicy": "policy",
+    "build_policy": "policy",
+    "plan_reliability": "policy",
+    "register_policy": "policy",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -21,7 +21,8 @@ from typing import Dict, List, Optional, Tuple
 from ..chain.nf import DeviceKind
 from ..chaos.invariants import Violation
 from ..errors import ConfigurationError
-from ..exec import Campaign, RunRequest, register_campaign, seed_for
+from ..exec.campaign import Campaign, RunRequest, register_campaign
+from ..exec.scenario import seed_for
 from ..harness.scenarios import figure1
 from ..resilience.controller import ResilienceConfig
 from ..resilience.recovery import RecoveryConfig

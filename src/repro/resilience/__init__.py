@@ -24,14 +24,7 @@ not:
   and ``bench_resilience``.
 """
 
-from .controller import ResilienceConfig, ResilientController
-from .degradation import (DEFAULT_PRIORITY_CLASSES, DegradationConfig,
-                          DegradationLadder, IngressShedder, PriorityClass)
-from .health import (HealthConfig, HealthState, HealthTracker,
-                     HealthTransition)
-from .recovery import (EvacuationPlanning, RecoveryConfig, RecoveryOutcome,
-                       StandbyAwareCostModel, StandbyPool, plan_evacuation,
-                       reachable_capacity_bps)
+from .._lazy import lazy_exports
 
 __all__ = [
     "DEFAULT_PRIORITY_CLASSES",
@@ -53,3 +46,27 @@ __all__ = [
     "plan_evacuation",
     "reachable_capacity_bps",
 ]
+
+#: Public name -> defining submodule (see :mod:`repro._lazy`).
+_EXPORTS = {
+    "ResilienceConfig": "controller",
+    "ResilientController": "controller",
+    "DEFAULT_PRIORITY_CLASSES": "degradation",
+    "DegradationConfig": "degradation",
+    "DegradationLadder": "degradation",
+    "IngressShedder": "degradation",
+    "PriorityClass": "degradation",
+    "HealthConfig": "health",
+    "HealthState": "health",
+    "HealthTracker": "health",
+    "HealthTransition": "health",
+    "EvacuationPlanning": "recovery",
+    "RecoveryConfig": "recovery",
+    "RecoveryOutcome": "recovery",
+    "StandbyAwareCostModel": "recovery",
+    "StandbyPool": "recovery",
+    "plan_evacuation": "recovery",
+    "reachable_capacity_bps": "recovery",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

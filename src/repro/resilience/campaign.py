@@ -17,7 +17,8 @@ from typing import Dict, List, Optional
 
 from ..chaos.invariants import Violation
 from ..errors import ConfigurationError
-from ..exec import Campaign, RunRequest, register_campaign, seed_for
+from ..exec.campaign import Campaign, RunRequest, register_campaign
+from ..exec.scenario import seed_for
 from ..units import as_msec
 from .scenarios import SCENARIOS, ResilienceScenarioResult, run_scenario
 

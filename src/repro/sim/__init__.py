@@ -1,14 +1,6 @@
 """Discrete-event simulator: engine, stations, network, and the runner."""
 
-from .engine import Engine
-from .faults import FaultEvent, FaultInjector
-from .events import EventQueue, PRIORITY_CONTROL, PRIORITY_DATA
-from .latency import COMPONENTS, LatencyLedger
-from .network import ChainNetwork
-from .nfinstance import NFStation
-from .queues import PacketQueue, QueueStats
-from .runner import (Controller, SimulationResult, SimulationRunner,
-                     TickContext, simulate)
+from .._lazy import lazy_exports
 
 __all__ = [
     "COMPONENTS",
@@ -29,3 +21,26 @@ __all__ = [
     "TickContext",
     "simulate",
 ]
+
+#: Public name -> defining submodule (see :mod:`repro._lazy`).
+_EXPORTS = {
+    "Engine": "engine",
+    "FaultEvent": "faults",
+    "FaultInjector": "faults",
+    "EventQueue": "events",
+    "PRIORITY_CONTROL": "events",
+    "PRIORITY_DATA": "events",
+    "COMPONENTS": "latency",
+    "LatencyLedger": "latency",
+    "ChainNetwork": "network",
+    "NFStation": "nfinstance",
+    "PacketQueue": "queues",
+    "QueueStats": "queues",
+    "Controller": "runner",
+    "SimulationResult": "runner",
+    "SimulationRunner": "runner",
+    "TickContext": "runner",
+    "simulate": "runner",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -22,19 +22,7 @@ Three pieces, layered on the PR 1–8 robustness stack:
 ``python -m repro soak`` is the front door; see ``docs/soak.md``.
 """
 
-from .campaign import (SoakCampaign, failing_payloads,  # noqa: F401
-                       render_payloads, soak_budget)
-from .fuzzer import (BUG_CONSERVATION, BUG_PROTECTED_SHED,  # noqa: F401
-                     FuzzSpace, PlantedBug, SoakCase, default_space,
-                     generate_case, parse_plant, plant)
-from .invariants import (InvariantEngine, Observation,  # noqa: F401
-                         RuntimeInvariant, default_invariants,
-                         invariant_catalogue, register_invariant)
-from .scenario import (CaseScenario, SoakScenario,  # noqa: F401
-                       build_case_scenario, run_case)
-from .shrinker import (ReplayOutcome, ShrinkResult,  # noqa: F401
-                       load_reproducer, replay_reproducer, shrink_case,
-                       violation_signature, write_reproducer)
+from .._lazy import lazy_exports
 
 __all__ = [
     "BUG_CONSERVATION", "BUG_PROTECTED_SHED",
@@ -48,3 +36,39 @@ __all__ = [
     "load_reproducer", "replay_reproducer", "shrink_case",
     "violation_signature", "write_reproducer",
 ]
+
+#: Public name -> defining submodule (see :mod:`repro._lazy`).
+_EXPORTS = {
+    "SoakCampaign": "campaign",
+    "failing_payloads": "campaign",
+    "render_payloads": "campaign",
+    "soak_budget": "campaign",
+    "BUG_CONSERVATION": "fuzzer",
+    "BUG_PROTECTED_SHED": "fuzzer",
+    "FuzzSpace": "fuzzer",
+    "PlantedBug": "fuzzer",
+    "SoakCase": "fuzzer",
+    "default_space": "fuzzer",
+    "generate_case": "fuzzer",
+    "parse_plant": "fuzzer",
+    "plant": "fuzzer",
+    "InvariantEngine": "invariants",
+    "Observation": "invariants",
+    "RuntimeInvariant": "invariants",
+    "default_invariants": "invariants",
+    "invariant_catalogue": "invariants",
+    "register_invariant": "invariants",
+    "CaseScenario": "scenario",
+    "SoakScenario": "scenario",
+    "build_case_scenario": "scenario",
+    "run_case": "scenario",
+    "ReplayOutcome": "shrinker",
+    "ShrinkResult": "shrinker",
+    "load_reproducer": "shrinker",
+    "replay_reproducer": "shrinker",
+    "shrink_case": "shrinker",
+    "violation_signature": "shrinker",
+    "write_reproducer": "shrinker",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -20,8 +20,9 @@ from typing import Dict, List, Optional
 
 from ..chaos.invariants import Violation
 from ..errors import ConfigurationError
-from ..exec import (Campaign, RunRequest, StopPredicate, register_campaign,
-                    seed_for)
+from ..exec.campaign import Campaign, RunRequest, register_campaign
+from ..exec.driver import StopPredicate
+from ..exec.scenario import seed_for
 from ..exec.supervisor import DeadlineClock
 from .fuzzer import (FuzzSpace, PlantedBug, SoakCase, generate_case,
                      plant)

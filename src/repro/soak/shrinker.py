@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..chaos.schedule import ChaosFault
-from ..checkpoint import canonical_json
+from ..checkpoint.journal import canonical_json
 from ..errors import CheckpointError, ConfigurationError
 from .fuzzer import MIN_FAULT_DURATION_S, SoakCase
 from .scenario import run_case

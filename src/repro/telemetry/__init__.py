@@ -1,15 +1,6 @@
 """Operator-side telemetry: metrics, overload detection, monitors."""
 
-from .ascii_plots import bar_chart, sparkline, utilisation_timeline
-from .accounting import ResourceBill, bill_from_monitor, integrate_series
-from .estimator import EwmaEstimator, HoltEstimator, SmoothedController
-from .export import load_packets_jsonl, packets_to_jsonl, series_to_csv
-from .histogram import LatencyHistogram
-from .metrics import (LatencySummary, ThroughputSummary, percentile,
-                      relative_change)
-from .monitor import SERIES_CPU, SERIES_NIC, SERIES_OFFERED, LoadMonitor
-from .overload import OverloadDetector
-from .recorder import Sample, TimeSeriesRecorder
+from .._lazy import lazy_exports
 
 __all__ = [
     "EwmaEstimator",
@@ -37,3 +28,33 @@ __all__ = [
     "relative_change",
     "utilisation_timeline",
 ]
+
+#: Public name -> defining submodule (see :mod:`repro._lazy`).
+_EXPORTS = {
+    "bar_chart": "ascii_plots",
+    "sparkline": "ascii_plots",
+    "utilisation_timeline": "ascii_plots",
+    "ResourceBill": "accounting",
+    "bill_from_monitor": "accounting",
+    "integrate_series": "accounting",
+    "EwmaEstimator": "estimator",
+    "HoltEstimator": "estimator",
+    "SmoothedController": "estimator",
+    "load_packets_jsonl": "export",
+    "packets_to_jsonl": "export",
+    "series_to_csv": "export",
+    "LatencyHistogram": "histogram",
+    "LatencySummary": "metrics",
+    "ThroughputSummary": "metrics",
+    "percentile": "metrics",
+    "relative_change": "metrics",
+    "SERIES_CPU": "monitor",
+    "SERIES_NIC": "monitor",
+    "SERIES_OFFERED": "monitor",
+    "LoadMonitor": "monitor",
+    "OverloadDetector": "overload",
+    "Sample": "recorder",
+    "TimeSeriesRecorder": "recorder",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -1,13 +1,6 @@
 """Workload substrate: packets, flows, arrival processes, load profiles."""
 
-from .flows import FiveTuple, FlowTable
-from .generators import (ConstantBitRate, OnOffBursts, PoissonArrivals,
-                         RampArrivals, TrafficGenerator, cbr_64_to_1500)
-from .packet import (PAPER_SIZE_SWEEP, FixedSize, IMixSize, Packet,
-                     SizeDistribution, UniformSize)
-from .trace import PacketTrace, TraceEntry, TraceReplay, record
-from .patterns import (ProfiledArrivals, RateProfile, constant, diurnal,
-                       sawtooth, spike)
+from .._lazy import lazy_exports
 
 __all__ = [
     "ConstantBitRate",
@@ -35,3 +28,33 @@ __all__ = [
     "sawtooth",
     "spike",
 ]
+
+#: Public name -> defining submodule (see :mod:`repro._lazy`).
+_EXPORTS = {
+    "FiveTuple": "flows",
+    "FlowTable": "flows",
+    "ConstantBitRate": "generators",
+    "OnOffBursts": "generators",
+    "PoissonArrivals": "generators",
+    "RampArrivals": "generators",
+    "TrafficGenerator": "generators",
+    "cbr_64_to_1500": "generators",
+    "PAPER_SIZE_SWEEP": "packet",
+    "FixedSize": "packet",
+    "IMixSize": "packet",
+    "Packet": "packet",
+    "SizeDistribution": "packet",
+    "UniformSize": "packet",
+    "PacketTrace": "trace",
+    "TraceEntry": "trace",
+    "TraceReplay": "trace",
+    "record": "trace",
+    "ProfiledArrivals": "patterns",
+    "RateProfile": "patterns",
+    "constant": "patterns",
+    "diurnal": "patterns",
+    "sawtooth": "patterns",
+    "spike": "patterns",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

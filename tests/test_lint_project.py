@@ -33,6 +33,7 @@ from repro.errors import AnalysisError
 
 FIXTURE = Path(__file__).parent / "fixtures" / "lintproj"
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 
 def _fixture_files():
@@ -84,6 +85,28 @@ class TestLoader:
         resolved = project.resolve(package, "make_rng")
         assert resolved == "lintproj.rng.make_rng"
         assert project.function_at(resolved) is not None
+
+    def test_lazy_table_reexports_resolve_to_definition(self):
+        # The package inits under src/repro re-export through an
+        # _EXPORTS table (repro._lazy), not import statements.
+        parsed, errors = parse_files(sorted(SRC.rglob("*.py")))
+        assert errors == []
+        project = build_project(parsed)
+        assert project.resolve(project.modules["repro.exec"],
+                               "run_campaign") == \
+            "repro.exec.driver.run_campaign"
+        assert project.resolve(project.modules["repro.sim"], "Engine") == \
+            "repro.sim.engine.Engine"
+        assert project.function_at("repro.exec.run_campaign") is \
+            project.functions["repro.exec.driver.run_campaign"]
+        assert project.function_at("repro.sim.Engine") is \
+            project.functions["repro.sim.engine.Engine.__init__"]
+        # A renamed re-export, and a submodule exported by name.
+        assert project.resolve(project.modules["repro.multichain"],
+                               "select_multichain") == \
+            "repro.multichain.pam.select"
+        assert project.resolve(project.modules["repro.chain"],
+                               "catalog") == "repro.chain.catalog"
 
     def test_callgraph_matches_golden(self, fixture_analysis):
         graph = build_callgraph(fixture_analysis.project)
