@@ -23,19 +23,13 @@ import time
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..checkpoint.journal import read_journal
+from ..cli import build_parser
 from ..errors import CheckpointError, ConfigurationError
-from ..exec.campaign import Campaign
 from ..exec.driver import run_campaign
 from ..exec.executors import make_executor
-from ..reliability.campaign import ReliabilityCampaign
-from ..reliability.campaign import render_payloads as render_reliability
-from ..soak.campaign import SoakCampaign
-from ..soak.campaign import render_payloads as render_soak
-from ..soak.fuzzer import default_space
-from .runner import ChaosCampaign, ChaosConfig, ChaosReport, ChaosRunner
 
 #: Seconds between journal polls while the campaign subprocess runs.
 #: The bounded retry count caps total waiting — no wall-clock deadline
@@ -44,49 +38,19 @@ from .runner import ChaosCampaign, ChaosConfig, ChaosReport, ChaosRunner
 _POLL_INTERVAL_S = 0.05
 _MAX_POLLS = 1200
 
-
-def _reliability_campaign(runs: int, seed: int,
-                          duration_s: float) -> Campaign:
-    return ReliabilityCampaign(scenario="device-kill", policies=("joint",),
-                               runs=runs, seed=seed, duration_s=duration_s)
-
-
-def _soak_campaign(runs: int, seed: int, duration_s: float) -> Campaign:
-    # Both sides build the space through default_space(duration), or
-    # the journal fingerprint check refuses the resume.
-    return SoakCampaign(runs=runs, seed=seed,
-                        space=default_space(duration_s))
-
-
-@dataclass(frozen=True)
-class CrashResumeKind:
-    """How the check drives one campaign kind."""
-
-    #: ``python -m repro`` arguments before the shared campaign flags.
-    subcommand: Tuple[str, ...]
-    #: ``(runs, seed, duration_s)`` -> the campaign the subcommand runs.
-    build: Callable[[int, int, float], Campaign]
-    #: Merged payloads -> the report compared bit-exact.
-    render: Callable[[List[Dict[str, object]]], str]
-
-
-#: Campaign kinds this harness can kill and resume (the CLI validates
-#: its ``--campaign`` flag against this, not the full kind registry).
-CAMPAIGNS: Dict[str, CrashResumeKind] = {
-    "chaos": CrashResumeKind(
-        ("chaos",),
-        lambda runs, seed, duration_s: ChaosCampaign(ChaosRunner(
-            runs=runs, seed=seed,
-            config=ChaosConfig(duration_s=duration_s))),
-        lambda payloads: ChaosReport.from_payloads(payloads).render()),
+#: Campaign kinds this harness can kill and resume: the ``python -m
+#: repro`` arguments before the shared ``--runs``/``--seed``/
+#: ``--duration`` flags.  The check parses the same argv with the CLI's
+#: own parser for the in-process resume and reference, so both sides
+#: build one campaign and share its journal fingerprint.
+CAMPAIGNS: Dict[str, Tuple[str, ...]] = {
+    "chaos": ("chaos",),
     # Single-policy grid: `runs` keeps its meaning of total runs.
-    "reliability": CrashResumeKind(
-        ("reliability", "--scenario", "device-kill", "--policies",
-         "joint"), _reliability_campaign, render_reliability),
+    "reliability": ("reliability", "--scenario", "device-kill",
+                    "--policies", "joint"),
     # No shrinking in the subprocess: the kill must land mid-grid, not
     # mid-shrink, and the resume compares grid reports only.
-    "soak": CrashResumeKind(("soak", "--no-shrink"), _soak_campaign,
-                            render_soak),
+    "soak": ("soak", "--no-shrink"),
 }
 
 
@@ -157,7 +121,9 @@ def run_crash_resume_check(runs: int = 6, seed: int = 7,
     ``campaign`` selects the campaign kind under test (``chaos``, a
     single-policy ``reliability`` grid, or a shrink-free ``soak``
     fuzz) — the kill/resume machinery is identical because every
-    campaign shares the journal protocol.
+    campaign shares the journal protocol.  The subprocess and the
+    in-process resume and reference all build the campaign from one
+    argv (:data:`CAMPAIGNS`) through :func:`repro.cli.build_parser`.
 
     ``workers`` applies to the killed campaign and the resume; the
     reference always runs serially, so with ``workers > 1`` the check
@@ -174,7 +140,11 @@ def run_crash_resume_check(runs: int = 6, seed: int = 7,
             f"a kill after {kill_after_runs} run(s) cannot land mid-grid "
             f"of {runs} run(s): need at least 2 runs and a kill after "
             f"1 to runs - 1")
-    kind = CAMPAIGNS[campaign]
+    argv = [*CAMPAIGNS[campaign], "--runs", str(runs), "--seed",
+            str(seed), "--duration", str(duration_s)]
+    args = build_parser().parse_args(argv)
+    # Built before anything starts, so a bad value fails fast.
+    built = args.make_campaign(args)
     if journal_path is None:
         journal_path = os.path.join(
             tempfile.mkdtemp(prefix="repro-crash-resume-"),
@@ -184,10 +154,9 @@ def run_crash_resume_check(runs: int = 6, seed: int = 7,
     env["PYTHONPATH"] = os.pathsep.join(
         [str(src_root)]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    command = [sys.executable, "-m", "repro", *kind.subcommand,
-               "--runs", str(runs), "--seed", str(seed),
-               "--duration", str(duration_s), "--workers", str(workers),
-               "--journal", journal_path, "--checkpoint-every", "1"]
+    command = [sys.executable, "-m", "repro", *argv,
+               "--workers", str(workers), "--journal", journal_path,
+               "--checkpoint-every", "1"]
     process = subprocess.Popen(command, env=env,
                                stdout=subprocess.DEVNULL,
                                stderr=subprocess.DEVNULL)
@@ -216,14 +185,13 @@ def run_crash_resume_check(runs: int = 6, seed: int = 7,
     with warnings.catch_warnings():
         # The torn tail we just planted warns by design.
         warnings.simplefilter("ignore", RuntimeWarning)
-        resumed = run_campaign(kind.build(runs, seed, duration_s),
-                               executor=make_executor(workers),
+        resumed = run_campaign(built, executor=make_executor(workers),
                                resume_from=journal_path,
                                checkpoint_every=1)
-    reference = run_campaign(kind.build(runs, seed, duration_s))
+    reference = run_campaign(built)
     return CrashResumeOutcome(
         runs=runs, seed=seed, campaign=campaign,
         journaled_before_kill=journaled,
         killed=killed, replayed_runs=resumed.replayed,
-        resumed=kind.render(resumed.payloads),
-        reference=kind.render(reference.payloads))
+        resumed=args.render(args, resumed.payloads),
+        reference=args.render(args, reference.payloads))

@@ -32,14 +32,15 @@ violating run replays exactly from its reported seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional
 
 from ..errors import ConfigurationError
-from ..exec.campaign import Campaign, RunRequest, register_campaign
+from ..exec.campaign import (InvariantCampaign, RunRequest,
+                             register_campaign, spec_from_json,
+                             spec_to_json)
 from ..exec.driver import run_campaign
 from ..exec.errinfo import exception_payload
-from ..exec.scenario import seed_for
 from ..harness.scenarios import figure1
 from ..migration.executor import OUTCOME_SUCCEEDED
 from ..soak.fuzzer import SoakCase
@@ -131,50 +132,25 @@ class ChaosRunResult:
             migrations=0, attempts=0, plans_aborted=0, stale_ticks=0)
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-friendly form for journal records.
+        """JSON-friendly form for journal records: every field, in
+        field order, with the schedule and violations as dicts.
 
         Every field round-trips bit-exact (ints, and floats via JSON's
         repr-based serialization), so a report merged from replayed
         records renders identically to the uninterrupted one.
         """
-        return {
-            "seed": self.seed,
-            "schedule": self.schedule.to_dict(),
-            "violations": [v.to_dict() for v in self.violations],
-            "injected": self.injected,
-            "delivered": self.delivered,
-            "dropped": self.dropped,
-            "fault_losses": self.fault_losses,
-            "migrations": self.migrations,
-            "attempts": self.attempts,
-            "plans_aborted": self.plans_aborted,
-            "stale_ticks": self.stale_ticks,
-            "shed": self.shed,
-            "protected_shed": self.protected_shed,
-            "recoveries": self.recoveries,
-            "abandoned": self.abandoned,
-        }
+        return {**{item.name: getattr(self, item.name)
+                   for item in fields(self)},
+                "schedule": self.schedule.to_dict(),
+                "violations": [v.to_dict() for v in self.violations]}
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "ChaosRunResult":
         """Inverse of :meth:`to_dict` (journal replay)."""
-        return cls(
-            seed=int(data["seed"]),
-            schedule=ChaosSchedule.from_dict(data["schedule"]),
-            violations=[Violation.from_dict(v)
-                        for v in data["violations"]],
-            injected=int(data["injected"]),
-            delivered=int(data["delivered"]),
-            dropped=int(data["dropped"]),
-            fault_losses=int(data["fault_losses"]),
-            migrations=int(data["migrations"]),
-            attempts=int(data["attempts"]),
-            plans_aborted=int(data["plans_aborted"]),
-            stale_ticks=int(data["stale_ticks"]),
-            shed=int(data["shed"]),
-            protected_shed=int(data["protected_shed"]),
-            recoveries=int(data["recoveries"]),
-            abandoned=int(data["abandoned"]))
+        return cls(**{**data,
+                      "schedule": ChaosSchedule.from_dict(data["schedule"]),
+                      "violations": [Violation.from_dict(v)
+                                     for v in data["violations"]]})
 
 
 @dataclass
@@ -226,21 +202,23 @@ class ChaosReport:
         return "\n".join(lines)
 
 
+@dataclass(frozen=True)
 class ChaosRunner:
     """``runs`` randomized scenarios under one :class:`ChaosConfig`.
 
-    :meth:`run` is the serial convenience; journals, resume, workers,
-    and supervision come from handing :class:`ChaosCampaign` to
+    Its fields are the chaos campaign's spec.  :meth:`run` is the
+    serial convenience; journals, resume, workers, and supervision come
+    from handing :class:`ChaosCampaign` to
     :func:`repro.exec.run_campaign` directly.
     """
 
-    def __init__(self, runs: int = 20, seed: int = 7,
-                 config: Optional[ChaosConfig] = None) -> None:
-        if runs < 1:
+    runs: int = 20
+    seed: int = 7
+    config: ChaosConfig = field(default_factory=ChaosConfig)
+
+    def __post_init__(self) -> None:
+        if self.runs < 1:
             raise ConfigurationError("need at least one chaos run")
-        self.runs = runs
-        self.seed = seed
-        self.config = config or ChaosConfig()
 
     def run(self) -> ChaosReport:
         """Run every scenario serially; never raises on violations."""
@@ -305,13 +283,13 @@ class ChaosRunner:
 
 
 @register_campaign
-class ChaosCampaign(Campaign):
+class ChaosCampaign(InvariantCampaign):
     """The chaos campaign grid: ``runs`` seeded scenarios, one config.
 
     Payloads are :meth:`ChaosRunResult.to_dict` records — exactly what
     the journal has always stored, so pre-existing chaos journals keep
-    resuming.  Workers rebuild the campaign (and its runner) from the
-    ``runs``/``seed``/``config`` spec alone.
+    resuming.  The spec (and fingerprint) is the runner's fields, from
+    which workers rebuild the campaign and its runner.
     """
 
     kind = "chaos"
@@ -320,28 +298,17 @@ class ChaosCampaign(Campaign):
 
     def __init__(self, runner: ChaosRunner) -> None:
         self.runner = runner
-
-    def fingerprint(self) -> Dict[str, object]:
-        """Campaign identity: runs, base seed, and the full config."""
-        return {"runs": self.runner.runs, "seed": self.runner.seed,
-                "config": self.runner.config.to_dict()}
+        # The base class's seeded grid reads these.
+        self.runs, self.seed = runner.runs, runner.seed
 
     def spec(self) -> Dict[str, object]:
-        """Everything a worker needs to rebuild this campaign."""
-        return self.fingerprint()
+        """The runner's fields: ``runs``, ``seed`` and the config."""
+        return spec_to_json(self.runner)
 
     @classmethod
     def from_spec(cls, spec: Dict[str, object]) -> "ChaosCampaign":
         """Rebuild from :meth:`spec` (worker-side construction)."""
-        return cls(ChaosRunner(
-            runs=int(spec["runs"]), seed=int(spec["seed"]),
-            config=ChaosConfig.from_dict(spec["config"])))
-
-    def requests(self) -> List[RunRequest]:
-        """Scenario ``i`` runs at ``seed_for(seed, i)`` — ``seed + i``."""
-        return [RunRequest(index=index,
-                           seed=seed_for(self.runner.seed, index))
-                for index in range(self.runner.runs)]
+        return cls(spec_from_json(ChaosRunner, spec))
 
     def run_request(self, request: RunRequest) -> Dict[str, object]:
         """One scenario; crashes inside become scenario-error results."""
@@ -354,10 +321,3 @@ class ChaosCampaign(Campaign):
         return ChaosRunResult.crashed(
             self.runner._schedule(request.seed),
             f"worker failed: {error}", details).to_dict()
-
-    def end_record(self, payloads: List[Dict[str, object]]
-                   ) -> Dict[str, object]:
-        """Campaign totals, matching the established journal schema."""
-        return {"runs": self.runner.runs,
-                "violations": sum(len(payload["violations"])
-                                  for payload in payloads)}

@@ -20,11 +20,12 @@ because they strike migration *attempts*, not wall-clock times.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from ..chain.nf import DeviceKind
 from ..errors import ConfigurationError
+from ..exec.campaign import spec_from_json, spec_to_json
 from ..sim.faults import FaultEvent, FaultInjector
 from ..units import as_msec, usec
 
@@ -85,15 +86,6 @@ class ChaosConfig:
             raise ConfigurationError("invalid flap-latency range")
         if not (0.0 <= self.migration_failure_rate <= 1.0):
             raise ConfigurationError("failure rate must be in [0, 1]")
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-friendly form (journal fingerprinting and round-trip)."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ChaosConfig":
-        """Inverse of :meth:`to_dict` (validates on construction)."""
-        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -237,7 +229,7 @@ class ChaosSchedule:
         """JSON-friendly form for journal records."""
         return {
             "seed": self.seed,
-            "config": self.config.to_dict(),
+            "config": spec_to_json(self.config),
             "faults": [fault.as_dict() for fault in self.faults],
         }
 
@@ -246,7 +238,7 @@ class ChaosSchedule:
         """Inverse of :meth:`to_dict` (journal round-trip)."""
         return cls(
             seed=int(data["seed"]),
-            config=ChaosConfig.from_dict(data["config"]),
+            config=spec_from_json(ChaosConfig, data["config"]),
             faults=[ChaosFault.from_dict(fault)
                     for fault in data["faults"]])
 

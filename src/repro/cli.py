@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, List, Optional
+from typing import Any, Callable, List, Optional
 
 # Only what several handlers share is imported here.  A handler imports
 # what only it runs, so ``--help`` and every other command skip the
@@ -50,15 +50,24 @@ def _policy_by_name(name: str):
 
 
 def _add_campaign_args(parser: argparse.ArgumentParser,
+                       make_campaign: Callable[[argparse.Namespace], Any],
+                       render: Callable[[argparse.Namespace, List[dict]],
+                                        str],
                        resume_flag: str = "--resume-from",
                        progress_flag: bool = True) -> None:
     """The execution flags every campaign command shares.
 
+    ``make_campaign`` (parsed args -> campaign) and ``render`` (args
+    and merged payloads -> report) become the parser's defaults, so the
+    command runs through :func:`cmd_campaign` and ``crash-resume``
+    rebuilds the same campaign by parsing the same argv.
     ``resume_flag`` names the journal-resume flag (resilience and
     reliability say ``--resume-journal``).  ``progress_flag`` adds
     ``--checkpoint-every`` for the journal's progress digests; without
     it (figure2 and resilience) the digest interval stays at 5.
     """
+    parser.set_defaults(func=cmd_campaign, make_campaign=make_campaign,
+                        render=render)
     parser.add_argument("--workers", type=int, default=1,
                         help="worker processes; the merged report is "
                              "bit-identical to --workers 1")
@@ -91,10 +100,9 @@ def _add_campaign_args(parser: argparse.ArgumentParser,
                              "quarantined")
 
 
-def _run_campaign(args: argparse.Namespace, campaign,
-                  render: Callable[[List[dict]], str],
-                  stop_when=None):
-    """Run ``campaign`` as the shared flags say and print its report.
+def _run_campaign(args: argparse.Namespace, stop_when=None):
+    """Run the campaign ``args`` describe as the shared flags say and
+    print its report.
 
     Returns the :class:`~repro.exec.CampaignOutcome`; a resumed run
     first notes how many runs the journal replayed.
@@ -105,7 +113,7 @@ def _run_campaign(args: argparse.Namespace, campaign,
     policy = SupervisionPolicy(run_timeout_s=args.run_timeout,
                                max_attempts=args.max_attempts,
                                max_failures=args.max_failures)
-    outcome = run_campaign(campaign,
+    outcome = run_campaign(args.make_campaign(args),
                            executor=make_executor(args.workers, policy),
                            journal_path=args.journal,
                            resume_from=args.resume_journal,
@@ -114,13 +122,19 @@ def _run_campaign(args: argparse.Namespace, campaign,
     if outcome.replayed:
         print(f"replayed {outcome.replayed} run(s) from journal "
               f"{args.resume_journal}")
-    print(render(outcome.payloads))
+    print(args.render(args, outcome.payloads))
     return outcome
 
 
 def _violations_exit(payloads: List[dict]) -> int:
     """Exit 1 when any run recorded a violation, else 0."""
-    return 1 if any(payload["violations"] for payload in payloads) else 0
+    return 1 if any(payload.get("violations") for payload in payloads) \
+        else 0
+
+
+def cmd_campaign(args: argparse.Namespace) -> int:
+    """Run a campaign command; exit 1 when any run broke an invariant."""
+    return _violations_exit(_run_campaign(args).payloads)
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
@@ -143,31 +157,30 @@ def cmd_figure1(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_figure2(args: argparse.Namespace) -> int:
-    """Run and print the Figure 2 packet-size sweep."""
-    from .harness.sweep import SizeSweepCampaign, SizeSweepPoint
+def _figure2_campaign(args: argparse.Namespace):
+    """The Figure 2 packet-size sweep the ``figure2`` flags describe."""
+    from .harness.sweep import SizeSweepCampaign
+    return SizeSweepCampaign(figure1(), sizes=tuple(args.sizes),
+                             duration_s=args.duration)
+
+
+def _figure2_report(args: argparse.Namespace, payloads: List[dict]) -> str:
+    """The Figure 2 latency and throughput tables (and ``--chart``)."""
+    from .harness.sweep import SizeSweepPoint
     from .harness.tables import (render_figure2_latency,
                                  render_figure2_throughput)
-
-    def render(payloads: List[dict]) -> str:
-        points = [SizeSweepPoint.from_record(payload)
-                  for payload in payloads]
-        sections = [render_figure2_latency(points),
-                    render_figure2_throughput(points)]
-        if args.chart:
-            from .telemetry.ascii_plots import bar_chart
-            sections.append(bar_chart(
-                [(f"{point.packet_size_bytes}B {policy}",
-                  round(point.mean_latency_usec(policy), 1))
-                 for point in points
-                 for policy in ("noop", "naive", "pam")],
-                width=36, unit="us"))
-        return "\n\n".join(sections)
-
-    _run_campaign(args, SizeSweepCampaign(
-        figure1(), sizes=tuple(args.sizes), duration_s=args.duration),
-        render)
-    return 0
+    points = [SizeSweepPoint.from_record(payload) for payload in payloads]
+    sections = [render_figure2_latency(points),
+                render_figure2_throughput(points)]
+    if args.chart:
+        from .telemetry.ascii_plots import bar_chart
+        sections.append(bar_chart(
+            [(f"{point.packet_size_bytes}B {policy}",
+              round(point.mean_latency_usec(policy), 1))
+             for point in points
+             for policy in ("noop", "naive", "pam")],
+            width=36, unit="us"))
+    return "\n\n".join(sections)
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
@@ -283,9 +296,10 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     return 0 if report_obj.all_passed else 1
 
 
-def cmd_chaos(args: argparse.Namespace) -> int:
-    """Run randomized chaos scenarios and check every invariant."""
-    from .chaos.runner import ChaosCampaign, ChaosReport, ChaosRunner
+def _chaos_campaign(args: argparse.Namespace):
+    """The chaos campaign the ``chaos`` flags describe, wrapped in any
+    ``--inject-worker-fault`` plan."""
+    from .chaos.runner import ChaosCampaign, ChaosRunner
     from .chaos.schedule import ChaosConfig
     from .exec.faultinject import FaultInjectedCampaign, FaultPlan
     config = ChaosConfig(duration_s=args.duration,
@@ -302,17 +316,37 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             # In-process, a hang wedges and a die kills the CLI itself.
             raise ReproError("hang/die worker faults need --workers >= 2")
         campaign = FaultInjectedCampaign(campaign, plan)
-    outcome = _run_campaign(
-        args, campaign,
-        lambda payloads: ChaosReport.from_payloads(payloads).render())
-    return _violations_exit(outcome.payloads)
+    return campaign
+
+
+def _chaos_report(args: argparse.Namespace, payloads: List[dict]) -> str:
+    """The chaos per-run table, violations and verdict."""
+    from .chaos.runner import ChaosReport
+    return ChaosReport.from_payloads(payloads).render()
+
+
+def _soak_campaign(args: argparse.Namespace):
+    """The soak campaign the ``soak`` flags describe."""
+    from .soak.campaign import SoakCampaign
+    from .soak.fuzzer import default_space, parse_plant
+    planted_index, planted = (None, None)
+    if args.plant_bug is not None:
+        planted_index, planted = parse_plant(args.plant_bug)
+    return SoakCampaign(runs=args.runs, seed=args.seed,
+                        space=default_space(args.duration),
+                        planted=planted, planted_index=planted_index)
+
+
+def _soak_report(args: argparse.Namespace, payloads: List[dict]) -> str:
+    """The soak per-case table, violations and verdict."""
+    from .soak.campaign import render_payloads
+    return render_payloads(payloads)
 
 
 def cmd_soak(args: argparse.Namespace) -> int:
     """Soak-fuzz chaos schedules under the online invariant engine."""
-    from .soak.campaign import (SoakCampaign, failing_payloads,
-                                render_payloads, soak_budget)
-    from .soak.fuzzer import SoakCase, default_space, parse_plant
+    from .soak.campaign import failing_payloads, soak_budget
+    from .soak.fuzzer import SoakCase
     from .soak.invariants import invariant_catalogue
     from .soak.shrinker import (replay_reproducer, shrink_case,
                                 write_reproducer)
@@ -324,15 +358,8 @@ def cmd_soak(args: argparse.Namespace) -> int:
         outcome = replay_reproducer(args.replay)
         print(outcome.render())
         return 0 if outcome.match else 1
-    planted_index, planted = (None, None)
-    if args.plant_bug is not None:
-        planted_index, planted = parse_plant(args.plant_bug)
-    campaign = SoakCampaign(runs=args.runs, seed=args.seed,
-                            space=default_space(args.duration),
-                            planted=planted, planted_index=planted_index)
     outcome = _run_campaign(
-        args, campaign, render_payloads,
-        stop_when=soak_budget(args.stop_on_failure, args.max_seconds))
+        args, stop_when=soak_budget(args.stop_on_failure, args.max_seconds))
     if outcome.stopped:
         print(f"stopped early: {outcome.stopped}")
     failures = failing_payloads(outcome.payloads)
@@ -360,12 +387,7 @@ def cmd_campaigns(args: argparse.Namespace) -> int:
 
 def cmd_crash_resume(args: argparse.Namespace) -> int:
     """SIGKILL a campaign mid-flight; verify bit-exact resume."""
-    from .chaos.crashresume import CAMPAIGNS, run_crash_resume_check
-    if args.campaign not in CAMPAIGNS:
-        known = ", ".join(CAMPAIGNS)
-        raise ReproError(
-            f"crash-resume cannot exercise campaign kind "
-            f"{args.campaign!r} (available: {known})")
+    from .chaos.crashresume import run_crash_resume_check
     outcome = run_crash_resume_check(
         runs=args.runs, seed=args.seed, duration_s=args.duration,
         journal_path=args.journal, kill_after_runs=args.kill_after,
@@ -374,27 +396,34 @@ def cmd_crash_resume(args: argparse.Namespace) -> int:
     return 0 if outcome.match else 1
 
 
-def cmd_reliability(args: argparse.Namespace) -> int:
-    """Run a reliability-planning campaign and report its verdicts."""
-    from .reliability.campaign import ReliabilityCampaign, render_payloads
-    campaign = ReliabilityCampaign(
+def _reliability_campaign(args: argparse.Namespace):
+    """The reliability grid the ``reliability`` flags describe."""
+    from .reliability.campaign import ReliabilityCampaign
+    return ReliabilityCampaign(
         scenario=args.scenario, policies=tuple(args.policies),
         runs=args.runs, seed=args.seed, duration_s=args.duration,
         budget_bytes=args.budget)
-    outcome = _run_campaign(args, campaign, render_payloads)
-    return _violations_exit(outcome.payloads)
 
 
-def cmd_resilience(args: argparse.Namespace) -> int:
-    """Run canned resilience scenario(s) and report their verdicts."""
-    from .resilience.campaign import ResilienceCampaign, render_payload
+def _reliability_report(args: argparse.Namespace,
+                        payloads: List[dict]) -> str:
+    """One section per planned-and-measured run, then the verdict."""
+    from .reliability.campaign import render_payloads
+    return render_payloads(payloads)
 
-    def render(payloads: List[dict]) -> str:
-        return "\n".join(render_payload(payload) for payload in payloads)
 
-    campaign = ResilienceCampaign(args.scenario, runs=args.runs,
-                                  seed=args.seed, duration_s=args.duration)
-    return _violations_exit(_run_campaign(args, campaign, render).payloads)
+def _resilience_campaign(args: argparse.Namespace):
+    """The resilience repetitions the ``resilience`` flags describe."""
+    from .resilience.campaign import ResilienceCampaign
+    return ResilienceCampaign(args.scenario, runs=args.runs,
+                              seed=args.seed, duration_s=args.duration)
+
+
+def _resilience_report(args: argparse.Namespace,
+                       payloads: List[dict]) -> str:
+    """One report per scenario run."""
+    from .resilience.campaign import render_payload
+    return "\n".join(render_payload(payload) for payload in payloads)
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
@@ -485,8 +514,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig2.add_argument("--duration", type=float, default=0.008)
     p_fig2.add_argument("--chart", action="store_true",
                         help="append an ASCII bar chart")
-    _add_campaign_args(p_fig2, progress_flag=False)
-    p_fig2.set_defaults(func=cmd_figure2)
+    _add_campaign_args(p_fig2, _figure2_campaign, _figure2_report,
+                       progress_flag=False)
 
     p_plan = sub.add_parser("plan", help="run a selection policy")
     p_plan.add_argument("--policy", default="pam",
@@ -546,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_chaos.add_argument("--resilient", action="store_true",
                          help="put the ResilientController in charge and "
                               "check the resilience invariants too")
-    _add_campaign_args(p_chaos)
+    _add_campaign_args(p_chaos, _chaos_campaign, _chaos_report)
     p_chaos.add_argument("--inject-worker-fault", action="append",
                          metavar="IDX:FAULT[:ATTEMPTS]",
                          help="(testing) sabotage run IDX worker-side "
@@ -554,7 +583,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "only on the listed attempt numbers "
                               "(repeatable; exercises the supervisor; "
                               "hang and die need --workers >= 2)")
-    p_chaos.set_defaults(func=cmd_chaos)
 
     p_soak = sub.add_parser("soak",
                             help="soak-fuzz random chaos schedules "
@@ -569,7 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="SEC",
                         help="cap the fuzzed per-case simulated "
                              "duration (default: the space's own range)")
-    _add_campaign_args(p_soak)
+    _add_campaign_args(p_soak, _soak_campaign, _soak_report)
     p_soak.add_argument("--stop-on-failure", action="store_true",
                         help="stop the campaign at the first case with "
                              "a violation (writes a campaign-stop "
@@ -641,9 +669,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="simulated seconds (scenario default if unset)")
     p_res.add_argument("--runs", type=int, default=1,
                        help="repetitions; run i uses seed+i")
-    _add_campaign_args(p_res, resume_flag="--resume-journal",
-                       progress_flag=False)
-    p_res.set_defaults(func=cmd_resilience)
+    _add_campaign_args(p_res, _resilience_campaign, _resilience_report,
+                       resume_flag="--resume-journal", progress_flag=False)
 
     p_rel = sub.add_parser("reliability",
                            help="joint migrate/replicate/shed planning "
@@ -667,8 +694,8 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="BYTES",
                        help="warm-replica byte budget each policy may "
                             "spend (default 1 MiB)")
-    _add_campaign_args(p_rel, resume_flag="--resume-journal")
-    p_rel.set_defaults(func=cmd_reliability)
+    _add_campaign_args(p_rel, _reliability_campaign, _reliability_report,
+                       resume_flag="--resume-journal")
 
     p_lint = sub.add_parser("lint",
                             help="simulation-safety static analysis")

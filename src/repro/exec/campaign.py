@@ -15,6 +15,11 @@ work) and an executor (how units are dispatched):
   how worker processes construct scenarios on their side of the fork
   instead of receiving pickled engines (lint rule ``DET106``).
 
+A kind's spec is its frozen-dataclass fields: :func:`spec_to_json` and
+:func:`spec_from_json` map them to and from JSON, and the base class
+derives ``spec``/``from_spec``/``fingerprint`` and the seeded grid from
+them, so a new spec field is one line in the dataclass.
+
 Payloads, specs, and requests are plain JSON values end to end: the
 only things that ever cross a process boundary are strings, numbers,
 lists, and dicts.
@@ -22,10 +27,59 @@ lists, and dicts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Type
+import types
+from dataclasses import dataclass, field, fields, is_dataclass
+from typing import (Any, Dict, List, Optional, Type, TypeVar, Union,
+                    get_args, get_origin, get_type_hints)
 
 from ..errors import ConfigurationError, ExecutionError
+from .scenario import seed_for
+
+_Spec = TypeVar("_Spec")
+
+
+def spec_to_json(value: Any) -> Any:
+    """A spec value as JSON: dataclasses become dicts of their fields
+    and tuples become lists, recursively; everything else is kept."""
+    if is_dataclass(value) and not isinstance(value, type):
+        return {item.name: spec_to_json(getattr(value, item.name))
+                for item in fields(value)}
+    if isinstance(value, (list, tuple)):
+        return [spec_to_json(item) for item in value]
+    return value
+
+
+def spec_from_json(cls: Type[_Spec], data: Dict[str, Any]) -> _Spec:
+    """Inverse of :func:`spec_to_json` for the dataclass ``cls``.
+
+    Decodes each field by its annotation (nested dataclasses,
+    ``Optional``, tuples) and builds ``cls`` through its constructor,
+    so the kind's own validation runs; a missing field takes its
+    default and an unknown one is refused.
+    """
+    hints = get_type_hints(cls)
+    known = {item.name for item in fields(cls)}
+    unknown = sorted(set(data) - known)
+    if unknown:
+        raise ConfigurationError(
+            f"{cls.__name__} spec has unknown field(s) {unknown}")
+    return cls(**{name: _decode(hints[name], value)
+                  for name, value in data.items()})
+
+
+def _decode(hint: Any, value: Any) -> Any:
+    if value is None:
+        return None
+    origin = get_origin(hint)
+    if origin in (Union, types.UnionType):
+        inner, = [arg for arg in get_args(hint) if arg is not type(None)]
+        return _decode(inner, value)
+    if origin is tuple:
+        item_hint = get_args(hint)[0]
+        return tuple(_decode(item_hint, item) for item in value)
+    if is_dataclass(hint):
+        return spec_from_json(hint, value)
+    return value
 
 
 @dataclass(frozen=True)
@@ -56,7 +110,12 @@ class RunRequest:
 class Campaign:
     """Base class every campaign type implements.
 
-    Subclasses set :attr:`kind` and implement the five hooks below;
+    A kind is a frozen dataclass whose fields are its spec; the base
+    derives :meth:`spec`, :meth:`from_spec`, :meth:`fingerprint` and
+    the seeded :meth:`requests` grid (for kinds with ``runs`` and
+    ``seed`` fields) from them.  Subclasses set
+    :attr:`kind`, implement :meth:`run_request`, and override the rest
+    only where their identity is not a plain dump of their fields;
     :func:`register_campaign` makes the kind buildable by name so
     parallel workers can rebuild the campaign from its spec.
     """
@@ -72,21 +131,25 @@ class Campaign:
 
         Resuming a journal whose fingerprint differs would silently
         splice incompatible runs into one report, so the driver refuses.
+        Defaults to the spec.
         """
-        raise NotImplementedError
+        return self.spec()
 
     def spec(self) -> Dict[str, object]:
-        """JSON-clean description sufficient to rebuild this campaign."""
-        raise NotImplementedError
+        """JSON-clean description sufficient to rebuild this campaign:
+        its dataclass fields, through :func:`spec_to_json`."""
+        return spec_to_json(self)
 
     @classmethod
     def from_spec(cls, spec: Dict[str, object]) -> "Campaign":
         """Rebuild an equivalent campaign from :meth:`spec` output."""
-        raise NotImplementedError
+        return spec_from_json(cls, spec)
 
     def requests(self) -> List[RunRequest]:
-        """The ordered grid expansion (index 0..n-1, no gaps)."""
-        raise NotImplementedError
+        """The ordered grid expansion (index 0..n-1, no gaps): run ``i``
+        of ``runs`` at ``seed_for(seed, i)``."""
+        return [RunRequest(index=index, seed=seed_for(self.seed, index))
+                for index in range(self.runs)]
 
     def run_request(self, request: RunRequest) -> Dict[str, object]:
         """Execute one request and return its JSON-clean payload."""
@@ -113,6 +176,18 @@ class Campaign:
                    ) -> Dict[str, object]:
         """Extra fields for the journal's ``campaign-end`` record."""
         return {"runs": len(payloads)}
+
+
+class InvariantCampaign(Campaign):
+    """A campaign whose every payload lists its invariant
+    ``violations`` (chaos, soak, resilience, reliability)."""
+
+    def end_record(self, payloads: List[Dict[str, object]]
+                   ) -> Dict[str, object]:
+        """The run count and the violations summed over the runs."""
+        return {"runs": len(payloads),
+                "violations": sum(len(payload["violations"])
+                                  for payload in payloads)}
 
 
 _REGISTRY: Dict[str, Type[Campaign]] = {}

@@ -36,7 +36,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import ConfigurationError, ExecutionError
-from .campaign import Campaign, RunRequest, build_campaign, register_campaign
+from .campaign import (Campaign, RunRequest, build_campaign,
+                       register_campaign, spec_from_json, spec_to_json)
 from .supervisor import current_attempt
 
 FAULT_HANG = "hang"
@@ -76,20 +77,6 @@ class WorkerFault:
         """Whether this fault fires on the given attempt number."""
         return self.attempts is None or attempt in self.attempts
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-clean form (crosses the process boundary in specs)."""
-        return {"index": self.index, "fault": self.fault,
-                "attempts": (None if self.attempts is None
-                             else list(self.attempts))}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "WorkerFault":
-        """Inverse of :meth:`to_dict`."""
-        attempts = data.get("attempts")
-        return cls(index=int(data["index"]), fault=str(data["fault"]),
-                   attempts=(None if attempts is None
-                             else tuple(int(a) for a in attempts)))
-
     @classmethod
     def parse(cls, text: str) -> "WorkerFault":
         """Parse the CLI form ``INDEX:FAULT[:ATTEMPT[,ATTEMPT...]]``."""
@@ -126,16 +113,6 @@ class FaultPlan:
             if fault.index == index:
                 return fault
         return None
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-clean form."""
-        return {"faults": [fault.to_dict() for fault in self.faults]}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "FaultPlan":
-        """Inverse of :meth:`to_dict`."""
-        return cls(faults=tuple(WorkerFault.from_dict(f)
-                                for f in data["faults"]))
 
     @classmethod
     def parse_all(cls, texts: List[str]) -> "FaultPlan":
@@ -189,20 +166,21 @@ class FaultInjectedCampaign(Campaign):
         """The inner fingerprint extended with the fault plan."""
         return {"inner": self.inner.fingerprint(),
                 "inner_kind": self.inner.kind,
-                **self.plan.to_dict()}
+                **spec_to_json(self.plan)}
 
     def spec(self) -> Dict[str, object]:
         """Worker-rebuildable description: inner kind+spec, plus plan."""
         return {"inner_kind": self.inner.kind,
                 "inner_spec": self.inner.spec(),
-                **self.plan.to_dict()}
+                **spec_to_json(self.plan)}
 
     @classmethod
     def from_spec(cls, spec: Dict[str, object]) -> "FaultInjectedCampaign":
         """Rebuild wrapper and inner campaign from :meth:`spec` output."""
-        inner = build_campaign(str(spec["inner_kind"]),
-                               dict(spec["inner_spec"]))
-        return cls(inner, FaultPlan.from_dict(spec))
+        plan = dict(spec)
+        inner = build_campaign(str(plan.pop("inner_kind")),
+                               dict(plan.pop("inner_spec")))
+        return cls(inner, spec_from_json(FaultPlan, plan))
 
     def requests(self) -> List[RunRequest]:
         """The inner campaign's grid, untouched."""

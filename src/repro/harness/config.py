@@ -199,4 +199,7 @@ def load(path: Union[str, Path]) -> ExperimentSpec:
         config = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"{path}: invalid JSON ({exc})") from None
+    except OSError as exc:
+        raise ConfigurationError(
+            f"{path}: cannot read config ({exc.strerror})") from None
     return parse(config)

@@ -152,12 +152,9 @@ class SizeSweepCampaign(Campaign):
     @classmethod
     def from_spec(cls, spec: Dict[str, object]) -> "SizeSweepCampaign":
         """Rebuild from :meth:`spec` (worker-side construction)."""
-        return cls(scenario=_SCENARIO_FACTORIES[str(spec["scenario"])](),
-                   sizes=[int(size) for size in spec["sizes"]],
-                   policies=None,
-                   latency_load_bps=float(spec["latency_load_bps"]),
-                   throughput_load_bps=float(spec["throughput_load_bps"]),
-                   duration_s=float(spec["duration_s"]))
+        options = dict(spec)
+        return cls(_SCENARIO_FACTORIES[options.pop("scenario")](),
+                   **options)
 
     def requests(self) -> List[RunRequest]:
         """One request per packet size (the sweep draws no randomness)."""

@@ -16,12 +16,14 @@ resumable — the same contract every other campaign kind honours.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..chain.nf import DeviceKind
 from ..chaos.invariants import Violation
 from ..errors import ConfigurationError
-from ..exec.campaign import Campaign, RunRequest, register_campaign
+from ..exec.campaign import (InvariantCampaign, RunRequest,
+                             register_campaign)
 from ..exec.scenario import seed_for
 from ..harness.scenarios import figure1
 from ..resilience.controller import ResilienceConfig
@@ -170,67 +172,41 @@ def render_payloads(payloads: List[Dict[str, object]]) -> str:
 
 
 @register_campaign
-class ReliabilityCampaign(Campaign):
+@dataclass(frozen=True)
+class ReliabilityCampaign(InvariantCampaign):
     """``policies x runs`` planned-and-measured reliability grid."""
 
     kind = "reliability"
     description = ("planned-and-measured reliability grid over "
                    "migrate/replicate/shed policies")
 
-    def __init__(self, scenario: str = "device-kill",
-                 policies: Tuple[str, ...] = ("joint", "pam", "naive"),
-                 runs: int = 1, seed: int = 7,
-                 duration_s: Optional[float] = None,
-                 budget_bytes: int = DEFAULT_BUDGET_BYTES) -> None:
-        if scenario not in SCENARIOS:
+    scenario: str = "device-kill"
+    policies: Tuple[str, ...] = ("joint", "pam", "naive")
+    runs: int = 1
+    seed: int = 7
+    duration_s: Optional[float] = None
+    budget_bytes: int = DEFAULT_BUDGET_BYTES
+
+    def __post_init__(self) -> None:
+        if self.scenario not in SCENARIOS:
             known = ", ".join(sorted(SCENARIOS))
             raise ConfigurationError(
-                f"unknown resilience scenario {scenario!r} "
+                f"unknown resilience scenario {self.scenario!r} "
                 f"(known: {known})")
-        if not policies:
+        if not self.policies:
             raise ConfigurationError("need at least one policy")
-        for policy in policies:
+        for policy in self.policies:
             if policy not in RELIABILITY_POLICIES:
                 known = ", ".join(sorted(RELIABILITY_POLICIES))
                 raise ConfigurationError(
                     f"unknown reliability policy {policy!r} "
                     f"(known: {known})")
-        if runs < 1:
+        if self.runs < 1:
             raise ConfigurationError("need at least one run per policy")
-        if duration_s is not None and duration_s <= 0:
+        if self.duration_s is not None and self.duration_s <= 0:
             raise ConfigurationError("duration must be positive")
-        if budget_bytes < 0:
+        if self.budget_bytes < 0:
             raise ConfigurationError("replica budget must be >= 0")
-        self.scenario = scenario
-        self.policies = tuple(policies)
-        self.runs = runs
-        self.seed = seed
-        self.duration_s = duration_s
-        self.budget_bytes = budget_bytes
-
-    def fingerprint(self) -> Dict[str, object]:
-        """Campaign identity for journal-resume validation."""
-        return {"scenario": self.scenario,
-                "policies": list(self.policies),
-                "runs": self.runs, "seed": self.seed,
-                "duration_s": self.duration_s,
-                "budget_bytes": self.budget_bytes}
-
-    def spec(self) -> Dict[str, object]:
-        """Worker-rebuildable description (same as the fingerprint)."""
-        return self.fingerprint()
-
-    @classmethod
-    def from_spec(cls, spec: Dict[str, object]) -> "ReliabilityCampaign":
-        """Rebuild from :meth:`spec` (worker-side construction)."""
-        duration = spec["duration_s"]
-        return cls(scenario=str(spec["scenario"]),
-                   policies=tuple(str(policy)
-                                  for policy in spec["policies"]),
-                   runs=int(spec["runs"]), seed=int(spec["seed"]),
-                   duration_s=None if duration is None
-                   else float(duration),
-                   budget_bytes=int(spec["budget_bytes"]))
 
     def requests(self) -> List[RunRequest]:
         """Policy-major grid; repetition ``rep`` of every policy shares
@@ -281,10 +257,3 @@ class ReliabilityCampaign(Campaign):
                 "scenario-error", f"worker failed: {error}",
                 data=details).to_dict()],
         }
-
-    def end_record(self, payloads: List[Dict[str, object]]
-                   ) -> Dict[str, object]:
-        """Campaign totals for the journal's ``campaign-end`` record."""
-        return {"runs": len(payloads),
-                "violations": sum(len(payload["violations"])
-                                  for payload in payloads)}

@@ -13,12 +13,13 @@ do for chaos.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 from ..chaos.invariants import Violation
 from ..errors import ConfigurationError
-from ..exec.campaign import Campaign, RunRequest, register_campaign
-from ..exec.scenario import seed_for
+from ..exec.campaign import (InvariantCampaign, RunRequest,
+                             register_campaign)
 from ..units import as_msec
 from .scenarios import SCENARIOS, ResilienceScenarioResult, run_scenario
 
@@ -104,51 +105,29 @@ def render_payload(payload: Dict[str, object]) -> str:
 
 
 @register_campaign
-class ResilienceCampaign(Campaign):
+@dataclass(frozen=True)
+class ResilienceCampaign(InvariantCampaign):
     """``runs`` repetitions of one canned scenario, seeded per index."""
 
     kind = "resilience"
     description = ("canned degradation-ladder scenarios with "
                    "resilience invariant checks")
 
-    def __init__(self, scenario: str, runs: int = 1, seed: int = 7,
-                 duration_s: Optional[float] = None) -> None:
-        if scenario not in SCENARIOS:
+    scenario: str
+    runs: int = 1
+    seed: int = 7
+    duration_s: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        if self.scenario not in SCENARIOS:
             known = ", ".join(sorted(SCENARIOS))
             raise ConfigurationError(
-                f"unknown resilience scenario {scenario!r} "
+                f"unknown resilience scenario {self.scenario!r} "
                 f"(known: {known})")
-        if runs < 1:
+        if self.runs < 1:
             raise ConfigurationError("need at least one scenario run")
-        if duration_s is not None and duration_s <= 0:
+        if self.duration_s is not None and self.duration_s <= 0:
             raise ConfigurationError("duration must be positive")
-        self.scenario = scenario
-        self.runs = runs
-        self.seed = seed
-        self.duration_s = duration_s
-
-    def fingerprint(self) -> Dict[str, object]:
-        """Campaign identity: scenario, repetitions, seed, duration."""
-        return {"scenario": self.scenario, "runs": self.runs,
-                "seed": self.seed, "duration_s": self.duration_s}
-
-    def spec(self) -> Dict[str, object]:
-        """Worker-rebuildable description (same as the fingerprint)."""
-        return self.fingerprint()
-
-    @classmethod
-    def from_spec(cls, spec: Dict[str, object]) -> "ResilienceCampaign":
-        """Rebuild from :meth:`spec` (worker-side construction)."""
-        duration = spec["duration_s"]
-        return cls(scenario=str(spec["scenario"]),
-                   runs=int(spec["runs"]), seed=int(spec["seed"]),
-                   duration_s=None if duration is None
-                   else float(duration))
-
-    def requests(self) -> List[RunRequest]:
-        """Repetition ``i`` runs at ``seed_for(seed, i)``."""
-        return [RunRequest(index=index, seed=seed_for(self.seed, index))
-                for index in range(self.runs)]
 
     def run_request(self, request: RunRequest) -> Dict[str, object]:
         """One full scenario run, flattened to its payload."""
@@ -170,10 +149,3 @@ class ResilienceCampaign(Campaign):
                 "scenario-error", f"worker failed: {error}",
                 data=details).to_dict()],
         }
-
-    def end_record(self, payloads: List[Dict[str, object]]
-                   ) -> Dict[str, object]:
-        """Campaign totals for the journal's ``campaign-end`` record."""
-        return {"runs": self.runs,
-                "violations": sum(len(payload["violations"])
-                                  for payload in payloads)}

@@ -16,13 +16,14 @@ wall-clock budget is exhausted — either writes a clean
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..chaos.invariants import Violation
 from ..errors import ConfigurationError
-from ..exec.campaign import Campaign, RunRequest, register_campaign
+from ..exec.campaign import (InvariantCampaign, RunRequest,
+                             register_campaign)
 from ..exec.driver import StopPredicate
-from ..exec.scenario import seed_for
 from ..exec.supervisor import DeadlineClock
 from .fuzzer import (FuzzSpace, PlantedBug, SoakCase, generate_case,
                      plant)
@@ -30,61 +31,39 @@ from .scenario import error_case_payload, run_case
 
 
 @register_campaign
-class SoakCampaign(Campaign):
+@dataclass(frozen=True)
+class SoakCampaign(InvariantCampaign):
     """``runs`` fuzzed cases drawn from one space at one base seed."""
 
     kind = "soak"
     description = ("generative chaos fuzzing with online invariant "
                    "checking and reproducer shrinking")
 
-    def __init__(self, runs: int, seed: int,
-                 space: Optional[FuzzSpace] = None,
-                 planted: Optional[PlantedBug] = None,
-                 planted_index: Optional[int] = None) -> None:
-        if runs < 1:
+    runs: int
+    seed: int
+    space: FuzzSpace = field(default_factory=FuzzSpace)
+    planted: Optional[PlantedBug] = None
+    planted_index: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        if self.runs < 1:
             raise ConfigurationError("need at least one soak run")
-        if (planted is None) != (planted_index is None):
+        if (self.planted is None) != (self.planted_index is None):
             raise ConfigurationError(
                 "planted bug and planted index come together")
-        if planted_index is not None and \
-                not (0 <= planted_index < runs):
+        if self.planted_index is not None and \
+                not (0 <= self.planted_index < self.runs):
             raise ConfigurationError(
-                f"planted index {planted_index} outside the "
-                f"campaign's {runs} runs")
-        self.runs = runs
-        self.seed = seed
-        self.space = space or FuzzSpace()
-        self.planted = planted
-        self.planted_index = planted_index
+                f"planted index {self.planted_index} outside the "
+                f"campaign's {self.runs} runs")
 
     def fingerprint(self) -> Dict[str, object]:
-        """Campaign identity: runs, base seed, space, and any plant."""
-        plant_spec: Optional[Dict[str, object]] = None
+        """The spec, with the plant's index inside the plant."""
+        spec = self.spec()
+        index = spec.pop("planted_index")
         if self.planted is not None:
-            plant_spec = {"index": self.planted_index,
-                          **self.planted.to_dict()}
-        return {"runs": self.runs, "seed": self.seed,
-                "space": self.space.to_dict(), "planted": plant_spec}
-
-    def spec(self) -> Dict[str, object]:
-        """Everything a worker needs to rebuild this campaign."""
-        return self.fingerprint()
-
-    @classmethod
-    def from_spec(cls, spec: Dict[str, object]) -> "SoakCampaign":
-        """Rebuild from :meth:`spec` (worker-side construction)."""
-        planted = spec.get("planted")
-        return cls(
-            runs=int(spec["runs"]), seed=int(spec["seed"]),
-            space=FuzzSpace.from_dict(spec["space"]),
-            planted=(PlantedBug.from_dict(planted)
-                     if planted else None),
-            planted_index=(int(planted["index"]) if planted else None))
-
-    def requests(self) -> List[RunRequest]:
-        """Case ``i`` draws at ``seed_for(seed, i)``."""
-        return [RunRequest(index=index, seed=seed_for(self.seed, index))
-                for index in range(self.runs)]
+            spec["planted"] = {"index": index, **spec["planted"]}
+        return spec
 
     def case_for(self, request: RunRequest) -> SoakCase:
         """The fully drawn (and possibly planted) case for a request."""
@@ -104,13 +83,6 @@ class SoakCampaign(Campaign):
         """Crash isolation: a dead worker's case is itself a finding."""
         return error_case_payload(self.case_for(request), Violation(
             "scenario-error", f"worker failed: {error}", data=details))
-
-    def end_record(self, payloads: List[Dict[str, object]]
-                   ) -> Dict[str, object]:
-        """Campaign totals for the journal's ``campaign-end`` record."""
-        return {"runs": self.runs,
-                "violations": sum(len(payload["violations"])
-                                  for payload in payloads)}
 
 
 def soak_budget(stop_on_failure: bool = False,

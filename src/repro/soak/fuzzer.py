@@ -20,12 +20,13 @@ event.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
 from ..chain.nf import DeviceKind
 from ..chaos.schedule import ChaosConfig, ChaosFault, ChaosSchedule
 from ..errors import ConfigurationError
+from ..exec.campaign import spec_from_json, spec_to_json
 from ..harness.scenarios import figure1
 from ..units import gbps
 
@@ -94,28 +95,10 @@ class FuzzSpace:
             if count < 0:
                 raise ConfigurationError("fault caps must be >= 0")
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-friendly form (campaign fingerprint)."""
-        out = asdict(self)
-        out["packet_sizes"] = list(self.packet_sizes)
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "FuzzSpace":
-        """Inverse of :meth:`to_dict` (validates on construction)."""
-        fields = dict(data)
-        fields["packet_sizes"] = tuple(int(size)
-                                       for size in fields["packet_sizes"])
-        return cls(**fields)
-
 
 def default_space(duration_cap_s: Optional[float] = None) -> FuzzSpace:
-    """The stock space, optionally capped to short runs.
-
-    Both the CLI and the crash-resume check build their space through
-    this helper so a subprocess-written journal fingerprint always
-    matches an in-process resume.
-    """
+    """The stock space, optionally capped to short runs (the soak
+    CLI's ``--duration``)."""
     space = FuzzSpace()
     if duration_cap_s is None:
         return space
@@ -152,16 +135,6 @@ class PlantedBug:
                 f"unknown trigger kind {self.trigger_kind!r} "
                 f"(known: {', '.join(_TRIGGER_KINDS)})")
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-friendly form (case round-trip)."""
-        return {"bug": self.bug, "trigger_kind": self.trigger_kind}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "PlantedBug":
-        """Inverse of :meth:`to_dict`."""
-        return cls(bug=str(data["bug"]),
-                   trigger_kind=str(data["trigger_kind"]))
-
 
 @dataclass(frozen=True)
 class SoakCase:
@@ -197,7 +170,7 @@ class SoakCase:
             "resilient": self.resilient,
             "migration_failure_rate": self.migration_failure_rate,
             "faults": [fault.as_dict() for fault in self.faults],
-            "planted": self.planted.to_dict() if self.planted else None,
+            "planted": spec_to_json(self.planted),
         }
 
     @classmethod
@@ -216,7 +189,8 @@ class SoakCase:
             migration_failure_rate=float(data["migration_failure_rate"]),
             faults=tuple(ChaosFault.from_dict(fault)
                          for fault in data["faults"]),
-            planted=PlantedBug.from_dict(planted) if planted else None)
+            planted=(spec_from_json(PlantedBug, planted)
+                     if planted else None))
 
     def with_faults(self, faults) -> "SoakCase":
         """The same case with a different (time-sorted) fault list."""

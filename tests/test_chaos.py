@@ -252,14 +252,15 @@ class TestCampaign:
                              config=ChaosConfig(duration_s=0.01))
         calls = []
 
-        def explode(run_seed, schedule):
+        def explode(self, run_seed, schedule):
             calls.append(run_seed)
             if run_seed == 3:
                 raise RuntimeError("boom")
-            return original(run_seed, schedule)
+            return original(self, run_seed, schedule)
 
-        original = runner.build_scenario
-        monkeypatch.setattr(runner, "build_scenario", explode)
+        # The runner is a frozen dataclass, so the class is patched.
+        original = ChaosRunner.build_scenario
+        monkeypatch.setattr(ChaosRunner, "build_scenario", explode)
         report = runner.run()
         assert calls == [3, 4]
         assert not report.ok

@@ -5,7 +5,7 @@ import signal
 
 import pytest
 
-from repro.chaos.crashresume import run_crash_resume_check
+from repro.chaos.crashresume import CAMPAIGNS, run_crash_resume_check
 from repro.chaos.runner import ChaosCampaign, ChaosReport, ChaosRunner
 from repro.chaos.schedule import ChaosConfig
 from repro.checkpoint import read_journal
@@ -95,11 +95,16 @@ class TestCampaignResume:
 @pytest.mark.skipif(not hasattr(signal, "SIGKILL"),
                     reason="requires POSIX SIGKILL")
 class TestCrashResumeSmoke:
-    def test_sigkilled_campaign_resumes_bit_exact(self, tmp_path):
+    # The subprocess runs `python -m repro <kind>`; the resume and the
+    # reference are built in-process from the same argv, so a match
+    # also shows that both sides build one campaign.
+    @pytest.mark.parametrize("campaign", sorted(CAMPAIGNS))
+    def test_sigkilled_campaign_resumes_bit_exact(self, tmp_path,
+                                                  campaign):
         outcome = run_crash_resume_check(
             runs=4, seed=7, duration_s=0.01,
             journal_path=str(tmp_path / "journal.jsonl"),
-            kill_after_runs=1)
+            kill_after_runs=1, campaign=campaign)
         assert outcome.killed
         assert outcome.journaled_before_kill >= 1
         assert outcome.replayed_runs == outcome.journaled_before_kill

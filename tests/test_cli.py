@@ -298,6 +298,61 @@ class TestCampaignFlagPin:
         assert declared == _CAMPAIGN_FLAGS[command]
 
 
+def _checkpointing_flag_table():
+    """Rows of docs/checkpointing.md's "Campaign flags per command"."""
+    from pathlib import Path
+    doc = Path(__file__).resolve().parents[1] / "docs" / "checkpointing.md"
+    section = doc.read_text().split("### Campaign flags per command")[1]
+    rows = {}
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if line.startswith("| `"):
+            rows[cells[0].strip("`")] = cells[1:]
+        elif rows:
+            break
+    return rows
+
+
+class TestCampaignFlagTable:
+    """The docs table is a hand-kept third description of each campaign
+    command's flags; every row must say what ``build_parser()`` does."""
+
+    def test_rows_match_the_parser(self):
+        import argparse
+        from repro.cli import build_parser
+        subparsers = next(
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction))
+        campaign_commands = {
+            name for name, parser in subparsers.choices.items()
+            if parser.get_default("make_campaign") is not None
+            and name != "sweep"}  # figure2's alias
+        rows = _checkpointing_flag_table()
+        assert set(rows) == campaign_commands
+        for command, (workers, resume, progress, supervision) in \
+                rows.items():
+            parser = subparsers.choices[command]
+            options = {option: action for action in parser._actions
+                       for option in action.option_strings}
+            assert workers == "`--workers`, `--journal`", command
+            assert {"--workers", "--journal"} <= set(options), command
+            resume_flag = resume.strip("`")
+            assert options[resume_flag].dest == "resume_journal", command
+            other = ({"--resume-from", "--resume-journal"}
+                     - {resume_flag}).pop()
+            assert other not in options, command
+            if progress.startswith("`--checkpoint-every`"):
+                assert progress == "`--checkpoint-every` " \
+                    f"({options['--checkpoint-every'].default})", command
+            else:
+                assert progress == "fixed at 5 runs", command
+                assert "--checkpoint-every" not in options, command
+                assert parser.get_default("progress_every") == 5, command
+            assert supervision == "yes", command
+            assert {"--run-timeout", "--max-attempts",
+                    "--max-failures"} <= set(options), command
+
+
 class TestCampaignFlagErrors:
     @pytest.mark.parametrize("fault", ["hang", "die"])
     def test_serial_hang_or_die_fault_exits_2(self, fault, capsys):
@@ -313,7 +368,8 @@ class TestCampaignFlagErrors:
         ["reliability", "--duration", "0"],
         # A kill that can never land mid-grid, or no grid at all.
         ["crash-resume", "--runs", "2", "--kill-after", "5"],
-        ["crash-resume", "--runs", "0"]])
+        ["crash-resume", "--runs", "0"],
+        ["run-config", "/nonexistent.json"]])
     def test_out_of_range_values_exit_2_before_running(
             self, argv, monkeypatch, capsys):
         import subprocess

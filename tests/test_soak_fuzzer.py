@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.exec.campaign import spec_from_json, spec_to_json
 from repro.soak.fuzzer import (BUG_CONSERVATION, BUG_PROTECTED_SHED,
                                FuzzSpace, PlantedBug, SoakCase,
                                default_space, generate_case, parse_plant,
@@ -12,7 +13,7 @@ from repro.soak.fuzzer import (BUG_CONSERVATION, BUG_PROTECTED_SHED,
 class TestFuzzSpace:
     def test_round_trip(self):
         space = default_space(0.01)
-        assert FuzzSpace.from_dict(space.to_dict()) == space
+        assert spec_from_json(FuzzSpace, spec_to_json(space)) == space
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

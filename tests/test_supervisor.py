@@ -20,6 +20,7 @@ from repro.exec import (Campaign, FaultInjectedCampaign, FaultPlan,
                         ParallelExecutor, RunRequest, SerialExecutor,
                         SupervisionPolicy, WorkerFault, make_executor,
                         register_campaign, run_campaign, seed_for)
+from repro.exec.campaign import spec_from_json, spec_to_json
 from repro.exec.driver import replay_campaign_journal
 
 #: Short enough for CI, long enough for faults and a migration to land.
@@ -142,9 +143,9 @@ class TestFaultPlan:
     def test_parse_round_trip(self):
         fault = WorkerFault.parse("3:die:1,2")
         assert fault == WorkerFault(index=3, fault="die", attempts=(1, 2))
-        assert WorkerFault.from_dict(fault.to_dict()) == fault
+        assert spec_from_json(WorkerFault, spec_to_json(fault)) == fault
         plan = FaultPlan.parse_all(["0:hang", "2:error:1"])
-        assert FaultPlan.from_dict(plan.to_dict()) == plan
+        assert spec_from_json(FaultPlan, spec_to_json(plan)) == plan
 
     def test_bad_specs_rejected(self):
         with pytest.raises(ConfigurationError):
