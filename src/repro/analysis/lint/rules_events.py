@@ -28,10 +28,12 @@ _HEAP_FNS = frozenset({"heappush", "heappop", "heapify", "heapreplace",
                        "heappushpop", "merge", "nsmallest", "nlargest"})
 
 #: Private scheduler attributes nothing outside the engine may touch:
-#: the engine's queue, and the queue's seq counter, heap, arrival lane
-#: and action table.
+#: the engine's queue, and the queue's seq counter, heap, action table
+#: and stream step (streams live in heap entries; stepping one out of
+#: turn would run its items out of order).
 _SCHEDULER_PRIVATES = frozenset({
-    "_queue", "_seq", "_heap", "_lane", "_action_table", "_action_ids"})
+    "_queue", "_seq", "_heap", "_action_table", "_action_ids",
+    "_run_stream"})
 
 
 @register
@@ -97,7 +99,7 @@ class SchedulerInternalsRule(LintRule):
     code = "EVT302"
     name = "scheduler-internals"
     severity = Severity.ERROR
-    rationale = ("Mutating engine internals (its heap and arrival lane, "
+    rationale = ("Mutating engine internals (its heap and streams, "
                  "its seq counter) or writing now_s from an event handler "
                  "breaks the engine's invariant that the clock only "
                  "advances by draining the queue. Schedule through the "

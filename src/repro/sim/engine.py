@@ -5,13 +5,13 @@ event queue.  Model logic (queues, NF servers, PCIe hops, migrations)
 lives in the modules that schedule events on it.
 
 The run loop is batched around the scheduler in :mod:`repro.sim.events`:
-each iteration takes a raw ``(time, priority, seq, action_id, arg)``
-entry straight off the arrival lane or the heap, whichever is smaller,
-so no per-event object exists.  Subscribers receive ``(time_s,
-priority, seq)`` trace keys in buffered batches rather than one
-callback per event (see :meth:`Engine.add_trace_observer`), which is
-what keeps instrumented runs — determinism tracing, the soak invariant
-engine — on the fast path.
+each iteration pops a raw ``(time, priority, seq, action_id, arg)``
+entry straight off the heap, so no per-event object exists.
+Subscribers receive ``(time_s, priority, seq)`` trace keys in buffered
+batches rather than one callback per event (see
+:meth:`Engine.add_trace_observer`), which is what keeps instrumented
+runs — determinism tracing, the soak invariant engine — on the fast
+path.
 """
 
 from __future__ import annotations
@@ -203,15 +203,18 @@ class Engine:
                         action_id_b, arg_b))
 
     def call_at_id_many(self, action_id: int,
-                        items, control: bool = False) -> int:
-        """Bulk :meth:`call_at_id` over ``(time_s, arg)`` pairs.
+                        items, control: bool = False) -> None:
+        """Stream :meth:`call_at_id` over time-ordered ``(time_s, arg)`` pairs.
 
-        The injection path for a whole arrival epoch: the entries go to
-        the scheduler's presorted arrival lane rather than the heap.
-        Items may be any iterable.  Returns the number of events
-        scheduled.
+        The injection path for a whole arrival epoch: ``items`` may be
+        any iterable, and is consumed lazily — one item is pending at a
+        time, the next drawn as it runs (see
+        :meth:`EventQueue.schedule_stream`).  An item earlier than its
+        predecessor or the clock raises :class:`SchedulingError` when
+        it is drawn, from here for the first and from :meth:`run` for
+        the rest, as does any error of the iterable itself.
         """
-        return self._queue.schedule_id_many(
+        self._queue.schedule_stream(
             action_id, PRIORITY_CONTROL if control else PRIORITY_DATA,
             items, floor_s=self.now_s)
 
@@ -231,11 +234,12 @@ class Engine:
             PRIORITY_CONTROL if control else PRIORITY_DATA, arg)
 
     def pending(self) -> int:
-        """Number of events still queued."""
+        """Number of events still queued (one per live stream)."""
         return len(self._queue)
 
     def clear_pending(self) -> None:
-        """Drop every queued entry, heap and arrival lane, unexecuted.
+        """Drop every queued entry, and with them the live streams,
+        unexecuted.
 
         The end of a run whose result has been collected: entries carry
         packets and closures, which then go by reference counting
@@ -244,7 +248,6 @@ class Engine:
         if self._running:
             raise SchedulingError("cannot clear the queue while running")
         self._queue._heap.clear()
-        self._queue._lane.clear()
 
     # -- execution ----------------------------------------------------------
 
@@ -261,19 +264,20 @@ class Engine:
         # Sentinels instead of None so the per-event checks are single
         # comparisons: event times are finite, so ``inf`` never trips
         # the horizon, and the event-cap stand-in outlasts any run.
-        remaining = max_events if max_events is not None else (1 << 62)
+        budget = max(max_events, 0) if max_events is not None else (1 << 62)
         horizon = until_s if until_s is not None else float("inf")
         queue = self._queue
         tracing = bool(self._trace_observers)
         trace_buffer = self._trace_buffer
-        # The drain loop reads the scheduler's action table, heap and
-        # lane directly (the engine co-owns the scheduler per the
-        # simulation-safety lint).  The scheduler mutates all three only
-        # in place, so these locals stay valid across actions, and the
+        # The drain loop reads the scheduler's action table and heap
+        # directly (the engine co-owns the scheduler per the
+        # simulation-safety lint).  The scheduler mutates both only in
+        # place, so these locals stay valid across actions, and the
         # queue is consistent whenever model code can observe it.
         table = queue._action_table
         heap = queue._heap
-        lane = queue._lane
+        pop = heappop
+        no_arg = _NO_ARG
         # Countdown to the next trace flush (cheaper than a len() per
         # event); a flush from within an action (flush_trace) only makes
         # the next one early.
@@ -290,33 +294,22 @@ class Engine:
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
+        # Actions completed so far: the loop index counts them, so the
+        # per-event bookkeeping is the loop's own.
+        completed = 0
         try:
-            while remaining > 0:
-                # The smaller of the lane head and the heap top, by the
-                # full (time, priority, seq) key; an entry past the
-                # horizon stays where it is.
-                if lane:
-                    entry = lane[-1]
-                    if heap and heap[0] < entry:
-                        entry = heap[0]
-                        if entry[0] > horizon:
-                            break
-                        heappop(heap)
-                    else:
-                        if entry[0] > horizon:
-                            break
-                        lane.pop()
-                elif heap:
-                    entry = heap[0]
-                    if entry[0] > horizon:
-                        break
-                    heappop(heap)
-                else:
+            for completed in range(budget):
+                if not heap:
                     # Queue drained: the clock stays where the last
                     # event put it.
-                    return
-                time_s, priority, seq, action_id, arg = entry
-                remaining -= 1
+                    break
+                time_s, priority, seq, action_id, arg = pop(heap)
+                if time_s > horizon:
+                    # Horizon reached with events still queued: put the
+                    # entry back and advance the clock to the horizon.
+                    heappush(heap, (time_s, priority, seq, action_id, arg))
+                    self.now_s = horizon
+                    break
                 self.now_s = time_s
                 if tracing:
                     trace_buffer.append((time_s, priority, seq))
@@ -324,18 +317,15 @@ class Engine:
                     if trace_left <= 0:
                         self.flush_trace()
                         trace_left = _TRACE_BATCH
-                if arg is _NO_ARG:
+                if arg is no_arg:
                     table[action_id]()
                 else:
                     table[action_id](arg)
-                self.events_processed += 1
             else:
-                # Event cap reached.
-                return
-            # Horizon reached with events still queued: advance the
-            # clock to the horizon.
-            self.now_s = horizon
+                # Event cap reached, every action completed.
+                completed = budget
         finally:
+            self.events_processed += completed
             self._running = False
             if gc_was_enabled:
                 gc.enable()

@@ -13,26 +13,23 @@ rides as the ``arg`` of the reserved :data:`_CALL_ID`, whose callable
 just calls its argument.  No per-event object exists beyond the entry
 tuple, and nothing is cancellable.
 
-Pending entries live in two places:
-
-* the **heap** — one ``heapq`` min-heap; every single schedule is one
-  ``heappush``;
-* the **arrival lane** — a presorted list filled by
-  :meth:`EventQueue.schedule_id_many`, the injection path that
-  schedules a whole run's packets up front.  It is kept in descending
-  order, so its head is the last element and consuming it is one
-  ``list.pop()`` that frees the entry as it runs.
-
-The engine's run loop takes whichever of the lane head and the heap top
-is smaller, comparing the full tuple.  ``seq`` is unique, so the
-comparison never reaches the trailing fields, and the drain order is
-exactly that of one global min-heap of ``(time, priority, seq)`` keys.
+Every pending entry lives in one ``heapq`` min-heap.  A whole run's
+arrivals enter as a **stream** (:meth:`EventQueue.schedule_stream`): a
+time-ordered iterable consumed lazily, which keeps exactly one entry in
+the heap at a time.  Its entries carry the reserved
+:data:`_STREAM_ID`, whose callable pushes the stream's next item and
+then runs the stream's action on the current one.  All entries of a
+stream share the seq drawn when it was scheduled, so every comparison
+with another entry comes out as if each item had drawn its own seq in
+item order: earlier schedules first, then the stream, then later
+schedules.  Seqs stay unique among *pending* entries, which is all the
+heap needs: comparisons never reach the trailing fields.
 """
 
 from __future__ import annotations
 
 from heapq import heappush
-from typing import Callable, Dict, Iterable, List, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Tuple
 
 from ..errors import SchedulingError
 
@@ -48,11 +45,11 @@ _NO_ARG = object()
 PRIORITY_CONTROL = 0
 PRIORITY_DATA = 1
 
-#: An entry as stored in the heap and the lane: ``(time, priority, seq,
-#: action_id, arg)``.  Tuple comparison on the first three fields gives
-#: the deterministic total order at C speed (seq is unique, so the
-#: trailing fields never participate).  ``action_id`` indexes the
-#: action table; nothing else is stored anywhere.
+#: An entry as stored in the heap: ``(time, priority, seq, action_id,
+#: arg)``.  Tuple comparison on the first three fields gives the
+#: deterministic total order at C speed (seq is unique among pending
+#: entries, so the trailing fields never participate).  ``action_id``
+#: indexes the action table; nothing else is stored anywhere.
 _Entry = Tuple[float, int, int, int, object]
 
 
@@ -66,37 +63,59 @@ def _call(action: Action) -> None:
 #: are never interned and the table never grows.
 _CALL_ID = 0
 
+#: Action id of :meth:`EventQueue._run_stream`, seeded second: a
+#: stream's one pending entry carries it, with the stream as argument.
+_STREAM_ID = 1
 
-class EventQueue:
-    """Deterministic scheduler: a heap of id entries plus an arrival lane.
 
-    The engine's run loop and its id-scheduling fast paths read and
-    mutate the heap, the lane and the seq counter directly (both
-    modules own the scheduler per the simulation-safety lint).
-    Slotted for the same reason the engine is: scheduling touches these
-    attributes on every event.
+class _Stream:
+    """A lazily consumed run of ``(time_s, arg)`` items for one action.
+
+    ``time_s`` and ``arg`` are the item its pending entry stands for.
+    Before the first item is drawn they are the floor no item may
+    precede and ``_NO_ARG``.
     """
 
-    __slots__ = ("_seq", "_heap", "_lane", "_action_table", "_action_ids")
+    __slots__ = ("items", "action_id", "priority", "seq", "time_s", "arg")
+
+    def __init__(self, items: Iterator[Tuple[float, object]],
+                 action_id: int, priority: int, seq: int,
+                 floor_s: float) -> None:
+        self.items = items
+        self.action_id = action_id
+        self.priority = priority
+        self.seq = seq
+        self.time_s = floor_s
+        self.arg: object = _NO_ARG
+
+
+class EventQueue:
+    """Deterministic scheduler: one heap of id entries.
+
+    The engine's run loop and its id-scheduling fast paths read and
+    mutate the heap and the seq counter directly (both modules own the
+    scheduler per the simulation-safety lint).  Slotted for the same
+    reason the engine is: scheduling touches these attributes on every
+    event.
+    """
+
+    __slots__ = ("_seq", "_heap", "_action_table", "_action_ids")
 
     def __init__(self) -> None:
         # Insertion counter: the last element of every ordering key.
         self._seq = 0
         # Action table: model code registers its recurring callbacks
         # once (at wiring time) and schedules by integer id, so the
-        # entry carries everything.  Slot _CALL_ID is reserved for
-        # closures pushed without registration.
-        self._action_table: List[Action] = [_call]
+        # entry carries everything.  Slots _CALL_ID and _STREAM_ID are
+        # reserved for closures pushed without registration and for
+        # streams.
+        self._action_table: List[Action] = [_call, self._run_stream]
         self._action_ids: Dict[Action, int] = {}
-        #: Min-heap of single schedules.
+        #: Min-heap of every pending entry, one per live stream.
         self._heap: List[_Entry] = []
-        #: Batch-injected entries in *descending* order: the head is
-        #: ``_lane[-1]``.  Only ever mutated in place, so the run loop
-        #: may hold it in a local across actions.
-        self._lane: List[_Entry] = []
 
     def __len__(self) -> int:
-        return len(self._heap) + len(self._lane)
+        return len(self._heap)
 
     # -- scheduling --------------------------------------------------------
 
@@ -142,45 +161,40 @@ class EventQueue:
         self._seq = seq + 1
         heappush(self._heap, (time_s, priority, seq, action_id, arg))
 
-    def schedule_id_many(self, action_id: int, priority: int,
-                         items: Iterable[Tuple[float, object]],
-                         floor_s: float = 0.0) -> int:
-        """Bulk :meth:`schedule_id` into the arrival lane.
+    def schedule_stream(self, action_id: int, priority: int,
+                        items: Iterable[Tuple[float, object]],
+                        floor_s: float = 0.0) -> None:
+        """Schedule ``action(arg)`` for every ``(time_s, arg)`` item, lazily.
 
-        One ``(time_s, arg)`` per event, seqs issued in item order —
-        identical ordering semantics to one :meth:`schedule_id` call
-        per item.  Items are expected in time order (the injection
-        path schedules a run's arrivals that way), but an unsorted
-        batch is sorted, and a batch arriving while the lane still
-        holds entries (one batch per chain) is merged with them.
-        Returns the number of events scheduled; raises if any
-        timestamp lies below ``floor_s`` (callers pass the current
-        clock), leaving the items before it queued and counted.
+        Items must come in time order, none below ``floor_s`` (callers
+        pass the current clock).  The first item is drawn now and each
+        next one as its predecessor runs, so the stream keeps exactly
+        one pending entry; an item out of order raises
+        :class:`SchedulingError` when it is drawn.  Ordering is that of
+        one :meth:`schedule_id` per item, all issued now.
         """
-        seq = self._seq
-        batch: List[_Entry] = []
-        append = batch.append
-        try:
-            for time_s, arg in items:
-                if time_s < floor_s:
-                    raise SchedulingError(
-                        f"cannot schedule at {time_s:.9f}, floor is "
-                        f"{floor_s:.9f}")
-                append((time_s, priority, seq, action_id, arg))
-                seq += 1
-        finally:
-            # A rejected item leaves the entries before it queued, so
-            # the counter must still account for them.
-            self._seq = seq
-            if batch:
-                # Timsort finds the presorted runs (the lane and the
-                # reversed batch), so a sorted batch merges in linear
-                # time; the lane is only ever mutated in place.
-                lane = self._lane
-                batch.reverse()
-                lane += batch
-                lane.sort(reverse=True)
-        return len(batch)
+        stream = _Stream(iter(items), action_id, priority, self._seq,
+                         floor_s)
+        self._seq += 1
+        # The stream has no current item yet: this draws the first one
+        # and runs nothing.
+        self._run_stream(stream)
+
+    def _run_stream(self, stream: _Stream) -> None:
+        """The stream action: queue the next item, then run this one."""
+        arg = stream.arg
+        item = next(stream.items, None)
+        if item is not None:
+            time_s, stream.arg = item
+            if time_s < stream.time_s:
+                raise SchedulingError(
+                    f"cannot schedule stream item at {time_s:.9f} "
+                    f"before {stream.time_s:.9f}")
+            stream.time_s = time_s
+            heappush(self._heap, (time_s, stream.priority, stream.seq,
+                                  _STREAM_ID, stream))
+        if arg is not _NO_ARG:
+            self._action_table[stream.action_id](arg)
 
     def schedule(self, time_s: float, action: Action, priority: int,
                  arg: object = _NO_ARG) -> None:

@@ -12,7 +12,8 @@ the geometry behind Figure 1.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Tuple)
 
 from ..chain.nf import DeviceKind
 from ..chain.placement import Placement
@@ -21,7 +22,7 @@ from ..errors import SimulationError
 from ..traffic.packet import Packet
 from ..units import ETHERNET_OVERHEAD_BYTES
 from .engine import Engine
-from .nfinstance import NFStation
+from .nfinstance import NFStation, filters_out
 
 
 class ChainNetwork:
@@ -44,13 +45,10 @@ class ChainNetwork:
         # move NFs, never the wire or the host application.
         self.ingress_device = placement.ingress
         self.egress_device = placement.egress
-        self.stations: Dict[str, NFStation] = {}
-        for nf in self.chain:
-            device = server.device(placement.device_of(nf.name))
-            self.stations[nf.name] = NFStation(
-                nf, device, engine, self._on_nf_complete,
-                on_filtered=self._on_nf_filtered,
-                on_dropped=self._on_nf_dropped)
+        self.stations: Dict[str, NFStation] = {
+            nf.name: NFStation(nf, server.device(placement.device_of(nf.name)),
+                               engine, on_dropped=self._on_nf_dropped)
+            for nf in self.chain}
         self.delivered: List[Packet] = []
         self.dropped: List[Packet] = []
         #: Packets consumed on purpose by filtering NFs (not losses).
@@ -63,28 +61,20 @@ class ChainNetwork:
         #: monitor (and therefore the planner) then sees *admitted*
         #: load, which is exactly what the chain must carry.
         self.admission: Optional[Callable[[Packet], bool]] = None
+        #: Packets (and their bytes) drawn from the workload so far: a
+        #: stream counts each packet just before its arrival runs.
         self.injected: int = 0
         self.injected_bytes: int = 0
         #: Bytes that have actually arrived on the wire so far (advances
         #: with the simulation clock; the monitor's rate estimator reads it).
         self.arrived_bytes: int = 0
-        # Hot-path routing, precomputed once: the chain's NF order is
+        # Hot-path routing, resolved once: the chain's NF order is
         # immutable (migrations move NFs between devices, never reorder
-        # the chain), so per-NF hop numbers, successor names, station
-        # objects, and arrival thunks never change after wiring.
-        self._first_nf = self.chain[0].name
+        # the chain), so each hop's stations and action ids never
+        # change after wiring.  Device *kinds* are read per packet —
+        # migrations move stations between devices mid-run.
         self._wire_ingress = self.ingress_device is DeviceKind.SMARTNIC
         self._wire_egress = self.egress_device is DeviceKind.SMARTNIC
-        self._routes: Dict[str, Tuple[int, Optional[str], NFStation]] = {}
-        for position, nf in enumerate(self.chain):
-            next_name = (self.chain[position + 1].name
-                         if position + 1 < len(self.chain) else None)
-            self._routes[nf.name] = (position + 1, next_name,
-                                     self.stations[nf.name])
-        # Pre-registered engine action ids for every per-packet hop
-        # (see Engine.register_action); the post-PCIe arrival thunks
-        # are one fused closure per NF so the scheduled argument stays
-        # the bare packet.
         self._pcie = server.pcie
         self._nic = server.nic
         # Port contention is constructor-set configuration; when it is
@@ -93,28 +83,23 @@ class ChainNetwork:
         # ``SmartNIC.rx_time``'s fast path term for term).
         self._nic_contended = server.nic.model_port_contention
         self._port_rate_bps = server.nic.port_rate_bps
+        # Pre-registered engine action ids for every per-packet hop
+        # (see Engine.register_action); each is one frame whose
+        # scheduled argument is the bare packet.
         self._ingress_id = engine.register_action(self._ingress)
         self._egress_at_endpoint_id = engine.register_action(
             self._egress_at_endpoint)
         self._depart_id = engine.register_action(self._depart)
-        self._arrive_ids: Dict[str, int] = {
-            name: engine.register_action(self._arrival_action(station))
-            for name, station in self.stations.items()}
-        # Registered after the arrival ids it closes over (action ids
-        # are opaque table indices; registration order carries no
-        # ordering semantics).
-        self._forward_from_wire_id = engine.register_action(
-            self._wire_arrival_action())
-        # Fused completion path: each station gets a closure that knows
-        # its successor (the chain never reorders), so an NF completion
-        # routes in one frame instead of dispatching through the
-        # generic name-keyed ``_on_nf_complete`` -> ``_forward`` pair.
-        # Device *kinds* are still read per packet — migrations move
-        # stations between devices mid-run.
-        for nf in self.chain:
-            hop, next_name, station = self._routes[nf.name]
-            self.stations[nf.name].on_complete = self._completion_for(
-                hop, next_name, station)
+        stations = [self.stations[nf.name] for nf in self.chain]
+        arrive_ids = [engine.register_action(self._arrival_action(station))
+                      for station in stations]
+        self._enter = self._entry_action(stations[0], arrive_ids[0])
+        self._enter_id = engine.register_action(self._enter)
+        for station, next_station, arrive_id in zip(
+                stations, stations[1:], arrive_ids[1:]):
+            station.complete_with(self._completion_action(
+                station, next_station, arrive_id))
+        stations[-1].complete_with(self._exit_action(stations[-1]))
 
     # -- ingress ------------------------------------------------------------
 
@@ -124,16 +109,22 @@ class ChainNetwork:
         self.injected_bytes += packet.size_bytes
         self.engine.call_at_id(packet.arrival_s, self._ingress_id, packet)
 
-    def inject_batch(self, packets: List[Packet]) -> None:
-        """Bulk :meth:`inject`: one scheduler call for a whole epoch.
+    def inject_stream(self, packets: Iterable[Packet]) -> None:
+        """:meth:`inject` every packet of a time-ordered workload, lazily.
 
-        The runner's prepare step feeds entire arrival schedules
-        through here; accounting is identical to per-packet injection.
+        The runner's prepare step feeds each chain's generator through
+        here as one engine stream: a packet is drawn, and counted, just
+        before its arrival runs, so the workload is never held in
+        memory.  End-of-run accounting equals per-packet injection.
         """
-        self.injected += len(packets)
-        self.injected_bytes += sum(p.size_bytes for p in packets)
-        self.engine.call_at_id_many(
-            self._ingress_id, ((p.arrival_s, p) for p in packets))
+        self.engine.call_at_id_many(self._ingress_id, self._drawn(packets))
+
+    def _drawn(self, packets: Iterable[Packet]
+               ) -> Iterator[Tuple[float, Packet]]:
+        for packet in packets:
+            self.injected += 1
+            self.injected_bytes += packet.size_bytes
+            yield packet.arrival_s, packet
 
     def _ingress(self, packet: Packet) -> None:
         """Enter the chain at the ingress endpoint.
@@ -160,51 +151,29 @@ class ChainNetwork:
                 raise SimulationError(
                     f"negative wire latency {t_wire} at ingress")
             packet.wire += t_wire
-            self.engine.call_after_id(t_wire, self._forward_from_wire_id,
-                                      packet)
+            self.engine.call_after_id(t_wire, self._enter_id, packet)
         else:
-            self._forward(packet, DeviceKind.CPU, self._first_nf)
+            self._enter(packet)
 
-    def _forward_from_wire(self, packet: Packet) -> None:
-        """Continue ingress after NIC wire serialisation completes."""
-        self._forward(packet, DeviceKind.SMARTNIC, self._first_nf)
-
-    def _wire_arrival_action(self) -> Callable[[Packet], None]:
-        """Fused :meth:`_forward_from_wire`: one frame per wire arrival.
-
-        Same semantics as forwarding from the SmartNIC to the first NF,
-        with the station resolved at wiring time (device kind stays a
-        per-packet read — the first NF can migrate).
-        """
-        station = self.stations[self._first_nf]
-        arrive_id = self._arrive_ids[self._first_nf]
-        pcie = self._pcie
-        engine = self.engine
-        dropped_append = self.dropped.append
-        nf_name = station.profile.name
-
-        def forward_from_wire(packet: Packet) -> None:
-            if station.device.kind is not DeviceKind.SMARTNIC:
-                t_pcie = pcie.record_crossing(packet.size_bytes,
-                                              engine.now_s)
-                if t_pcie < 0.0:
-                    raise SimulationError(
-                        f"negative PCIe latency {t_pcie} "
-                        f"toward {station.profile.name!r}")
-                packet.pcie += t_pcie
-                engine.call_after_id(t_pcie, arrive_id, packet)
-            elif station.device._failed and not station._paused:
-                packet.dropped_at = nf_name
-                dropped_append(packet)
-            elif not station.accept(packet):
-                dropped_append(packet)
-
-        return forward_from_wire
+    # -- hops ---------------------------------------------------------------
+    #
+    # Each hop is one closure, built at wiring time.  A packet reaches a
+    # station's device either directly or over PCIe (a crossing,
+    # attributed to the packet's ``pcie`` component, then the station's
+    # post-PCIe arrival action).  On arrival, a station on a device that
+    # died before anyone paused it for evacuation has nowhere to put the
+    # packet (paused stations buffer loss-free while a migration runs).
+    # ``accept`` and ``record_crossing`` are looked up per packet: fault
+    # injection wraps a station's ``accept`` after wiring.
 
     def _arrival_action(self, station: NFStation) -> Callable[[Packet], None]:
-        """Fused post-PCIe arrival thunk: :meth:`_arrive_station` in one
-        frame, with the station (stable across migrations) and the drop
-        sink bound at wiring time."""
+        """Deliver a packet that has crossed PCIe to ``station``.
+
+        Stations are stable across migrations (rebind swaps the hosting
+        device underneath the same station), so the packet is delivered
+        to wherever the NF lives *now*, matching flow re-steering in
+        UNO/OpenNF.
+        """
         dropped_append = self.dropped.append
         nf_name = station.profile.name
 
@@ -217,49 +186,96 @@ class ChainNetwork:
 
         return arrive
 
-    # -- forwarding -------------------------------------------------------------
+    def _entry_action(self, station: NFStation,
+                      arrive_id: int) -> Callable[[Packet], None]:
+        """Move a packet from the ingress endpoint into the first NF."""
+        here = self.ingress_device
+        pcie = self._pcie
+        engine = self.engine
+        dropped_append = self.dropped.append
+        nf_name = station.profile.name
 
-    def _forward(self, packet: Packet, from_device: DeviceKind,
-                 nf_name: str) -> None:
-        """Move a packet from ``from_device`` to NF ``nf_name``."""
-        station = self.stations[nf_name]
-        if station.device.kind is not from_device:
-            t_pcie = self._pcie.record_crossing(packet.size_bytes,
-                                                self.engine.now_s)
-            if t_pcie < 0.0:
-                raise SimulationError(
-                    f"negative PCIe latency {t_pcie} toward {nf_name!r}")
-            packet.pcie += t_pcie
-            self.engine.call_after_id(t_pcie, self._arrive_ids[nf_name],
-                                      packet)
-        else:
-            self._arrive_station(station, packet)
+        def enter(packet: Packet) -> None:
+            if station.device.kind is not here:
+                t_pcie = pcie.record_crossing(packet.size_bytes,
+                                              engine.now_s)
+                if t_pcie < 0.0:
+                    raise SimulationError(
+                        f"negative PCIe latency {t_pcie} toward {nf_name!r}")
+                packet.pcie += t_pcie
+                engine.call_after_id(t_pcie, arrive_id, packet)
+            elif station.device._failed and not station._paused:
+                packet.dropped_at = nf_name
+                dropped_append(packet)
+            elif not station.accept(packet):
+                dropped_append(packet)
 
-    def _arrive(self, nf_name: str, packet: Packet) -> None:
-        """Deliver a packet to NF ``nf_name`` (name-keyed entry point)."""
-        self._arrive_station(self.stations[nf_name], packet)
+        return enter
 
-    def _arrive_station(self, station: NFStation, packet: Packet) -> None:
-        # Station objects are stable across migrations (rebind swaps the
-        # hosting device underneath the same NFStation), so the post-PCIe
-        # arrival thunks bind the station itself.  The device may have
-        # changed while the packet was in flight over PCIe (migration
-        # completed); that is fine — the packet is delivered to wherever
-        # the NF lives *now*, matching flow re-steering in UNO/OpenNF.
-        if station.device._failed and not station._paused:
-            # The hosting device died and nobody has paused the station
-            # for evacuation yet: the packet has nowhere to go.  (Paused
-            # stations buffer loss-free while the migration runs.)
-            packet.dropped_at = station.profile.name
-            self.dropped.append(packet)
-            return
-        if not station.accept(packet):
-            self.dropped.append(packet)
+    def _completion_action(self, station: NFStation,
+                           next_station: NFStation,
+                           arrive_id: int) -> Callable[[Packet], None]:
+        """``station``'s completion: count, filter, move to the next NF."""
+        profile = station.profile
+        filters = profile.pass_rate < 1.0
+        pcie = self._pcie
+        engine = self.engine
+        dropped_append = self.dropped.append
+        filtered_append = self.filtered.append
+        next_name = next_station.profile.name
 
-    def _on_nf_filtered(self, packet: Packet, nf_name: str,
-                        now_s: float) -> None:
-        """An NF consumed the packet (firewall block etc.)."""
-        self.filtered.append(packet)
+        def complete(packet: Packet) -> None:
+            station.served_packets += 1
+            if filters and filters_out(profile, packet):
+                filtered_append(packet)
+            elif next_station.device.kind is not station.device.kind:
+                t_pcie = pcie.record_crossing(packet.size_bytes,
+                                              engine.now_s)
+                if t_pcie < 0.0:
+                    raise SimulationError(
+                        f"negative PCIe latency {t_pcie} toward "
+                        f"{next_name!r}")
+                packet.pcie += t_pcie
+                engine.call_after_id(t_pcie, arrive_id, packet)
+            elif next_station.device._failed and not next_station._paused:
+                packet.dropped_at = next_name
+                dropped_append(packet)
+            elif not next_station.accept(packet):
+                dropped_append(packet)
+
+        return complete
+
+    def _exit_action(self, station: NFStation) -> Callable[[Packet], None]:
+        """The last NF's completion: count, filter, head for egress.
+
+        Crossing PCIe first if the last NF is on the other device from
+        the egress endpoint.
+        """
+        profile = station.profile
+        filters = profile.pass_rate < 1.0
+        egress_device = self.egress_device
+        egress_at_endpoint = self._egress_at_endpoint
+        egress_at_endpoint_id = self._egress_at_endpoint_id
+        pcie = self._pcie
+        engine = self.engine
+        filtered_append = self.filtered.append
+
+        def exit_chain(packet: Packet) -> None:
+            station.served_packets += 1
+            if filters and filters_out(profile, packet):
+                filtered_append(packet)
+            elif station.device.kind is not egress_device:
+                t_pcie = pcie.record_crossing(packet.size_bytes,
+                                              engine.now_s)
+                if t_pcie < 0.0:
+                    raise SimulationError(
+                        f"negative PCIe latency {t_pcie} at egress")
+                packet.pcie += t_pcie
+                engine.call_after_id(t_pcie, egress_at_endpoint_id, packet)
+            else:
+                egress_at_endpoint(packet)
+
+        return exit_chain
 
     def _on_nf_dropped(self, packet: Packet, nf_name: str,
                        now_s: float) -> None:
@@ -267,78 +283,14 @@ class ChainNetwork:
         queue; account it like any other drop so conservation holds."""
         self.dropped.append(packet)
 
-    def _on_nf_complete(self, packet: Packet, nf_name: str, now_s: float) -> None:
-        """Station finished serving; route to next NF or egress."""
-        hop, next_name, station = self._routes[nf_name]
-        here = station.device.kind
-        if next_name is not None:
-            packet.hop = hop
-            self._forward(packet, here, next_name)
-        else:
-            self._egress(packet, here)
-
-    def _completion_for(self, hop: int, next_name: Optional[str],
-                        station: NFStation) -> Callable[[Packet, str, float],
-                                                        None]:
-        """Build the fused per-station completion callback.
-
-        Semantically identical to :meth:`_on_nf_complete`, with the
-        route lookup resolved at wiring time and the inter-NF hop
-        inlined.
-        """
-        if next_name is None:
-            egress = self._egress
-
-            def complete_last(packet: Packet, nf_name: str,
-                              now_s: float) -> None:
-                egress(packet, station.device.kind)
-
-            return complete_last
-        next_station = self.stations[next_name]
-        arrive_id = self._arrive_ids[next_name]
-        pcie = self._pcie
-        engine = self.engine
-        dropped_append = self.dropped.append
-        next_nf_name = next_station.profile.name
-
-        def complete(packet: Packet, nf_name: str, now_s: float) -> None:
-            packet.hop = hop
-            if next_station.device.kind is not station.device.kind:
-                t_pcie = pcie.record_crossing(packet.size_bytes,
-                                              engine.now_s)
-                if t_pcie < 0.0:
-                    raise SimulationError(
-                        f"negative PCIe latency {t_pcie} "
-                        f"toward {next_station.profile.name!r}")
-                packet.pcie += t_pcie
-                engine.call_after_id(t_pcie, arrive_id, packet)
-            elif next_station.device._failed and not next_station._paused:
-                packet.dropped_at = next_nf_name
-                dropped_append(packet)
-            elif not next_station.accept(packet):
-                dropped_append(packet)
-
-        return complete
-
     # -- egress -------------------------------------------------------------
 
-    def _egress(self, packet: Packet, from_device: DeviceKind) -> None:
+    def _egress_at_endpoint(self, packet: Packet) -> None:
         """Leave the chain at the egress endpoint.
 
-        Crossing PCIe first if the last NF is on the other device, then
-        paying wire serialisation only when the egress endpoint is the
+        Paying wire serialisation only when the egress endpoint is the
         NIC (host-terminated chains hand the packet to an application).
         """
-        if from_device is not self.egress_device:
-            t_pcie = self._pcie.record_crossing(packet.size_bytes,
-                                                self.engine.now_s)
-            if t_pcie < 0.0:
-                raise SimulationError(
-                    f"negative PCIe latency {t_pcie} at egress")
-            packet.pcie += t_pcie
-            self.engine.call_after_id(t_pcie, self._egress_at_endpoint_id,
-                                      packet)
-            return
         if self._wire_egress:
             if self._nic_contended:
                 t_wire = self._nic.tx_time(packet.size_bytes,
@@ -353,10 +305,6 @@ class ChainNetwork:
             self.engine.call_after_id(t_wire, self._depart_id, packet)
         else:
             self._depart(packet)
-
-    def _egress_at_endpoint(self, packet: Packet) -> None:
-        """Continue egress once the packet has crossed to the endpoint."""
-        self._egress(packet, self.egress_device)
 
     def _depart(self, packet: Packet) -> None:
         """Final hop: stamp the departure time and deliver."""

@@ -26,19 +26,25 @@ from .engine import Engine
 from .latency import add_latency
 from .queues import PacketQueue
 
-#: Signature of the completion callback the network installs:
+#: Signature of a standalone station's callbacks:
 #: (packet, nf_name, completion_time_s) -> None
 CompletionFn = Callable[[Packet, str, float], None]
 
 
-def _filter_token(nf_name: str, seq: int) -> float:
-    """Deterministic per-(NF, packet) uniform variate in [0, 1).
+def filters_out(profile: NFProfile, packet: Packet) -> bool:
+    """Whether the NF consumes ``packet`` (a firewall block, not a loss).
 
-    CRC-based so filtering decisions are stable across processes and
-    runs (unlike the built-in ``hash``, which is salted per process).
+    Decided by a deterministic per-(NF, packet) uniform variate in
+    [0, 1) against the NF's pass rate: CRC-based, so stable across
+    processes and runs (unlike the built-in ``hash``, which is salted
+    per process).  A consumed packet is stamped ``filtered_at``.
+    Callers skip the check for NFs whose pass rate is 1.
     """
-    digest = zlib.crc32(f"{nf_name}:{seq}".encode())
-    return digest / 0x1_0000_0000
+    token = zlib.crc32(f"{profile.name}:{packet.seq}".encode()) / 0x1_0000_0000
+    if token < profile.pass_rate:
+        return False
+    packet.filtered_at = profile.name
+    return True
 
 
 class NFStation:
@@ -46,14 +52,19 @@ class NFStation:
 
     def __init__(self, profile: NFProfile, device: Device,
                  engine: Engine,
-                 on_complete: CompletionFn,
+                 on_complete: Optional[CompletionFn] = None,
                  on_filtered: Optional[CompletionFn] = None,
                  on_dropped: Optional[CompletionFn] = None) -> None:
+        """A station serving ``profile`` on ``device``.
+
+        Standalone, ``on_complete`` runs for every packet the NF passes
+        and ``on_filtered`` for every one it consumes.  A station wired
+        into a chain leaves both unset: the network gives it one
+        completion action through :meth:`complete_with`.
+        """
         self.profile = profile
         self.device = device
         self.engine = engine
-        self.on_complete = on_complete
-        self.on_filtered = on_filtered
         #: Called when a replayed pause-buffer packet overflows the new
         #: queue — the network's accounting path for drops the normal
         #: accept() return value cannot report.
@@ -73,13 +84,12 @@ class NFStation:
         #: included) — the resilience watchdog's progress signal.
         self.served_packets: int = 0
         # Pre-registered engine action ids for the two completions every
-        # served packet schedules (see Engine.register_action).  The
-        # pass rate is profile-constant, so a station that never
-        # filters gets the emit variant without the filter-token check.
+        # served packet schedules (see Engine.register_action): the
+        # server frees, and the packet leaves (see complete_with).
         self._free_server_id = engine.register_action(self._free_server)
-        emit = self._emit if profile.pass_rate < 1.0 else self._emit_pass
-        self._emit_id = engine.register_action(emit)
         self._call_after_pair = engine.call_after_id_pair
+        self.complete_with(self._unwired if on_complete is None
+                           else self._callbacks(on_complete, on_filtered))
 
     # -- state inspection ---------------------------------------------------
 
@@ -98,14 +108,48 @@ class NFStation:
         """Packets held in the migration pause buffer."""
         return len(self._pause_buffer)
 
+    # -- completion ----------------------------------------------------------
+
+    def complete_with(self, action: Callable[[Packet], None]) -> None:
+        """Run ``action(packet)`` when a packet finishes service here.
+
+        The action owns the packet's exit: it counts
+        :attr:`served_packets`, applies the NF's filter (see
+        :func:`filters_out`) and moves the packet on.  One action per
+        station makes a completion one frame.
+        """
+        self._emit_id = self.engine.register_action(action)
+
+    def _callbacks(self, on_complete: CompletionFn,
+                   on_filtered: Optional[CompletionFn]
+                   ) -> Callable[[Packet], None]:
+        """The standalone completion action over the constructor's
+        callbacks."""
+        profile = self.profile
+        filters = profile.pass_rate < 1.0
+
+        def complete(packet: Packet) -> None:
+            self.served_packets += 1
+            if filters and filters_out(profile, packet):
+                if on_filtered is not None:
+                    on_filtered(packet, profile.name, self.engine.now_s)
+                return
+            on_complete(packet, profile.name, self.engine.now_s)
+
+        return complete
+
+    def _unwired(self, packet: Packet) -> None:
+        raise SimulationError(
+            f"station {self.profile.name} finished packet {packet.seq} "
+            f"with no completion action")
+
     # -- data path -----------------------------------------------------------
 
     def accept(self, packet: Packet) -> bool:
         """Packet arrives at this NF now.  Returns False when dropped."""
-        now = self.engine.now_s
         if self._paused:
             # Loss-free migration: buffer instead of dropping.
-            self._pause_buffer.append((packet, now))
+            self._pause_buffer.append((packet, self.engine.now_s))
             return True
         queue = self.queue
         if not self._busy and not queue._size and not self.device._failed:
@@ -135,7 +179,7 @@ class NFStation:
             self._call_after_pair(occupancy, self._free_server_id,
                                   delay, self._emit_id, packet)
             return True
-        if not queue.enqueue(packet, now):
+        if not queue.enqueue(packet, self.engine.now_s):
             packet.dropped_at = self.profile.name
             return False
         # Not paused here (handled above), so the only start-service
@@ -191,24 +235,6 @@ class NFStation:
         # uncongested cycle.
         if self.queue._size:
             self._try_start_service()
-
-    def _emit_pass(self, packet: Packet) -> None:
-        """:meth:`_emit` for stations with ``pass_rate == 1.0``: no
-        packet can be filtered, so the token check is skipped."""
-        self.served_packets += 1
-        self.on_complete(packet, self.profile.name, self.engine.now_s)
-
-    def _emit(self, packet: Packet) -> None:
-        self.served_packets += 1
-        name = self.profile.name
-        pass_rate = self.profile.pass_rate
-        if pass_rate < 1.0 and _filter_token(name, packet.seq) >= pass_rate:
-            # Policy decision, not a loss: consume the packet here.
-            packet.filtered_at = name
-            if self.on_filtered is not None:
-                self.on_filtered(packet, name, self.engine.now_s)
-            return
-        self.on_complete(packet, name, self.engine.now_s)
 
     # -- migration support ----------------------------------------------------
 

@@ -241,11 +241,14 @@ class SimulationRunner:
     # -- execution ----------------------------------------------------------------
 
     def prepare(self) -> None:
-        """Inject every chain's workload and arm the first monitor tick.
+        """Stream every chain's workload in and arm the first monitor tick.
 
         Idempotent, and split from :meth:`run` so the
-        :class:`repro.exec.Scenario` protocol's prepare phase builds the
-        seeded event population apart from the engine run.
+        :class:`repro.exec.Scenario` protocol's prepare phase sets up
+        the seeded event population apart from the engine run.  Each
+        generator is drawn lazily as the run consumes it (see
+        :meth:`ChainNetwork.inject_stream`), so an error it raises past
+        its first packet surfaces from :meth:`run`.
         """
         if self._prepared:
             return
@@ -253,7 +256,7 @@ class SimulationRunner:
         self._offered_mean_bps = [g.mean_rate_bps() for g in self.generators]
         self.server.refresh_demand(self._offered(self._offered_mean_bps))
         for network, generator in zip(self.networks, self.generators):
-            network.inject_batch(list(generator.packets()))
+            network.inject_stream(generator.packets())
         self.engine.after(self.monitor_period_s, self._tick, control=True)
 
     def run_chains(self) -> List[SimulationResult]:

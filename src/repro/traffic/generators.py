@@ -16,6 +16,7 @@ fully deterministic so experiments are reproducible run to run.
 
 from __future__ import annotations
 
+import copy
 import random
 from typing import Iterator, Optional
 
@@ -154,11 +155,16 @@ class OnOffBursts(TrafficGenerator):
         return (self.low_bps + self.high_bps) / 2.0
 
     def packets(self) -> Iterator[Packet]:
-        """Generate packets, resetting modulation state first."""
-        # Reset modulation state so repeated iteration is deterministic.
-        self._state_high = False
-        self._next_switch_s = 0.0
-        return super().packets()
+        """Generate packets from fresh modulation state.
+
+        Each iteration modulates its own copy of the generator, so
+        repeated iteration is deterministic, and so is consuming two
+        iterations side by side (a run draws its workload lazily).
+        """
+        fresh = copy.copy(self)
+        fresh._state_high = False
+        fresh._next_switch_s = 0.0
+        return TrafficGenerator.packets(fresh)
 
 
 class RampArrivals(TrafficGenerator):

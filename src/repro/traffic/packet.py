@@ -39,8 +39,6 @@ class Packet:
     flow_id: int = 0
     #: Completion time, filled in by the simulator when the packet exits.
     departure_s: Optional[float] = None
-    #: Index of the next NF in the chain to visit (simulator cursor).
-    hop: int = 0
     #: Whether the packet was dropped, and at which NF.
     dropped_at: Optional[str] = None
     #: NF that deliberately consumed the packet (firewall block, IDS

@@ -8,16 +8,23 @@ side regresses — a new unseeded RNG, a wall-clock read, a hash-order
 dependency — this is the test that goes red.
 """
 
+import zlib
 from dataclasses import dataclass
 from typing import List, Tuple
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chaos.runner import ChaosRunner
 from repro.chaos.schedule import ChaosConfig
 from repro.core.planner import MigrationController, PAMPolicy
-from repro.harness.scenarios import figure1
+from repro.exec import RunRequest, seed_for
+from repro.harness.compare import default_policies
+from repro.harness.experiment import ExperimentConfig, ExperimentScenario
+from repro.harness.scenarios import FIGURE1_SATURATION_BPS, figure1
+from repro.soak import SoakCampaign, default_space
+from repro.soak.scenario import build_case_scenario
 from repro.sim.runner import SimulationResult, SimulationRunner
 from repro.telemetry.export import series_to_csv
 from repro.telemetry.monitor import LoadMonitor
@@ -125,3 +132,75 @@ class TestChaosReplayProperty:
         assert trace_a, "run executed no events"
         assert trace_a == trace_b
         assert metrics_a == metrics_b
+
+
+class _TraceCrc:
+    """A trace observer folding ``(repr(time_s), priority)`` of every
+    executed event into a CRC32.  Seqs are left out: they are scheduler
+    bookkeeping, free to change as long as the order they give does."""
+
+    def __init__(self) -> None:
+        self.events = 0
+        self.crc = 0
+
+    def __call__(self, keys: List[Tuple[float, int, int]]) -> None:
+        self.events += len(keys)
+        self.crc = zlib.crc32("".join(
+            f"{time_s!r} {priority}\n" for time_s, priority, _ in keys
+        ).encode(), self.crc)
+
+
+def _fig2_engine(policy_name: str):
+    """Figure 2's 64 B run of one policy at the saturating load."""
+    scenario = figure1()
+    policy = {policy.name: policy for policy in default_policies()}[
+        policy_name]
+    plan = policy.select(scenario.placement, scenario.throughput_bps)
+    run = ExperimentScenario(ExperimentConfig(
+        scenario=scenario.with_placement(plan.after, suffix=policy.name),
+        offered_bps=FIGURE1_SATURATION_BPS, packet_size_bytes=64,
+        duration_s=0.003))
+    return run, run.runner.engine
+
+
+def _chaos_engine():
+    """Chaos seed 7, run 0, at the benchmark's 10 ms."""
+    runner = ChaosRunner(runs=1, seed=7,
+                         config=ChaosConfig(duration_s=0.01))
+    run = runner.build_scenario(seed_for(7, 0))
+    return run, run.sim.engine
+
+
+def _soak_engine():
+    """Soak case 0 of ``default_space(0.01)`` at seed 7."""
+    campaign = SoakCampaign(runs=1, seed=7, space=default_space(0.01))
+    run = build_case_scenario(
+        campaign.case_for(RunRequest(index=0, seed=seed_for(7, 0))))
+    return run, run.sim.engine
+
+
+class TestTracePins:
+    """The executed event order of four runs, pinned across commits.
+
+    Counts and result digests (``benchmarks/perf`` ``PINS``, the soak
+    goldens) would miss two events trading places; these CRCs do not.
+    The values were captured before arrivals became engine streams.
+    """
+
+    @pytest.mark.parametrize("build,events,crc", [
+        (lambda: _fig2_engine("noop"), 160481, 3753367652),
+        (lambda: _fig2_engine("pam"), 198043, 2056164795),
+        (_chaos_engine, 16618, 586111831),
+        (_soak_engine, 23215, 3238657689),
+    ], ids=["fig2-noop-64B", "fig2-pam-64B", "chaos-seed7-run0",
+            "soak-case0"])
+    def test_trace_crc(self, build, events, crc):
+        run, engine = build()
+        observed = _TraceCrc()
+        engine.add_trace_observer(observed)
+        try:
+            run.prepare()
+            run.run()
+        finally:
+            run.release()
+        assert (observed.events, observed.crc) == (events, crc)

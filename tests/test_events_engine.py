@@ -128,22 +128,23 @@ class TestEngine:
         assert fired == list(range(1000))
         assert len(engine._queue._action_table) == table_size
 
-    def test_rejected_batch_keeps_count_and_seq_in_step(self):
+    def test_rejected_stream_item_stops_only_its_stream(self):
         engine = Engine()
         trace = []
         engine.trace_to(trace)
         engine.at(0.5, lambda: None)
         engine.run()
-        action_id = engine.register_action(lambda tag: None)
-        with pytest.raises(SchedulingError):
-            engine.call_at_id_many(
-                action_id, [(0.6, "a"), (0.7, "b"), (0.1, "c")])
-        # The two entries before the rejected one stay queued and counted.
+        ran = []
+        engine.call_at_id_many(engine.register_action(ran.append),
+                               [(0.6, "a"), (0.7, "b"), (0.1, "c")])
+        engine.at(0.65, lambda: ran.append("x"))
         assert engine.pending() == 2
-        engine.at(0.65, lambda: None)
-        assert engine.pending() == 3
         del trace[:]
-        engine.run()
-        assert trace == [(0.6, PRIORITY_DATA, 1), (0.65, PRIORITY_DATA, 3),
-                         (0.7, PRIORITY_DATA, 2)]
+        with pytest.raises(SchedulingError):
+            engine.run()
+        # "b" was dispatched, but drawing "c" failed before it ran:
+        # traced, not counted.
+        assert ran == ["a", "x"]
+        assert [key[0] for key in trace] == [0.6, 0.65, 0.7]
+        assert engine.events_processed == 3
         assert engine.pending() == 0

@@ -247,6 +247,17 @@ class TestOnOffBursts:
         second = [p.arrival_s for p in gen.packets()]
         assert first == second
 
+    def test_side_by_side_iterations_are_identical(self):
+        # A run draws each chain's workload lazily, so two chains fed
+        # by one generator consume its iterations interleaved.
+        gen = OnOffBursts(low_bps=mbps(500), high_bps=gbps(2.0),
+                          size_dist=FixedSize(256), duration_s=0.05,
+                          mean_dwell_s=0.005, seed=3)
+        alone = [p.arrival_s for p in gen.packets()]
+        pairs = list(zip(gen.packets(), gen.packets()))
+        assert [a.arrival_s for a, _ in pairs] == alone
+        assert [b.arrival_s for _, b in pairs] == alone
+
     def test_rates_validated(self):
         with pytest.raises(ConfigurationError):
             OnOffBursts(low_bps=gbps(2.0), high_bps=gbps(1.0),

@@ -259,9 +259,9 @@ class TestEventRules:
             def handler(engine):
                 engine._queue.pop()
         """)
-        # The queue's seq counter, heap, arrival lane and action table.
-        for attr in ("_seq", "_heap", "_lane", "_action_table",
-                     "_action_ids"):
+        # The queue's seq counter, heap, action table and stream step.
+        for attr in ("_seq", "_heap", "_action_table", "_action_ids",
+                     "_run_stream"):
             assert "EVT302" in _codes(f"""
                 def handler(queue):
                     return queue.{attr}

@@ -192,17 +192,26 @@ class TestReleaseContract:
 
 
 class TestEngineClearPending:
-    def test_drops_heap_and_lane_entries(self):
+    def test_drops_heap_entries_and_streams(self):
         engine = Engine()
         fired = []
+        drawn = []
+
+        def items():
+            for index in range(1, 4):
+                drawn.append(index)
+                yield index * 0.001, index
+
         action_id = engine.register_action(fired.append)
-        engine.call_at_id_many(action_id, [(0.001, 1), (0.002, 2)])
+        engine.call_at_id_many(action_id, items())
         engine.after(0.0015, lambda: fired.append("closure"))
-        assert engine.pending() == 3
+        # One entry for the stream, one for the closure.
+        assert engine.pending() == 2
         engine.clear_pending()
         assert engine.pending() == 0
         engine.run()
         assert fired == []
+        assert drawn == [1]
         assert engine.events_processed == 0
 
     def test_refused_while_running(self):
