@@ -26,11 +26,6 @@ from .engine import Engine
 from .latency import add_latency
 from .queues import PacketQueue
 
-#: Signature of a standalone station's callbacks:
-#: (packet, nf_name, completion_time_s) -> None
-CompletionFn = Callable[[Packet, str, float], None]
-
-
 def filters_out(profile: NFProfile, packet: Packet) -> bool:
     """Whether the NF consumes ``packet`` (a firewall block, not a loss).
 
@@ -52,15 +47,12 @@ class NFStation:
 
     def __init__(self, profile: NFProfile, device: Device,
                  engine: Engine,
-                 on_complete: Optional[CompletionFn] = None,
-                 on_filtered: Optional[CompletionFn] = None,
-                 on_dropped: Optional[CompletionFn] = None) -> None:
+                 on_dropped: Optional[
+                     Callable[[Packet, str, float], None]] = None) -> None:
         """A station serving ``profile`` on ``device``.
 
-        Standalone, ``on_complete`` runs for every packet the NF passes
-        and ``on_filtered`` for every one it consumes.  A station wired
-        into a chain leaves both unset: the network gives it one
-        completion action through :meth:`complete_with`.
+        It serves nothing until :meth:`complete_with` has given it the
+        action that moves a finished packet on.
         """
         self.profile = profile
         self.device = device
@@ -85,11 +77,10 @@ class NFStation:
         self.served_packets: int = 0
         # Pre-registered engine action ids for the two completions every
         # served packet schedules (see Engine.register_action): the
-        # server frees, and the packet leaves (see complete_with).
+        # server frees, and the packet leaves (set by complete_with).
         self._free_server_id = engine.register_action(self._free_server)
+        self._emit_id: int
         self._call_after_pair = engine.call_after_id_pair
-        self.complete_with(self._unwired if on_complete is None
-                           else self._callbacks(on_complete, on_filtered))
 
     # -- state inspection ---------------------------------------------------
 
@@ -119,29 +110,6 @@ class NFStation:
         station makes a completion one frame.
         """
         self._emit_id = self.engine.register_action(action)
-
-    def _callbacks(self, on_complete: CompletionFn,
-                   on_filtered: Optional[CompletionFn]
-                   ) -> Callable[[Packet], None]:
-        """The standalone completion action over the constructor's
-        callbacks."""
-        profile = self.profile
-        filters = profile.pass_rate < 1.0
-
-        def complete(packet: Packet) -> None:
-            self.served_packets += 1
-            if filters and filters_out(profile, packet):
-                if on_filtered is not None:
-                    on_filtered(packet, profile.name, self.engine.now_s)
-                return
-            on_complete(packet, profile.name, self.engine.now_s)
-
-        return complete
-
-    def _unwired(self, packet: Packet) -> None:
-        raise SimulationError(
-            f"station {self.profile.name} finished packet {packet.seq} "
-            f"with no completion action")
 
     # -- data path -----------------------------------------------------------
 

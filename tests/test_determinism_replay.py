@@ -16,9 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.chain.builder import ChainBuilder
+from repro.chain.nf import DeviceKind, NFProfile
 from repro.chaos.runner import ChaosRunner
 from repro.chaos.schedule import ChaosConfig
 from repro.core.planner import MigrationController, PAMPolicy
+from repro.devices.cpu import CPU
+from repro.devices.server import Server
 from repro.exec import RunRequest, seed_for
 from repro.harness.compare import default_policies
 from repro.harness.experiment import ExperimentConfig, ExperimentScenario
@@ -28,6 +32,7 @@ from repro.soak.scenario import build_case_scenario
 from repro.sim.runner import SimulationResult, SimulationRunner
 from repro.telemetry.export import series_to_csv
 from repro.telemetry.monitor import LoadMonitor
+from repro.traffic.generators import ConstantBitRate
 from repro.traffic.packet import FixedSize
 from repro.traffic.patterns import ProfiledArrivals, spike
 from repro.units import gbps
@@ -179,11 +184,37 @@ def _soak_engine():
     return run, run.sim.engine
 
 
+def _tied_engine():
+    """CBR arrivals on a grid that their service completions land on.
+
+    Every time, rate and size is a power of two, so the two CPU
+    stations' server-frees and emits fall exactly on arrival instants
+    (about two events in three tie with the one before).  The first NF
+    filters and the queues hold four packets, so which of two tied
+    events runs first decides which packets drop or pass.
+    """
+    rate_bps = float(2 ** 31)
+    _, placement = (
+        ChainBuilder("ties")
+        .cpu(NFProfile("gate", cpu_capacity_bps=rate_bps,
+                       base_latency_s=0.0, pass_rate=0.75))
+        .cpu(NFProfile("sink", cpu_capacity_bps=rate_bps,
+                       base_latency_s=0.0))
+        .build(ingress=DeviceKind.CPU, egress=DeviceKind.CPU))
+    server = Server(cpu=CPU("cpu", queue_capacity_packets=4))
+    server.install(placement)
+    run = SimulationRunner(server, ConstantBitRate(
+        rate_bps, FixedSize(128), duration_s=2.0 ** -10))
+    return run, run.engine
+
+
 class TestTracePins:
-    """The executed event order of four runs, pinned across commits.
+    """The executed event order of five runs, pinned across commits.
 
     Counts and result digests (``benchmarks/perf`` ``PINS``, the soak
-    goldens) would miss two events trading places; these CRCs do not.
+    goldens) would miss two events trading places; these CRCs do not
+    wherever the swap changes what follows.  The tied run is the one
+    where arrivals meet heap entries at equal ``(time, priority)``.
     The values were captured before arrivals became engine streams.
     """
 
@@ -192,8 +223,9 @@ class TestTracePins:
         (lambda: _fig2_engine("pam"), 198043, 2056164795),
         (_chaos_engine, 16618, 586111831),
         (_soak_engine, 23215, 3238657689),
+        (_tied_engine, 5738, 2224053060),
     ], ids=["fig2-noop-64B", "fig2-pam-64B", "chaos-seed7-run0",
-            "soak-case0"])
+            "soak-case0", "cbr-ties"])
     def test_trace_crc(self, build, events, crc):
         run, engine = build()
         observed = _TraceCrc()

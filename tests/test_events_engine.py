@@ -96,6 +96,18 @@ class TestEngine:
         engine.run()
         assert order == ["control", "data"]
 
+    def test_pair_orders_like_two_consecutive_schedules(self):
+        # A station's server-free and emit tie when the NF has no
+        # pipeline latency; the free must run first, as two separate
+        # call_after_id calls would have it.
+        engine = Engine()
+        order = []
+        first = engine.register_action(lambda: order.append("free"))
+        second = engine.register_action(order.append)
+        engine.call_after_id_pair(1.0, first, 1.0, second, "emit")
+        engine.run()
+        assert order == ["free", "emit"]
+
     def test_events_processed_counter(self):
         engine = Engine()
         for i in range(4):

@@ -3,10 +3,14 @@
 import pytest
 
 from repro.chain import catalog
+from repro.chain.builder import ChainBuilder
+from repro.chain.nf import DeviceKind, NFProfile
 from repro.devices.cpu import CPU
+from repro.devices.server import PAPER_TESTBED
 from repro.devices.smartnic import SmartNIC
 from repro.errors import MigrationError
 from repro.sim.engine import Engine
+from repro.sim.network import ChainNetwork
 from repro.sim.nfinstance import NFStation
 from repro.traffic.packet import Packet
 from repro.units import gbps
@@ -21,11 +25,11 @@ class Harness:
         self.profile = catalog.get(nf_name)
         self.device.host(self.profile)
         self.completed = []
-        self.station = NFStation(self.profile, self.device, self.engine,
-                                 self._on_complete)
+        self.station = NFStation(self.profile, self.device, self.engine)
+        self.station.complete_with(self._on_complete)
 
-    def _on_complete(self, packet, nf_name, now_s):
-        self.completed.append((packet.seq, now_s))
+    def _on_complete(self, packet):
+        self.completed.append((packet.seq, self.engine.now_s))
 
     def inject(self, seq, at_s, size=256):
         packet = Packet(seq=seq, size_bytes=size, arrival_s=at_s)
@@ -79,11 +83,24 @@ class TestService:
         assert [seq for seq, _ in h.completed] == list(range(5))
 
     def test_served_counters(self):
-        h = Harness()
-        h.inject(0, at_s=0.0, size=100)
-        h.inject(1, at_s=0.0, size=200)
-        h.engine.run()
-        assert h.station.served_packets == 2
+        # A chain's completion actions count every packet a station
+        # finishes, the ones its NF filters out included.
+        chain, placement = (
+            ChainBuilder("served")
+            .cpu(NFProfile("gate", pass_rate=0.5)).cpu("monitor")
+            .build(ingress=DeviceKind.CPU, egress=DeviceKind.CPU))
+        server = PAPER_TESTBED.build()
+        server.install(placement)
+        engine = Engine()
+        network = ChainNetwork(server, engine)
+        for seq in range(8):
+            network.inject(Packet(seq=seq, size_bytes=256,
+                                  arrival_s=seq * 1e-3))
+        engine.run()
+        assert 0 < len(network.filtered) < 8
+        assert network.stations["gate"].served_packets == 8
+        assert network.stations["monitor"].served_packets == \
+            len(network.delivered) == 8 - len(network.filtered)
 
 
 class TestDrops:
