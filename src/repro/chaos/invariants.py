@@ -40,6 +40,8 @@ formats.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress, count
+from operator import lt
 from typing import List, Mapping, Optional
 
 from ..devices.server import Server
@@ -219,11 +221,13 @@ def _check_faults_restored(server: Server) -> List[Violation]:
 
 
 def _check_causality(network: ChainNetwork) -> List[Violation]:
-    for packet in network.delivered:
-        if packet.departure_s is not None and \
-                packet.departure_s < packet.arrival_s:
-            return [Violation(
-                "causality",
-                f"packet {packet.seq} departed at {packet.departure_s} "
-                f"before arriving at {packet.arrival_s}")]
-    return []
+    delivered = network.delivered
+    departures = delivered.column("departure_s")
+    arrivals = delivered.column("arrival_s")
+    late = next(compress(count(), map(lt, departures, arrivals)), None)
+    if late is None:
+        return []
+    return [Violation(
+        "causality",
+        f"packet {int(delivered.column('seq')[late])} departed at "
+        f"{departures[late]} before arriving at {arrivals[late]}")]

@@ -81,9 +81,12 @@ class FaultInjector:
         self._down_until: Dict[str, float] = {}
         #: Active crash event per NF (receives the drop accounting).
         self._active_crash: Dict[str, FaultEvent] = {}
-        #: Original ``accept`` per wrapped station — exactly one wrapper
-        #: is ever installed per station, no matter how often it crashes.
-        self._wrapped_accepts: Dict[str, Callable[[Packet], bool]] = {}
+        #: Crash wrapper per wrapped station, with the instance ``accept``
+        #: it replaced (None: the class's method) — at most one wrapper
+        #: per station at a time, however many crash windows overlap.
+        self._wrapped_accepts: Dict[
+            str, Tuple[Callable[[Packet], bool],
+                       Optional[Callable[[Packet], bool]]]] = {}
         self._loss_installed = False
         #: Latest brownout end per device kind.
         self._brownout_until: Dict[DeviceKind, float] = {}
@@ -121,18 +124,18 @@ class FaultInjector:
         return event
 
     def _install_crash_wrapper(self, nf_name: str) -> None:
-        """Wrap the station's accept() once; the wrapper consults the
-        failed-set on every packet, so repeated crashes reuse it."""
+        """Wrap the station's accept() for one outage; the wrapper
+        consults the failed-set on every packet, so overlapping crashes
+        reuse it, and :meth:`_remove_crash_wrapper` takes it off."""
         if nf_name in self._wrapped_accepts:
             return
         station = self.network.stations[nf_name]
         original_accept = station.accept
-        self._wrapped_accepts[nf_name] = original_accept
 
         def dropping_accept(packet: Packet) -> bool:
             if nf_name in self._failed:
-                # Returning False lets ChainNetwork._arrive do the
-                # drop accounting, exactly like a queue overflow.
+                # Returning False lets the network's hop do the drop
+                # accounting, exactly like a queue overflow.
                 packet.dropped_at = nf_name
                 event = self._active_crash.get(nf_name)
                 if event is not None:
@@ -140,7 +143,26 @@ class FaultInjector:
                 return False
             return original_accept(packet)
 
+        self._wrapped_accepts[nf_name] = (
+            dropping_accept, station.__dict__.get("accept"))
         station.accept = dropping_accept  # type: ignore[method-assign]
+
+    def _remove_crash_wrapper(self, nf_name: str) -> None:
+        """Put back the accept() the crash wrapper wrapped.
+
+        Only while the wrapper is still the outermost accept: under a
+        wrapper installed on top of it since, it stays, passing packets
+        through while the NF is up.
+        """
+        station = self.network.stations[nf_name]
+        wrapper, wrapped = self._wrapped_accepts[nf_name]
+        if station.__dict__.get("accept") is not wrapper:
+            return
+        del self._wrapped_accepts[nf_name]
+        if wrapped is None:
+            del station.accept  # back to the class's method
+        else:
+            station.accept = wrapped  # type: ignore[method-assign]
 
     def _fail(self, nf_name: str, event: FaultEvent) -> None:
         until = event.until_s if event.until_s is not None else 0.0
@@ -164,10 +186,11 @@ class FaultInjector:
     def _restore(self, nf_name: str) -> None:
         if self.engine.now_s < self._down_until.get(nf_name, 0.0) - 1e-12:
             return  # a later overlapping crash still holds the NF down
+        if nf_name not in self._failed:
+            return
         self._failed.discard(nf_name)
         self._active_crash.pop(nf_name, None)
-        # The wrapped accept() checks _failed, so nothing else to undo:
-        # once the name leaves the failed set, packets flow again.
+        self._remove_crash_wrapper(nf_name)
 
     def is_failed(self, nf_name: str) -> bool:
         """Whether ``nf_name`` is currently down."""

@@ -22,6 +22,7 @@ from ..errors import SimulationError
 from ..traffic.packet import Packet
 from ..units import ETHERNET_OVERHEAD_BYTES
 from .engine import Engine
+from .latency import LatencyLedger, pack_row
 from .nfinstance import NFStation, filters_out
 
 
@@ -49,7 +50,9 @@ class ChainNetwork:
             nf.name: NFStation(nf, server.device(placement.device_of(nf.name)),
                                engine, on_dropped=self._on_nf_dropped)
             for nf in self.chain}
-        self.delivered: List[Packet] = []
+        #: Delivered packets, one ledger row each, recorded on departure.
+        self.delivered = LatencyLedger()
+        self._record_row = self.delivered.append_row
         self.dropped: List[Packet] = []
         #: Packets consumed on purpose by filtering NFs (not losses).
         self.filtered: List[Packet] = []
@@ -307,9 +310,17 @@ class ChainNetwork:
             self._depart(packet)
 
     def _depart(self, packet: Packet) -> None:
-        """Final hop: stamp the departure time and deliver."""
-        packet.departure_s = self.engine.now_s
-        self.delivered.append(packet)
+        """Final hop: stamp the departure time and record the packet.
+
+        Nothing writes to a packet after this hop, so its ledger row,
+        written last, is final; the packet object is then let go.  The
+        row is :meth:`LatencyLedger.record`'s, written inline.
+        """
+        packet.departure_s = now = self.engine.now_s
+        self._record_row(pack_row(
+            packet.seq, packet.size_bytes, packet.flow_id, packet.arrival_s,
+            now, packet.wire, packet.processing, packet.queueing,
+            packet.pcie))
 
     # -- accounting --------------------------------------------------------------
 
@@ -332,10 +343,10 @@ class ChainNetwork:
     def release(self) -> None:
         """Let go of every packet the data plane holds (end of a run).
 
-        Empties the outcome lists in place (the fused hop closures hold
-        their bound ``append``) and every station's queue and pause
-        buffer.  The counters stay; the outcome lists no longer account
-        for them.
+        Empties the delivered ledger and the outcome lists in place (the
+        fused hop closures hold their bound ``append``) and every
+        station's queue and pause buffer.  The counters stay; the
+        outcome records no longer account for them.
         """
         for outcome in (self.delivered, self.dropped, self.filtered,
                         self.shed):

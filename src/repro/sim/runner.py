@@ -16,6 +16,8 @@ method works.  :mod:`repro.core.planner` provides the PAM controller and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress, repeat
+from operator import le, sub
 from typing import (Callable, Dict, List, Mapping, Optional, Protocol,
                     Sequence, Tuple, TypeVar, Union)
 
@@ -27,7 +29,6 @@ from ..resources.model import LoadModel, ThroughputSpec, filtered_throughput
 from ..telemetry.metrics import LatencySummary, ThroughputSummary
 from ..traffic.generators import TrafficGenerator
 from .engine import Engine
-from .latency import COMPONENTS
 from .network import ChainNetwork
 
 
@@ -279,14 +280,16 @@ class SimulationRunner:
         return _only(self._collect())
 
     def release(self) -> None:
-        """End the run: drop its pending events and every packet it holds.
+        """End the run: drop its pending events, every packet it holds
+        and its delivered-packet ledgers.
 
         The :class:`repro.exec.Scenario` protocol's last phase, for
         whoever built the run, once its result is collected.  A run's
         object graph is cyclic (the engine's action table points at
         station and network callbacks, which point back at the engine),
-        so without this its packets stay resident until a full
-        cycle collection.  Idempotent; :meth:`collect` afterwards
+        so without this its queued, dropped, filtered and shed packets
+        and its ledger rows stay resident until a full cycle
+        collection.  Idempotent; :meth:`collect` afterwards
         raises rather than report an emptied run.
         """
         self._released = True
@@ -315,35 +318,25 @@ class SimulationRunner:
                        offered_bps: float,
                        migrations: list) -> SimulationResult:
         delivered = network.delivered
-        # One pass over the delivered packets: latencies, the component
-        # sums behind the means, and goodput.  Goodput counts only
-        # packets that left within the workload horizon; backlog
-        # drained during the grace period would otherwise inflate an
-        # overloaded chain's apparent throughput.
+        # Whole columns at a time, no per-packet Python loop: latencies,
+        # component means and goodput.  Goodput counts only packets
+        # that left within the workload horizon; backlog drained during
+        # the grace period would otherwise inflate an overloaded
+        # chain's apparent throughput.
         horizon = generator.duration_s
-        latencies = []
-        wire = processing = queueing = pcie = 0.0
-        window_packets = window_bytes = 0
-        for packet in delivered:
-            departure_s = packet.departure_s
-            latencies.append(departure_s - packet.arrival_s)
-            wire += packet.wire
-            processing += packet.processing
-            queueing += packet.queueing
-            pcie += packet.pcie
-            if departure_s <= horizon:
-                window_packets += 1
-                window_bytes += packet.size_bytes
-        latency = LatencySummary.from_samples(latencies) if latencies else None
+        departures = delivered.column("departure_s")
+        latency = (LatencySummary.from_samples(
+            map(sub, departures, delivered.column("arrival_s")))
+            if delivered else None)
+        in_window = list(map(le, departures, repeat(horizon)))
+        # Integral sizes below 2**53 sum exactly in any order.
+        window_bytes = int(sum(compress(delivered.column("size_bytes"),
+                                        in_window)))
         throughput = ThroughputSummary(
-            delivered_packets=window_packets,
+            delivered_packets=in_window.count(True),
             delivered_bytes=window_bytes,
             window_s=horizon)
-        count = len(delivered)
-        component_means_s = (
-            {"wire": wire / count, "processing": processing / count,
-             "queueing": queueing / count, "pcie": pcie / count}
-            if count else dict.fromkeys(COMPONENTS, 0.0))
+        component_means_s = delivered.component_means()
         moved = [m for m in migrations if m.nf_name in network.stations]
         return SimulationResult(
             duration_s=horizon,

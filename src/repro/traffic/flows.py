@@ -12,6 +12,7 @@ import random
 import zlib
 from bisect import bisect
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from typing import List, Tuple
 
@@ -57,15 +58,8 @@ class FlowTable:
             raise ConfigurationError("need at least one flow")
         if zipf_s <= 0:
             raise ConfigurationError("zipf exponent must be positive")
-        rng = random.Random(seed)
-        self.flows: List[FiveTuple] = [
-            FiveTuple(
-                src_ip=f"10.0.{rng.randint(0, 255)}.{rng.randint(1, 254)}",
-                dst_ip=f"192.168.{rng.randint(0, 255)}.{rng.randint(1, 254)}",
-                src_port=rng.randint(1024, 65535),
-                dst_port=rng.choice([80, 443, 53, 8080, 22]),
-                protocol=rng.choice(["tcp", "tcp", "tcp", "udp"]))
-            for _ in range(num_flows)]
+        self.num_flows = num_flows
+        self._seed = seed
         # Zipf weights over flow ranks.
         self._weights = [1.0 / (rank ** zipf_s)
                          for rank in range(1, num_flows + 1)]
@@ -78,8 +72,26 @@ class FlowTable:
         self._total_weight = self._cum_weights[-1] + 0.0
         self._hi = num_flows - 1
 
+    @cached_property
+    def flows(self) -> List[FiveTuple]:
+        """The population's 5-tuples, in flow-id order.
+
+        Built on first use from the table's own seeded RNG (flow picks
+        use the caller's), so deferring it changes no draw; most runs
+        never read them.
+        """
+        rng = random.Random(self._seed)
+        return [
+            FiveTuple(
+                src_ip=f"10.0.{rng.randint(0, 255)}.{rng.randint(1, 254)}",
+                dst_ip=f"192.168.{rng.randint(0, 255)}.{rng.randint(1, 254)}",
+                src_port=rng.randint(1024, 65535),
+                dst_port=rng.choice([80, 443, 53, 8080, 22]),
+                protocol=rng.choice(["tcp", "tcp", "tcp", "udp"]))
+            for _ in range(self.num_flows)]
+
     def __len__(self) -> int:
-        return len(self.flows)
+        return self.num_flows
 
     def pick_flow(self, rng: random.Random) -> int:
         """Flow id for the next packet, Zipf-weighted.

@@ -130,6 +130,16 @@ class TestInvariants:
         violations = check_invariants(network, server)
         assert any(v.invariant == "faults-restored" for v in violations)
 
+    def test_departure_before_arrival_detected(self):
+        server, engine, network = drained_network()
+        engine.run()
+        network.delivered.record(Packet(seq=4242, size_bytes=64,
+                                        arrival_s=2e-3, departure_s=1e-3))
+        violations = [v for v in check_invariants(network, server)
+                      if v.invariant == "causality"]
+        assert len(violations) == 1
+        assert "packet 4242 departed at 0.001" in violations[0].detail
+
     def test_stale_demand_detected(self):
         server, engine, network = drained_network()
         engine.run()

@@ -109,6 +109,57 @@ class TestRepeatedCrash:
                    if 3.5e-4 < p.arrival_s < 5.5e-4]
         assert between
 
+    def test_restore_takes_the_crash_wrapper_off(self):
+        __, engine, network = live_network()
+        injector = FaultInjector(network, engine)
+        station = network.stations["monitor"]
+        inject_cbr(network, 800)
+        first = injector.crash_nf("monitor", at_s=2e-4, downtime_s=1e-4)
+        second = injector.crash_nf("monitor", at_s=6e-4, downtime_s=1e-4)
+        wrapped, drops = [], []
+
+        def probe():
+            wrapped.append("accept" in vars(station))
+            drops.append(len(network.dropped))
+
+        for at_s in (1.99e-4, 2.5e-4, 3.01e-4, 4.5e-4, 5.99e-4, 6.5e-4):
+            engine.at(at_s, probe, control=True)
+        engine.run()
+        network.check_conservation()
+        # Wrapped in each window, unwrapped before, between and after.
+        assert wrapped == [False, True, False, False, False, True]
+        assert "accept" not in vars(station)
+        # Drops in both windows, none between them.
+        assert drops[0] == 0
+        assert drops[2] > 0 and drops[2] == drops[4]
+        assert len(network.dropped) > drops[4]
+        assert first.packets_lost == drops[2]
+        assert second.packets_lost == len(network.dropped) - drops[4]
+
+    def test_a_crash_wrapper_wrapped_since_stays(self):
+        __, engine, network = live_network()
+        injector = FaultInjector(network, engine)
+        station = network.stations["monitor"]
+        inject_cbr(network, 300)
+        injector.crash_nf("monitor", at_s=2e-4, downtime_s=1e-4)
+        seen = []
+
+        def wrap_on_top():
+            inner = station.accept
+
+            def outer(packet):
+                seen.append(packet.seq)
+                return inner(packet)
+
+            station.accept = outer
+
+        engine.at(2.5e-4, wrap_on_top, control=True)
+        engine.run()
+        network.check_conservation()
+        assert vars(station)["accept"].__name__ == "outer"
+        assert len(network.delivered) + len(network.dropped) == 300
+        assert seen[-1] == 299
+
     def test_overlapping_windows_extend_downtime(self):
         __, engine, network = live_network()
         injector = FaultInjector(network, engine)

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import pytest
@@ -84,3 +85,20 @@ class TestFlowTable:
     def test_flow_lookup(self):
         table = FlowTable(num_flows=5)
         assert isinstance(table.flow(2), FiveTuple)
+
+    def test_tuples_are_built_on_first_use(self):
+        table = FlowTable(num_flows=17)
+        assert len(table) == 17
+        assert "flows" not in vars(table)
+        rng = random.Random(1)
+        [table.pick_flow(rng) for _ in range(10)]
+        assert "flows" not in vars(table)
+        assert table.flow(3) is table.flows[3]
+        assert len(table.flows) == 17
+
+    def test_tuples_and_split_are_pinned(self):
+        # CRC32s captured when the table still built its tuples eagerly.
+        table = FlowTable(seed=7)
+        assert zlib.crc32(repr(table.flows).encode()) == 1673811619
+        assert zlib.crc32(repr(FlowTable(seed=7).split(4)).encode()) \
+            == 4155779575
