@@ -2,7 +2,8 @@
 
 Real servers consolidate several chains onto one SmartNIC (CoCo [5]).
 This bench co-locates two chains, overloads the shared NIC through one
-of them, and shows that multi-chain PAM picks the globally cheapest
+of them, and shows that PAM over both chains' load models picks the
+globally cheapest
 border vNF — possibly from the *other* chain — while keeping every
 chain's PCIe crossing count non-increasing.  The simulation half
 demonstrates interference: the victim chain's latency rises purely
@@ -16,15 +17,17 @@ from conftest import report
 from repro.chain import catalog
 from repro.chain.builder import ChainBuilder
 from repro.chain.nf import DeviceKind
+from repro.core.planner import PAMPolicy
 from repro.devices.server import ServerProfile
 from repro.harness.tables import render_table
-from repro.multichain import ChainLoad, MultiChainLoadModel, select_multichain
+from repro.resources.model import LoadModel, shared_utilisation
 from repro.sim.runner import SimulationRunner
 from repro.traffic.generators import ConstantBitRate
 from repro.traffic.packet import FixedSize
 from repro.units import as_usec, gbps
 
 C = DeviceKind.CPU
+S = DeviceKind.SMARTNIC
 
 
 def chain_a():
@@ -59,13 +62,10 @@ def test_multichain_pam(benchmark):
     def run():
         # Phase 1: chain a overloads the shared NIC; chain b is innocent.
         state["before"] = run_pair(gbps(1.1), gbps(1.0))
-        chains = [ChainLoad(chain_a(), gbps(1.1)),
-                  ChainLoad(chain_b(), gbps(1.0))]
-        state["plan"] = select_multichain(chains)
-        after_a = state["plan"].after[0].placement
-        after_b = state["plan"].after[1].placement
+        state["plan"] = PAMPolicy().select(
+            (LoadModel(chain_a(), gbps(1.1)), LoadModel(chain_b(), gbps(1.0))))
         state["after"] = run_pair(gbps(1.1), gbps(1.0),
-                                  placements=(after_a, after_b))
+                                  placements=state["plan"].afters)
         return state
 
     benchmark.pedantic(run, rounds=1, iterations=1)
@@ -79,8 +79,7 @@ def test_multichain_pam(benchmark):
                          f"{as_usec(result.latency.mean_s):.1f}",
                          f"{as_usec(result.latency.p99_s):.1f}",
                          str(result.dropped)])
-    moves = ", ".join(f"{a.nf_name} (chain {a.chain_index}, "
-                      f"dPCIe {a.crossing_delta:+d})"
+    moves = ", ".join(f"{a.nf_name} (dPCIe {a.crossing_delta:+d})"
                       for a in plan.actions)
     report("Ablation A6 — PAM across two co-located chains",
            render_table(["phase", "chain", "mean (us)", "p99 (us)",
@@ -89,9 +88,10 @@ def test_multichain_pam(benchmark):
     # Shape: the plan alleviates using border moves only.
     assert plan.alleviates
     assert all(a.crossing_delta <= 0 for a in plan.actions)
-    after = MultiChainLoadModel(list(plan.after))
-    assert after.nic_utilisation() < 1.0
-    assert after.cpu_utilisation() < 1.0
+    after = (LoadModel(plan.afters[0], gbps(1.1)),
+             LoadModel(plan.afters[1], gbps(1.0)))
+    assert shared_utilisation(after, S) < 1.0
+    assert shared_utilisation(after, C) < 1.0
     # The innocent chain's tail recovers after the plan (shared-device
     # interference is gone): p99 strictly improves.
     assert state["after"]["b"].latency.p99_s < \

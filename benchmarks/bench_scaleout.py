@@ -18,6 +18,7 @@ from repro.core.pam import select as pam_select
 from repro.errors import ScaleOutRequired
 from repro.harness.scenarios import figure1
 from repro.harness.tables import render_table
+from repro.resources.model import LoadModel
 from repro.traffic.flows import FlowTable
 from repro.units import as_gbps, gbps
 
@@ -65,7 +66,7 @@ def test_scaleout_fallback(benchmark):
 
     # The fallback wrapper passes migrations through while they work...
     policy = ScaleOutFallbackPolicy(NaivePolicy())
-    plan = policy.select(scenario.placement, gbps(1.8))
+    plan = policy.select((LoadModel(scenario.placement, gbps(1.8)),))
     assert plan.migrated_names == ["monitor"]
     assert policy.scaleout_plans == []
     # ...and past every option the exception *is* the answer: on this
@@ -74,7 +75,7 @@ def test_scaleout_fallback(benchmark):
     # needs another server.
     with pytest.raises(ScaleOutRequired):
         ScaleOutFallbackPolicy(NaivePolicy()).select(
-            scenario.placement, gbps(3.0))
+            (LoadModel(scenario.placement, gbps(3.0)),))
 
 
 def test_scaleout_skew_grows_with_instances(benchmark):

@@ -5,8 +5,8 @@ Real NFV servers consolidate several chains onto the same hardware
 (CoCo, which the paper's resource model builds on).  When chain A's
 traffic overloads the shared SmartNIC, chain B suffers too — its NFs
 slow down on the saturated device even though its own load never
-changed.  Multi-chain PAM widens the border pool to every co-located
-chain and picks the globally cheapest push-aside.
+changed.  PAM over one load model per chain widens the border pool to
+every co-located chain and picks the globally cheapest push-aside.
 
 Run:  python examples/consolidation.py
 """
@@ -14,9 +14,10 @@ Run:  python examples/consolidation.py
 from repro.chain import catalog
 from repro.chain.builder import ChainBuilder
 from repro.chain.nf import DeviceKind
+from repro.core.planner import PAMPolicy
 from repro.devices.server import ServerProfile
 from repro.harness.tables import render_table
-from repro.multichain import ChainLoad, MultiChainLoadModel, select_multichain
+from repro.resources.model import LoadModel, shared_utilisation
 from repro.sim.runner import SimulationRunner
 from repro.traffic.generators import ConstantBitRate
 from repro.traffic.packet import FixedSize
@@ -51,22 +52,20 @@ def main() -> None:
     chain_a, chain_b = build_chains()
     rate_a, rate_b = gbps(1.1), gbps(1.0)
 
-    model = MultiChainLoadModel([ChainLoad(chain_a, rate_a),
-                                 ChainLoad(chain_b, rate_b)])
-    print(f"Shared SmartNIC utilisation: {model.nic_utilisation():.2f} "
+    loads = (LoadModel(chain_a, rate_a), LoadModel(chain_b, rate_b))
+    nic = shared_utilisation(loads, DeviceKind.SMARTNIC)
+    cpu = shared_utilisation(loads, DeviceKind.CPU)
+    print(f"Shared SmartNIC utilisation: {nic:.2f} "
           f"(chain A pushed it past 1.0)")
-    print(f"Shared CPU utilisation:      {model.cpu_utilisation():.2f}\n")
+    print(f"Shared CPU utilisation:      {cpu:.2f}\n")
 
-    plan = select_multichain([ChainLoad(chain_a, rate_a),
-                              ChainLoad(chain_b, rate_b)])
+    plan = PAMPolicy().select(loads)
     moves = ", ".join(
-        f"{a.nf_name} (chain {a.chain_index}, dPCIe {a.crossing_delta:+d})"
-        for a in plan.actions)
-    print(f"Multi-chain PAM plan: {moves}\n")
+        f"{a.nf_name} (dPCIe {a.crossing_delta:+d})" for a in plan.actions)
+    print(f"PAM plan across both chains: {moves}\n")
 
     before = measure(chain_a, chain_b, rate_a, rate_b)
-    after = measure(plan.after[0].placement, plan.after[1].placement,
-                    rate_a, rate_b)
+    after = measure(*plan.afters, rate_a, rate_b)
 
     rows = []
     for phase, results in (("before", before), ("after", after)):

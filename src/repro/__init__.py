@@ -39,7 +39,6 @@ __all__ = [
     "devices",
     "harness",
     "migration",
-    "multichain",
     "resources",
     "sim",
     "telemetry",
@@ -56,7 +55,6 @@ _EXPORTS = {
     "devices": "devices",
     "harness": "harness",
     "migration": "migration",
-    "multichain": "multichain",
     "resources": "resources",
     "sim": "sim",
     "telemetry": "telemetry",

@@ -15,7 +15,7 @@ that defines it, and hands the table to :func:`lazy_exports`.  From
 :mod:`repro.sim.engine` the first time the name is asked for (PEP 562),
 so ``import repro`` loads no subpackage and a process loads only the
 modules it runs.  ``"submodule:attr"`` re-exports under a new name
-(``"select_multichain": "pam:select"`` in :mod:`repro.multichain`), and
+(``"load_config": "config:load"`` in :mod:`repro.harness`), and
 a name equal to its submodule stands for the submodule
 (``"catalog": "catalog"`` in :mod:`repro.chain`).
 

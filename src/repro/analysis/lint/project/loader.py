@@ -182,8 +182,8 @@ def _collect_lazy_exports(info: ModuleInfo) -> None:
 
     A lazy package re-exports ``name`` from the submodule its table
     names, exactly as ``from .submodule import name`` would: ``"engine"``
-    maps ``Engine -> <package>.engine.Engine``, ``"pam:select"`` maps
-    ``select_multichain -> <package>.pam.select``, and a name equal to
+    maps ``Engine -> <package>.engine.Engine``, ``"config:load"`` maps
+    ``load_config -> <package>.config.load``, and a name equal to
     its submodule stands for the submodule itself.
     """
     for node in info.tree.body:

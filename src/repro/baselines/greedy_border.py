@@ -9,11 +9,12 @@ loss PAM's stopping rule prevents (bench A3).
 
 from __future__ import annotations
 
-from ..chain.placement import Placement
+from typing import Tuple
+
 from ..core.feasibility import FeasibilityConfig
-from ..core.pam import pick_border, plan_chain
+from ..core.pam import pick_border, push_aside
 from ..core.plan import MigrationPlan
-from ..resources.model import ThroughputSpec
+from ..resources.model import LoadModel
 
 POLICY_NAME = "greedy-border"
 
@@ -27,8 +28,7 @@ class GreedyBorderPolicy:
                  feasibility: FeasibilityConfig = FeasibilityConfig()) -> None:
         self.feasibility = feasibility
 
-    def select(self, placement: Placement,
-               throughput: ThroughputSpec) -> MigrationPlan:
+    def select(self, loads: Tuple[LoadModel, ...]) -> MigrationPlan:
         """Migrate every feasible border NF, ignoring the stop rule."""
-        return plan_chain(placement, throughput, pick_border, POLICY_NAME,
-                          self.feasibility, strict=False, stop_at_eq3=False)
+        return push_aside(loads, pick_border, POLICY_NAME, self.feasibility,
+                          strict=False, stop_at_eq3=False)

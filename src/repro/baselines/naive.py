@@ -20,9 +20,9 @@ from typing import AbstractSet, Optional, Tuple
 
 from ..chain.placement import Placement
 from ..core.feasibility import FeasibilityConfig
-from ..core.pam import Candidate, min_theta, plan_chain
+from ..core.pam import Candidate, min_theta, push_aside
 from ..core.plan import MigrationPlan
-from ..resources.model import ThroughputSpec
+from ..resources.model import LoadModel, ThroughputSpec
 
 POLICY_NAME = "naive"
 
@@ -44,9 +44,9 @@ class NaiveConfig:
 
 def select(placement: Placement, throughput: ThroughputSpec,
            config: NaiveConfig = NaiveConfig()) -> MigrationPlan:
-    """Migrate min-capacity SmartNIC NFs until the NIC is alleviated."""
-    return plan_chain(placement, throughput, pick_bottleneck, POLICY_NAME,
-                      config.feasibility, config.strict)
+    """Migrate min-capacity SmartNIC NFs of one chain until the NIC is
+    alleviated."""
+    return NaivePolicy(config).select((LoadModel(placement, throughput),))
 
 
 class NaivePolicy:
@@ -57,7 +57,7 @@ class NaivePolicy:
     def __init__(self, config: NaiveConfig = NaiveConfig()) -> None:
         self.config = config
 
-    def select(self, placement: Placement,
-               throughput: ThroughputSpec) -> MigrationPlan:
-        """Delegate to the naive loop with this policy's config."""
-        return select(placement, throughput, self.config)
+    def select(self, loads: Tuple[LoadModel, ...]) -> MigrationPlan:
+        """Run the naive loop with this policy's config."""
+        return push_aside(loads, pick_bottleneck, POLICY_NAME,
+                          self.config.feasibility, self.config.strict)

@@ -8,9 +8,10 @@ in ablations.
 
 from __future__ import annotations
 
-from ..chain.placement import Placement
+from typing import Tuple
+
 from ..core.plan import MigrationPlan
-from ..resources.model import ThroughputSpec
+from ..resources.model import LoadModel
 
 POLICY_NAME = "noop"
 
@@ -20,9 +21,9 @@ class NoopPolicy:
 
     name = POLICY_NAME
 
-    def select(self, placement: Placement,
-               throughput: ThroughputSpec) -> MigrationPlan:
+    def select(self, loads: Tuple[LoadModel, ...]) -> MigrationPlan:
         """Return the empty plan, whatever the load."""
-        return MigrationPlan.empty(placement, POLICY_NAME,
+        return MigrationPlan.empty(tuple(load.placement for load in loads),
+                                   POLICY_NAME,
                                    alleviates=False,
                                    notes=("noop policy never migrates",))

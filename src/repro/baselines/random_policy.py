@@ -13,9 +13,9 @@ from typing import AbstractSet, Optional, Tuple
 
 from ..chain.placement import Placement
 from ..core.feasibility import FeasibilityConfig
-from ..core.pam import Candidate, plan_chain
+from ..core.pam import Candidate, push_aside
 from ..core.plan import MigrationPlan
-from ..resources.model import ThroughputSpec
+from ..resources.model import LoadModel
 
 POLICY_NAME = "random"
 
@@ -41,8 +41,7 @@ class RandomPolicy:
                 if (index, nf.name) not in rejected]
         return self.rng.choice(pool) if pool else None
 
-    def select(self, placement: Placement,
-               throughput: ThroughputSpec) -> MigrationPlan:
+    def select(self, loads: Tuple[LoadModel, ...]) -> MigrationPlan:
         """Migrate random feasible NIC NFs until alleviation."""
-        return plan_chain(placement, throughput, self._pick, POLICY_NAME,
+        return push_aside(loads, self._pick, POLICY_NAME,
                           self.feasibility, self.strict)

@@ -27,7 +27,7 @@ from typing import List, Optional, Tuple
 from ..chain.nf import DeviceKind, NFProfile
 from ..chain.placement import Placement
 from ..devices.cpu import CPU
-from ..errors import ConfigurationError, ScaleOutRequired
+from ..errors import ConfigurationError, PlacementError, ScaleOutRequired
 from ..resources.model import LoadModel, ThroughputSpec
 from ..traffic.flows import FlowTable
 
@@ -138,15 +138,22 @@ class ScaleOutFallbackPolicy:
         self.flow_table = flow_table
         self.scaleout_plans: List[ScaleOutPlan] = []
 
-    def select(self, placement: Placement, throughput: ThroughputSpec):
-        """Inner policy first; plan scale-out when it gives up."""
+    def select(self, loads: Tuple[LoadModel, ...]):
+        """Inner policy first; plan scale-out when it gives up.
+
+        Scale-out replicates one chain's NF, so it needs a single chain.
+        """
         from ..core.plan import MigrationPlan  # local import avoids a cycle
         try:
-            return self.inner.select(placement, throughput)
+            return self.inner.select(loads)
         except ScaleOutRequired:
-            plan = plan_scaleout(placement, throughput,
+            if len(loads) != 1:
+                raise PlacementError(
+                    f"scale-out plans one chain, not {len(loads)}")
+            load = loads[0]
+            plan = plan_scaleout(load.placement, load.throughput,
                                  cpu=self.cpu, flow_table=self.flow_table)
             self.scaleout_plans.append(plan)
             return MigrationPlan.empty(
-                placement, POLICY_NAME, alleviates=plan.alleviates,
+                (load.placement,), POLICY_NAME, alleviates=plan.alleviates,
                 notes=(f"scale-out: {plan.nf_name} x{plan.instances}",))

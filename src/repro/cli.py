@@ -186,10 +186,12 @@ def _figure2_report(args: argparse.Namespace, payloads: List[dict]) -> str:
 def cmd_plan(args: argparse.Namespace) -> int:
     """Run one selection policy and print its plan."""
     from .harness.tables import render_table
+    from .resources.model import LoadModel
     scenario = figure1()
     policy = _policy_by_name(args.policy)
     try:
-        plan = policy.select(scenario.placement, gbps(args.load))
+        plan = policy.select(
+            (LoadModel(scenario.placement, gbps(args.load)),))
     except ScaleOutRequired as exc:
         print(f"{args.policy}: cannot alleviate by migration "
               f"(NIC {exc.nic_utilisation:.2f}, CPU "

@@ -25,18 +25,16 @@ damp window), and re-enters planning on the next tick.  Stale telemetry
 entirely rather than driving migrations off a frozen load estimate.
 
 The hardened loop composes with any
-:class:`~repro.core.planner.SelectionPolicy` on a single chain.  On a
-server hosting co-located chains it plans with multi-chain PAM
-(:func:`repro.multichain.select_multichain`, the same push-aside loop
-over one load model per chain), so every cross-chain move gets the same
-guard rails and the executor's retry and rollback; pull-back there is
-out of scope and refused.
+:class:`~repro.core.planner.SelectionPolicy`.  Policies and pull-back
+plan over one load model per chain, so on a server hosting co-located
+chains every cross-chain move gets the same guard rails and the
+executor's retry and rollback.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 from ..chain.nf import DeviceKind
 from ..core.plan import MigrationPlan
@@ -45,16 +43,11 @@ from ..migration.cost import MigrationCostModel
 from ..migration.executor import (OUTCOME_SUCCEEDED, FailureHook,
                                   MigrationExecutor, MigrationRecord,
                                   PlanOutcome, RetryPolicy)
-from ..multichain.model import ChainLoad
-from ..multichain.pam import MultiChainPlan, select as select_multichain
 from ..resources.model import shared_utilisation
 from ..sim.runner import TickContext
 from ..telemetry.overload import OverloadDetector
 from .planner import PAMPolicy, SelectionPolicy
 from .reverse import PullbackConfig, select_pullback
-
-#: What the controller admits: one chain's plan or a co-located one.
-Plan = Union[MigrationPlan, MultiChainPlan]
 
 
 @dataclass(frozen=True)
@@ -175,7 +168,7 @@ class HardenedController:
         return (self._last_plan_s is not None
                 and now_s - self._last_plan_s < self.config.cooldown_s)
 
-    def _damped(self, plan: Plan, now_s: float) -> bool:
+    def _damped(self, plan: MigrationPlan, now_s: float) -> bool:
         """Whether any NF in the plan migrated too recently."""
         for name in plan.migrated_names:
             moved_at = self._last_moved.get(name)
@@ -184,7 +177,7 @@ class HardenedController:
                 return True
         return False
 
-    def _admit(self, plan: Plan, context: TickContext) -> bool:
+    def _admit(self, plan: MigrationPlan, context: TickContext) -> bool:
         """Apply guard rails; execute the plan if it passes."""
         now = context.now_s
         if plan.is_noop:
@@ -211,7 +204,7 @@ class HardenedController:
                 plan, outcome, previous_plan_s))
         return True
 
-    def _on_outcome(self, plan: Plan, outcome: PlanOutcome,
+    def _on_outcome(self, plan: MigrationPlan, outcome: PlanOutcome,
                     previous_plan_s: Optional[float]) -> None:
         """Settle guard-rail state once the executor reports back."""
         targets = {action.nf_name: action.target for action in plan.actions}
@@ -238,26 +231,8 @@ class HardenedController:
 
     # -- the loop --------------------------------------------------------------
 
-    def _select(self, context: TickContext) -> Plan:
-        """The forward plan: the policy's for one chain, PAM's across
-        co-located chains."""
-        if len(context.loads) == 1:
-            return self.policy.select(context.server.placement,
-                                      context.offered_bps)
-        config = self.policy.config
-        return select_multichain(
-            [ChainLoad(placement, context.offered)
-             for placement in context.server.placements],
-            config.feasibility, config.strict)
-
     def on_tick(self, context: TickContext) -> None:
         """One hardened operator cycle."""
-        if len(context.loads) > 1 and (
-                self.config.enable_pullback
-                or not isinstance(self.policy, PAMPolicy)):
-            raise ConfigurationError(
-                "co-located chains run PAM without pull-back "
-                "(PAMPolicy, enable_pullback=False)")
         stale = self.config.telemetry_stale_s
         if stale is not None and context.telemetry_age_s > stale:
             # The load estimate is a relic of a telemetry dropout;
@@ -270,15 +245,13 @@ class HardenedController:
             return
         if overloaded:
             try:
-                plan = self._select(context)
+                plan = self.policy.select(context.loads)
             except ScaleOutRequired:
                 self.scaleout_events.append(context.now_s)
                 return
             self._admit(plan, context)
         elif self.config.enable_pullback and self._pushed:
-            plan = select_pullback(context.server.placement,
-                                   context.offered_bps,
-                                   self.config.pullback,
+            plan = select_pullback(context.loads, self.config.pullback,
                                    eligible=self._pushed)
             self._admit(plan, context)
         else:

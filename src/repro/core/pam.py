@@ -17,12 +17,15 @@ overload is alleviated **without adding PCIe crossings**:
 
 :func:`push_aside` is that loop, written once.  It runs over one
 :class:`~repro.resources.model.LoadModel` per co-located chain (a single
-chain is a 1-tuple) and owns everything but Step 2: the empty plan, both
-checks, the notes, the :data:`MAX_MIGRATIONS` guard and the scale-out
-raise.  Each policy supplies only a :data:`PickRule`: PAM and
-multi-chain PAM use :func:`pick_border`, naive uses the same key over
-every SmartNIC NF, random draws from the SmartNIC NFs, and greedy-border
-is PAM's rule with the Eq. 3 stop turned off.
+chain is a 1-tuple) and returns one validated
+:class:`~repro.core.plan.MigrationPlan`.  It owns everything but Step 2:
+the empty plan, both checks, the notes, the :data:`MAX_MIGRATIONS` guard
+and the scale-out raise.  Each policy supplies only a :data:`PickRule`:
+PAM uses :func:`pick_border`, naive uses the same key over every
+SmartNIC NF, random draws from the SmartNIC NFs, and greedy-border is
+PAM's rule with the Eq. 3 stop turned off.  Border vNFs of every chain
+compete; the Eq. 2 / Eq. 3 checks run on the summed utilisation of the
+shared SmartNIC and CPU.
 
 Both checks judge the *moved* placement's re-summed utilisation, so a
 plan that claims success leaves both devices strictly below capacity
@@ -76,18 +79,6 @@ class PAMConfig:
     strict: bool = True
 
 
-@dataclass(frozen=True)
-class Selection:
-    """What :func:`push_aside` decided, chain by chain."""
-
-    #: Ordered moves, each tagged with the index of its chain.
-    moves: Tuple[Tuple[int, MigrationAction], ...]
-    #: Every chain's placement after the moves.
-    after: Tuple[Placement, ...]
-    alleviates: bool
-    notes: Tuple[str, ...]
-
-
 def min_theta(placements: Tuple[Placement, ...],
               rejected: AbstractSet[Candidate],
               pool: Callable[[Placement], Iterable[str]]
@@ -117,22 +108,24 @@ def pick_border(placements: Tuple[Placement, ...],
 def push_aside(loads: Tuple[LoadModel, ...], pick: PickRule, policy: str,
                feasibility: FeasibilityConfig = FeasibilityConfig(),
                strict: bool = True,
-               stop_at_eq3: bool = True) -> Selection:
+               stop_at_eq3: bool = True) -> MigrationPlan:
     """Steps 2-3: push picked SmartNIC NFs to the CPU until Eq. 3 holds.
 
     With ``stop_at_eq3=False`` the loop keeps migrating until the pool
     empties (the greedy-border ablation).
     """
+    befores = tuple(load.placement for load in loads)
     threshold = feasibility.threshold
     if shared_utilisation(loads, DeviceKind.SMARTNIC) < threshold:
-        return Selection(moves=(),
-                         after=tuple(load.placement for load in loads),
-                         alleviates=True, notes=("smartnic not overloaded",))
+        plan = MigrationPlan.empty(befores, policy,
+                                   notes=("smartnic not overloaded",))
+        plan.validate()
+        return plan
 
-    moves: List[Tuple[int, MigrationAction]] = []
+    actions: List[MigrationAction] = []
     notes: List[str] = []
     rejected: Set[Candidate] = set()
-    while len(moves) < MAX_MIGRATIONS:
+    while len(actions) < MAX_MIGRATIONS:
         choice = pick(tuple(load.placement for load in loads), rejected)
         if choice is None:
             notes.append("candidate pool exhausted")
@@ -150,11 +143,11 @@ def push_aside(loads: Tuple[LoadModel, ...], pick: PickRule, policy: str,
             notes.append(f"eq2 rejects {name} (cpu would overload)")
             rejected.add(choice)
             continue
-        moves.append((index, MigrationAction(
+        actions.append(MigrationAction(
             nf_name=name,
             source=DeviceKind.SMARTNIC,
             target=DeviceKind.CPU,
-            crossing_delta=placement.crossing_delta(name, DeviceKind.CPU))))
+            crossing_delta=placement.crossing_delta(name, DeviceKind.CPU)))
         loads = moved
         if stop_at_eq3 and \
                 shared_utilisation(loads, DeviceKind.SMARTNIC) < threshold:
@@ -169,30 +162,20 @@ def push_aside(loads: Tuple[LoadModel, ...], pick: PickRule, policy: str,
             "scale out per OpenNF",
             nic_utilisation=nic_utilisation,
             cpu_utilisation=shared_utilisation(loads, DeviceKind.CPU))
-    return Selection(moves=tuple(moves),
-                     after=tuple(load.placement for load in loads),
-                     alleviates=alleviates, notes=tuple(notes))
-
-
-def plan_chain(placement: Placement, throughput: ThroughputSpec,
-               pick: PickRule, policy: str,
-               feasibility: FeasibilityConfig = FeasibilityConfig(),
-               strict: bool = True,
-               stop_at_eq3: bool = True) -> MigrationPlan:
-    """:func:`push_aside` on one chain, as a validated migration plan."""
-    selection = push_aside((LoadModel(placement, throughput),), pick,
-                           policy, feasibility, strict, stop_at_eq3)
     plan = MigrationPlan(
-        actions=tuple(action for __, action in selection.moves),
-        before=placement, after=selection.after[0],
-        alleviates=selection.alleviates, policy=policy,
-        notes=selection.notes)
+        actions=tuple(actions), befores=befores,
+        afters=tuple(load.placement for load in loads),
+        alleviates=alleviates, policy=policy, notes=tuple(notes))
     plan.validate()
     return plan
 
 
 def select(placement: Placement, throughput: ThroughputSpec,
            config: PAMConfig = PAMConfig()) -> MigrationPlan:
-    """Run PAM and return the migration plan for one overload episode."""
-    return plan_chain(placement, throughput, pick_border, POLICY_NAME,
-                      config.feasibility, config.strict)
+    """Run PAM on one chain and return the plan for one overload episode.
+
+    :meth:`~repro.core.planner.PAMPolicy.select` on the chain's load
+    model as a 1-tuple.
+    """
+    return push_aside((LoadModel(placement, throughput),), pick_border,
+                      POLICY_NAME, config.feasibility, config.strict)

@@ -11,17 +11,15 @@ fixed.
 
 from __future__ import annotations
 
-from typing import List, Optional, Protocol
+from typing import List, Optional, Protocol, Tuple
 
-from ..chain.placement import Placement
 from ..errors import ScaleOutRequired
 from ..migration.cost import MigrationCostModel
 from ..migration.executor import MigrationExecutor, MigrationRecord
-from ..resources.model import ThroughputSpec
+from ..resources.model import LoadModel
 from ..sim.runner import TickContext
 from ..telemetry.overload import OverloadDetector
-from .pam import PAMConfig
-from .pam import select as pam_select
+from .pam import POLICY_NAME, PAMConfig, pick_border, push_aside
 from .plan import MigrationPlan
 
 
@@ -31,23 +29,23 @@ class SelectionPolicy(Protocol):
     #: Short identifier used in reports ("pam", "naive", ...).
     name: str
 
-    def select(self, placement: Placement,
-               throughput: ThroughputSpec) -> MigrationPlan:
-        """Choose which NFs to migrate for the given load."""
+    def select(self, loads: Tuple[LoadModel, ...]) -> MigrationPlan:
+        """Choose which NFs to migrate, given one load model per chain
+        sharing the server (a single chain is a 1-tuple)."""
 
 
 class PAMPolicy:
     """The paper's algorithm as a :class:`SelectionPolicy`."""
 
-    name = "pam"
+    name = POLICY_NAME
 
     def __init__(self, config: PAMConfig = PAMConfig()) -> None:
         self.config = config
 
-    def select(self, placement: Placement,
-               throughput: ThroughputSpec) -> MigrationPlan:
+    def select(self, loads: Tuple[LoadModel, ...]) -> MigrationPlan:
         """Run the paper's selection loop with this policy's config."""
-        return pam_select(placement, throughput, self.config)
+        return push_aside(loads, pick_border, POLICY_NAME,
+                          self.config.feasibility, self.config.strict)
 
 
 class MigrationController:
@@ -98,8 +96,7 @@ class MigrationController:
         if executor.busy:
             return
         try:
-            plan = self.policy.select(context.server.placement,
-                                      context.offered_bps)
+            plan = self.policy.select(context.loads)
         except ScaleOutRequired:
             self.scaleout_events.append(context.now_s)
             return

@@ -13,18 +13,21 @@ The reverse selection mirrors PAM exactly:
   NF added (a guard band so the pull-back does not immediately
   re-trigger PAM — anti-flap by construction).
 
-The loop keeps pulling until no candidate fits under the target.
+The loop keeps pulling until no candidate fits under the target.  Like
+the forward loop it runs over one load model per co-located chain: the
+candidates of every chain compete, and both guard bands judge the
+summed utilisation of the shared NIC.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import Iterable, List, Optional, Tuple
 
 from ..chain.nf import DeviceKind
 from ..chain.placement import Placement
 from ..errors import ConfigurationError
-from ..resources.model import LoadModel, ThroughputSpec
+from ..resources.model import LoadModel, shared_utilisation
 from .pam import MAX_MIGRATIONS
 from .plan import MigrationAction, MigrationPlan
 
@@ -50,71 +53,77 @@ class PullbackConfig:
                 "trigger_below must be in [0, nic_target]")
 
 
-def _pullback_candidates(placement: Placement,
-                         eligible: Optional[frozenset] = None) -> List[str]:
+def _pullback_candidates(placements: Tuple[Placement, ...],
+                         eligible: Optional[frozenset] = None
+                         ) -> List[Tuple[int, str]]:
     """CPU NFs whose return to the NIC adds no crossings, best first.
 
-    ``eligible`` restricts candidates to an explicit set — the
-    controller passes the NFs it previously pushed aside, so pull-back
-    *restores* the operator's baseline placement rather than freely
-    re-optimising it (an NF homed on the CPU by choice stays there).
+    Candidates are ``(chain index, NF name)`` over every chain.
+    ``eligible`` restricts them to an explicit set — the controller
+    passes the NFs it previously pushed aside, so pull-back *restores*
+    the operator's baseline placement rather than freely re-optimising
+    it (an NF homed on the CPU by choice stays there).
     """
-    names = []
-    for nf in placement.cpu_nfs():
-        if eligible is not None and nf.name not in eligible:
-            continue
-        if not nf.nic_capable:
-            continue
-        if placement.crossing_delta(nf.name, DeviceKind.SMARTNIC) <= 0:
-            names.append(nf.name)
-    # Largest theta^S first: cheapest NIC residents return first.
-    names.sort(key=lambda name: (-placement.chain.get(name)
-                                 .nic_capacity_bps,
-                                 placement.chain.position(name)))
-    return names
+    keyed: List[Tuple[float, int, int, str]] = []
+    for index, placement in enumerate(placements):
+        for nf in placement.cpu_nfs():
+            if eligible is not None and nf.name not in eligible:
+                continue
+            if not nf.nic_capable:
+                continue
+            if placement.crossing_delta(nf.name, DeviceKind.SMARTNIC) <= 0:
+                # Largest theta^S first: cheapest NIC residents return
+                # first; (chain index, chain position) breaks ties.
+                keyed.append((-nf.nic_capacity_bps, index,
+                              placement.chain.position(nf.name), nf.name))
+    return [(index, name) for __, index, __, name in sorted(keyed)]
 
 
-def select_pullback(placement: Placement, throughput: ThroughputSpec,
+def select_pullback(loads: Tuple[LoadModel, ...],
                     config: PullbackConfig = PullbackConfig(),
                     eligible: Optional[Iterable[str]] = None
                     ) -> MigrationPlan:
     """Choose which CPU-resident NFs to re-offload to the SmartNIC.
 
-    ``eligible`` (optional) limits the pull to specific NFs — usually
-    the ones a forward policy previously pushed aside.
+    ``loads`` holds one load model per chain sharing the server (a
+    single chain is a 1-tuple); the NIC guard bands judge their summed
+    utilisation.  ``eligible`` (optional) limits the pull to specific
+    NFs — usually the ones a forward policy previously pushed aside.
     """
     eligible_set = frozenset(eligible) if eligible is not None else None
-    load = LoadModel(placement, throughput)
-    if load.nic_load().utilisation >= config.trigger_below:
+    befores = tuple(load.placement for load in loads)
+    if shared_utilisation(loads, DeviceKind.SMARTNIC) >= \
+            config.trigger_below:
         return MigrationPlan.empty(
-            placement, POLICY_NAME,
+            befores, POLICY_NAME,
             notes=("nic too busy for pull-back",))
 
     actions: List[MigrationAction] = []
-    current = placement
     while len(actions) < MAX_MIGRATIONS:
-        moved_any = False
-        for name in _pullback_candidates(current, eligible_set):
-            nf = current.chain.get(name)
-            nic_after = (load.nic_load().utilisation
-                         + nf.utilisation_share(DeviceKind.SMARTNIC,
-                                                load.throughput[name]))
+        nic = shared_utilisation(loads, DeviceKind.SMARTNIC)
+        for index, name in _pullback_candidates(
+                tuple(load.placement for load in loads), eligible_set):
+            load = loads[index]
+            nf = load.placement.chain.get(name)
+            nic_after = nic + nf.utilisation_share(DeviceKind.SMARTNIC,
+                                                   load.throughput[name])
             if nic_after >= config.nic_target:
                 continue
             actions.append(MigrationAction(
                 nf_name=name, source=DeviceKind.CPU,
                 target=DeviceKind.SMARTNIC,
-                crossing_delta=current.crossing_delta(
+                crossing_delta=load.placement.crossing_delta(
                     name, DeviceKind.SMARTNIC)))
-            current = current.moved(name, DeviceKind.SMARTNIC)
-            load = LoadModel(current, throughput)
-            moved_any = True
+            loads = (loads[:index]
+                     + (load.after_move(name, DeviceKind.SMARTNIC),)
+                     + loads[index + 1:])
             break
-        if not moved_any:
+        else:
             break
 
     plan = MigrationPlan(
-        actions=tuple(actions), before=placement, after=current,
+        actions=tuple(actions), befores=befores,
+        afters=tuple(load.placement for load in loads),
         alleviates=True, policy=POLICY_NAME,
         notes=(f"pulled {len(actions)} NFs back to the NIC",))
     plan.validate()

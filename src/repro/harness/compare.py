@@ -26,6 +26,7 @@ from ..baselines.noop import NoopPolicy
 from ..core.plan import MigrationPlan
 from ..core.planner import PAMPolicy, SelectionPolicy
 from ..errors import ScaleOutRequired
+from ..resources.model import LoadModel
 from ..sim.runner import SimulationResult
 from ..telemetry.metrics import relative_change
 from .experiment import steady_state
@@ -81,7 +82,8 @@ def compare_policies(scenario: Scenario,
     """
     outcomes: Dict[str, PolicyOutcome] = {}
     for policy in policies if policies is not None else default_policies():
-        plan = policy.select(scenario.placement, scenario.throughput_bps)
+        plan = policy.select(
+            (LoadModel(scenario.placement, scenario.throughput_bps),))
         after = scenario.with_placement(plan.after, suffix=policy.name)
         outcomes[policy.name] = PolicyOutcome(
             policy=policy.name,

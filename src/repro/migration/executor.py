@@ -229,8 +229,7 @@ class MigrationExecutor:
     ``network`` is a single chain's live network, or one per chain of a
     server hosting co-located chains: an action names its NF, and NF
     names are unique across the server, so the name alone finds the
-    station to move.  A multi-chain plan
-    (:class:`repro.multichain.MultiChainPlan`) executes like a
+    station to move, and a plan over co-located chains executes like a
     single-chain one.
     """
 

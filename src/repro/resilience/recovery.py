@@ -98,7 +98,7 @@ def plan_evacuation(placement: Placement, offered_bps: float,
         notes.append("survivor overloaded at current offered load; "
                      "the degradation ladder must shed the excess")
     plan = MigrationPlan(
-        actions=tuple(actions), before=placement, after=current,
+        actions=tuple(actions), befores=(placement,), afters=(current,),
         alleviates=feasible, policy="evacuation", notes=tuple(notes))
     plan.validate()
     return EvacuationPlanning(

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..errors import SimulationError
@@ -58,7 +60,10 @@ class LatencySummary:
             raise SimulationError("no latency samples to summarise")
         return cls(
             count=len(values),
-            mean_s=sum(values) / len(values),
+            # Left to right, as LatencyLedger.component_means sums:
+            # builtin sum() compensates on Python 3.12+, which would
+            # move the mean's last bits with the interpreter.
+            mean_s=reduce(add, values, 0.0) / len(values),
             p50_s=percentile(values, 0.50),
             p90_s=percentile(values, 0.90),
             p99_s=percentile(values, 0.99),

@@ -8,6 +8,7 @@ from repro.chain import ChainBuilder, DeviceKind, catalog
 from repro.devices.server import PAPER_TESTBED
 from repro.harness.scenarios import (FIGURE1_THROUGHPUT_BPS, figure1,
                                      long_chain)
+from repro.resources.model import LoadModel
 from repro.units import gbps
 
 
@@ -33,6 +34,13 @@ def fig1_chain(fig1_scenario):
 def fig1_throughput():
     """The canonical overload throughput (1.8 Gbps)."""
     return FIGURE1_THROUGHPUT_BPS
+
+
+@pytest.fixture
+def fig1_loads(fig1_placement, fig1_throughput):
+    """The Figure 1 chain at 1.8 Gbps as the 1-tuple of load models a
+    selection policy takes."""
+    return (LoadModel(fig1_placement, fig1_throughput),)
 
 
 @pytest.fixture

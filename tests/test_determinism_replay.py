@@ -27,6 +27,7 @@ from repro.exec import RunRequest, seed_for
 from repro.harness.compare import default_policies
 from repro.harness.experiment import ExperimentConfig, ExperimentScenario
 from repro.harness.scenarios import FIGURE1_SATURATION_BPS, figure1
+from repro.resources.model import LoadModel
 from repro.soak import SoakCampaign, default_space
 from repro.soak.scenario import build_case_scenario
 from repro.sim.runner import SimulationResult, SimulationRunner
@@ -160,7 +161,8 @@ def _fig2_engine(policy_name: str):
     scenario = figure1()
     policy = {policy.name: policy for policy in default_policies()}[
         policy_name]
-    plan = policy.select(scenario.placement, scenario.throughput_bps)
+    plan = policy.select(
+        (LoadModel(scenario.placement, scenario.throughput_bps),))
     run = ExperimentScenario(ExperimentConfig(
         scenario=scenario.with_placement(plan.after, suffix=policy.name),
         offered_bps=FIGURE1_SATURATION_BPS, packet_size_bytes=64,

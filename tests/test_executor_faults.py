@@ -198,8 +198,8 @@ class TestMidTransferFailure:
             target=DeviceKind.CPU,
             crossing_delta=mid.crossing_delta("monitor", DeviceKind.CPU))
         plan = MigrationPlan(
-            actions=(first, second), before=placement,
-            after=mid.moved("monitor", DeviceKind.CPU),
+            actions=(first, second), befores=(placement,),
+            afters=(mid.moved("monitor", DeviceKind.CPU),),
             alleviates=True, policy="test")
         hook = ScheduledFailure({("logger", n): 0.5 for n in (1, 2, 3)})
         h = Harness(fig1_scenario, failure_hook=hook,

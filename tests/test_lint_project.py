@@ -102,9 +102,9 @@ class TestLoader:
         assert project.function_at("repro.sim.Engine") is \
             project.functions["repro.sim.engine.Engine.__init__"]
         # A renamed re-export, and a submodule exported by name.
-        assert project.resolve(project.modules["repro.multichain"],
-                               "select_multichain") == \
-            "repro.multichain.pam.select"
+        assert project.resolve(project.modules["repro.harness"],
+                               "load_config") == \
+            "repro.harness.config.load"
         assert project.resolve(project.modules["repro.chain"],
                                "catalog") == "repro.chain.catalog"
 

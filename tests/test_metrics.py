@@ -56,6 +56,12 @@ class TestLatencySummary:
         assert summary.min_s == 1e-5
         assert summary.max_s == 3e-5
 
+    def test_mean_sums_left_to_right(self):
+        # Uncompensated, on every interpreter: builtin sum() gives 0.1
+        # here on Python 3.12+, which would move pinned run digests.
+        assert LatencySummary.from_samples([0.1] * 10).mean_s == \
+            0.09999999999999999
+
     def test_percentile_ordering(self):
         summary = LatencySummary.from_samples(
             [i * 1e-6 for i in range(1, 101)])

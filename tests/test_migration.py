@@ -142,7 +142,7 @@ class TestExecutor:
         from repro.core.plan import MigrationPlan
         h = LiveHarness(fig1_scenario)
         done = []
-        plan = MigrationPlan.empty(fig1_scenario.placement, "noop")
+        plan = MigrationPlan.empty((fig1_scenario.placement,), "noop")
         h.executor.apply(plan, gbps(1.0), on_outcome=lambda outcome:
                          done.append(outcome.succeeded))
         assert done == [True]

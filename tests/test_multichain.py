@@ -1,22 +1,29 @@
-"""Multi-chain consolidation: aggregate model, PAM across chains, sim."""
+"""Multi-chain consolidation: summed model, selection across chains, sim."""
 
 import pytest
 
+from repro.baselines.naive import NaivePolicy
 from repro.chain import catalog
 from repro.chain.builder import ChainBuilder
 from repro.chain.chain import ServiceChain
 from repro.chain.nf import DeviceKind, NFProfile
 from repro.chain.placement import Placement
 from repro.core.operator import HardenedController, HardeningConfig
+from repro.core.pam import PAMConfig
+from repro.core.planner import PAMPolicy
+from repro.core.reverse import PullbackConfig, select_pullback
 from repro.devices.server import ServerProfile
 from repro.errors import ConfigurationError, PlacementError, ScaleOutRequired
 from repro.migration.executor import ScheduledFailure
-from repro.multichain import ChainLoad, MultiChainLoadModel, select_multichain
+from repro.resources.model import (LoadModel, shared_capacity,
+                                   shared_utilisation)
 from repro.sim.runner import SimulationRunner
 from repro.traffic.generators import ConstantBitRate
 from repro.traffic.packet import FixedSize
+from repro.traffic.patterns import ProfiledArrivals, spike
 from repro.units import gbps
 
+from .test_property_multichain import after_loads
 from .test_property_pam import EQ2_TIE
 
 C = DeviceKind.CPU
@@ -59,45 +66,50 @@ def by_chain(results):
     return {r.final_placement.chain.name: r for r in results}
 
 
+def pam(strict=True):
+    """The PAM policy, raising or returning a partial plan."""
+    return PAMPolicy(PAMConfig(strict=strict))
+
+
 @pytest.fixture
 def chains():
-    return [ChainLoad(chain_a(), gbps(1.0)), ChainLoad(chain_b(), gbps(1.0))]
+    return (LoadModel(chain_a(), gbps(1.0)), LoadModel(chain_b(), gbps(1.0)))
 
 
 class TestAggregateModel:
     def test_utilisation_sums_across_chains(self, chains):
-        model = MultiChainLoadModel(chains)
-        singles = [c.model() for c in chains]
-        assert model.nic_utilisation() == pytest.approx(
-            sum(m.nic_load().utilisation for m in singles))
+        assert shared_utilisation(chains, S) == pytest.approx(
+            sum(m.nic_load().utilisation for m in chains))
 
     def test_duplicate_nf_names_rejected(self):
         with pytest.raises(ConfigurationError, match="unique"):
-            MultiChainLoadModel([ChainLoad(chain_a(), gbps(1.0)),
-                                 ChainLoad(chain_a(), gbps(1.0))])
+            pam().select((LoadModel(chain_a(), gbps(1.0)),
+                          LoadModel(chain_a(), gbps(1.0))))
 
     def test_needs_a_chain(self):
         with pytest.raises(ConfigurationError):
-            MultiChainLoadModel([])
+            pam().select(())
 
     def test_shared_capacity_headroom(self, chains):
-        model = MultiChainLoadModel(chains)
-        assert model.shared_capacity(S) == pytest.approx(
-            1.0 / model.nic_utilisation())
+        # Both chains run at 1 Gbps, so the largest uniform rate the
+        # NIC sustains is 1 Gbps over its summed utilisation.
+        capacity = shared_capacity([c.placement for c in chains], S)
+        assert capacity / gbps(1.0) == pytest.approx(
+            1.0 / shared_utilisation(chains, S))
 
 
 class TestMultiChainPAM:
     def test_no_overload_is_noop(self, chains):
-        plan = select_multichain(chains)
+        plan = pam().select(chains)
         # combined NIC at 1 Gbps each:
         # a: 1*(1/4+1/3.2)=0.5625 ; b: 1*(1/10+1/3.2)=0.4125 -> 0.975.
         assert plan.is_noop
 
     def test_overload_picks_global_min_theta_border(self):
-        chains = [ChainLoad(chain_a(), gbps(1.1)),
-                  ChainLoad(chain_b(), gbps(1.0))]
+        chains = (LoadModel(chain_a(), gbps(1.1)),
+                  LoadModel(chain_b(), gbps(1.0)))
         # Aggregate NIC: 0.61875 + 0.4125 = 1.031 > 1.
-        plan = select_multichain(chains)
+        plan = pam().select(chains)
         assert not plan.is_noop
         # Candidate borders: a/logger (4.0), a/monitor (3.2, right
         # border of chain a), b/firewall (10, left border), b/monitor
@@ -109,16 +121,16 @@ class TestMultiChainPAM:
         assert plan.alleviates
 
     def test_crossing_safety_across_chains(self):
-        chains = [ChainLoad(chain_a(), gbps(1.3)),
-                  ChainLoad(chain_b(), gbps(1.1))]
-        plan = select_multichain(chains, strict=False)
+        chains = (LoadModel(chain_a(), gbps(1.3)),
+                  LoadModel(chain_b(), gbps(1.1)))
+        plan = pam(strict=False).select(chains)
         assert all(a.crossing_delta <= 0 for a in plan.actions)
 
     def test_raises_when_cpu_exhausted(self):
-        chains = [ChainLoad(chain_a(), gbps(3.5)),
-                  ChainLoad(chain_b(), gbps(3.5))]
+        chains = (LoadModel(chain_a(), gbps(3.5)),
+                  LoadModel(chain_b(), gbps(3.5)))
         with pytest.raises(ScaleOutRequired):
-            select_multichain(chains)
+            pam().select(chains)
 
     def test_alleviation_judged_on_the_moved_model(self):
         # Eq. 3: moving c0/nf0 then c0/nf2 leaves the NIC at exactly
@@ -132,32 +144,38 @@ class TestMultiChainPAM:
             placement = Placement(
                 ServiceChain(nfs, name=f"c{index}"),
                 {nf.name: device for nf, device in zip(nfs, devices)})
-            return ChainLoad(placement, gbps(rate_gbps))
+            return LoadModel(placement, gbps(rate_gbps))
 
-        plan = select_multichain(
-            [load(0, [1.0, 1.0, 1.5], [S, C, S], 0.125),
-             load(1, [1.0], [C], 0.5), load(2, [1.0], [S], 1.0)],
-            strict=False)
-        assert MultiChainLoadModel(list(plan.after)).nic_utilisation() \
-            == 1.0
+        loads = (load(0, [1.0, 1.0, 1.5], [S, C, S], 0.125),
+                 load(1, [1.0], [C], 0.5), load(2, [1.0], [S], 1.0))
+        plan = pam(strict=False).select(loads)
+        assert shared_utilisation(after_loads(plan, loads), S) == 1.0
         assert not plan.alleviates
 
         # Eq. 2: moving nf1 would leave the CPU at exactly 1.0, yet
         # adding nf1's share to the sum rounds just below it.
         placement, rate = EQ2_TIE
-        moved = ChainLoad(placement.moved("nf1", C), rate)
-        assert MultiChainLoadModel([moved]).cpu_utilisation() == 1.0
-        plan = select_multichain([ChainLoad(placement, rate)],
-                                 strict=False)
+        moved = LoadModel(placement.moved("nf1", C), rate)
+        assert shared_utilisation((moved,), C) == 1.0
+        plan = pam(strict=False).select((LoadModel(placement, rate),))
         assert plan.is_noop
         assert not plan.alleviates
 
     def test_actions_for_chain_filter(self):
-        chains = [ChainLoad(chain_a(), gbps(1.1)),
-                  ChainLoad(chain_b(), gbps(1.0))]
-        plan = select_multichain(chains)
+        chains = (LoadModel(chain_a(), gbps(1.1)),
+                  LoadModel(chain_b(), gbps(1.0)))
+        plan = pam().select(chains)
+        assert plan.actions_for_chain(0) == list(plan.actions)
         for action in plan.actions_for_chain(0):
-            assert action.chain_index == 0
+            assert action.nf_name in plan.befores[0].chain
+        assert plan.actions_for_chain(1) == []
+        assert plan.afters[1] == plan.befores[1]
+
+    def test_single_chain_plan_views_refuse_colocated_chains(self, chains):
+        plan = pam().select(chains)
+        for view in (lambda: plan.before, lambda: plan.after):
+            with pytest.raises(PlacementError, match="2 chains"):
+                view()
 
 
 class TestMultiChainSim:
@@ -199,12 +217,12 @@ class TestMultiChainSim:
             SimulationRunner(runner.server, runner.generators[0])
 
     def test_pam_plan_restores_multichain_health(self):
-        chains = [ChainLoad(chain_a(), gbps(1.1)),
-                  ChainLoad(chain_b(), gbps(1.0))]
-        plan = select_multichain(chains)
-        after = MultiChainLoadModel(list(plan.after))
-        assert after.nic_utilisation() < 1.0
-        assert after.cpu_utilisation() < 1.0
+        chains = (LoadModel(chain_a(), gbps(1.1)),
+                  LoadModel(chain_b(), gbps(1.0)))
+        plan = pam().select(chains)
+        after = after_loads(plan, chains)
+        assert shared_utilisation(after, S) < 1.0
+        assert shared_utilisation(after, C) < 1.0
 
     def test_duplicate_names_rejected_at_hosting(self):
         server = ServerProfile().build()
@@ -225,10 +243,11 @@ class TestLiveMultiChainControl:
 
     def run_closed_loop(self, rate_a, rate_b, duration=0.03,
                         config=HardeningConfig(enable_pullback=False),
-                        failure_hook=None):
-        controller = HardenedController(config=config,
+                        failure_hook=None, policy=None, placements=None):
+        controller = HardenedController(policy, config=config,
                                         failure_hook=failure_hook)
-        runner = two_chain_runner(rate_a, rate_b, duration, controller)
+        runner = two_chain_runner(rate_a, rate_b, duration, controller,
+                                  placements)
         return runner, by_chain(runner.run_chains())
 
     def test_overload_triggers_cross_chain_migration(self):
@@ -288,7 +307,72 @@ class TestLiveMultiChainControl:
         assert controller.suppressed_plans == 1
         assert len(controller.migrations) <= 1
 
-    def test_pullback_refused_on_colocated_chains(self):
-        with pytest.raises(ConfigurationError, match="pull-back"):
-            self.run_closed_loop(gbps(0.6), gbps(0.6),
-                                 config=HardeningConfig())
+    def test_naive_policy_plans_across_chains(self):
+        # Naive is PAM's loop with a wider pick rule, so it runs on
+        # co-located chains too: it pushes chain f's NIC bottleneck
+        # f/monitor aside mid-segment, +2 crossings, where PAM would
+        # move the border f/logger.
+        _, chain_f = (ChainBuilder("f", profiles=catalog.FIGURE1_SCENARIO)
+                      .cpu("load_balancer", rename="f/lb")
+                      .nic("logger", rename="f/logger")
+                      .nic("monitor", rename="f/monitor")
+                      .nic("firewall", rename="f/firewall")
+                      .build(egress=C))
+        runner, results = self.run_closed_loop(
+            gbps(1.5), gbps(0.2), policy=NaivePolicy(),
+            placements=(chain_f, chain_b()))
+        assert [r.nf_name for r in runner.controller.migrations] == \
+            ["f/monitor"]
+        final = runner.server.placements[0]
+        assert final.device_of("f/monitor") is C
+        assert final.pcie_crossings() == chain_f.pcie_crossings() + 2
+        assert runner.server.placements[1] == chain_b()
+        for result in results.values():
+            assert result.dropped == 0
+
+
+class TestColocatedPullback:
+    """Pull-back plans over every chain's load model, like PAM."""
+
+    def test_pulls_back_across_chains(self):
+        pushed = (chain_a().moved("a/monitor", C), chain_b())
+        loads = (LoadModel(pushed[0], gbps(0.3)),
+                 LoadModel(pushed[1], gbps(1.0)))
+        # Summed NIC: 0.3/4 + 0.4125 = 0.4875, under trigger_below.
+        plan = select_pullback(loads, eligible={"a/monitor"})
+        assert plan.migrated_names == ["a/monitor"]
+        assert plan.afters == (chain_a(), chain_b())
+
+    def test_guard_band_judges_the_summed_nic(self):
+        pushed = (chain_a().moved("a/monitor", C), chain_b())
+        # Chain a alone sits at 0.075, far under trigger_below; chain
+        # b's 1.2 Gbps lifts the shared NIC to 0.57 and holds the pull.
+        loads = (LoadModel(pushed[0], gbps(0.3)),
+                 LoadModel(pushed[1], gbps(1.2)))
+        plan = select_pullback(loads, eligible={"a/monitor"})
+        assert plan.is_noop
+        assert "too busy" in plan.notes[0]
+
+    def test_pushed_nf_returns_after_spike(self):
+        # Chain a spikes the shared NIC past capacity, PAM pushes
+        # a/monitor aside, and pull-back returns it once the spike ends.
+        config = HardeningConfig(
+            cooldown_s=0.0, flap_damp_s=0.0,
+            pullback=PullbackConfig(trigger_below=0.6, nic_target=0.9))
+        controller = HardenedController(config=config)
+        server = ServerProfile().build()
+        server.install(chain_a(), chain_b())
+        profile = spike(base_bps=gbps(0.3), peak_bps=gbps(1.1),
+                        start_s=0.005, duration_s=0.02)
+        runner = SimulationRunner(server, [
+            ProfiledArrivals(profile, FixedSize(256), 0.06, seed=11,
+                             jitter=False),
+            ConstantBitRate(gbps(1.0), FixedSize(256), 0.06, seed=2),
+        ], controller)
+        results = runner.run_chains()
+        # Pushed to the CPU during the spike, back on the NIC after it.
+        assert [r.nf_name for r in controller.migrations] == \
+            ["a/monitor", "a/monitor"]
+        assert server.placements == (chain_a(), chain_b())
+        for result in results:
+            assert result.dropped == 0

@@ -91,8 +91,8 @@ class TestFeasibility:
 
 
 class TestPolicyWrapper:
-    def test_wrapper_delegates(self, fig1_placement, fig1_throughput):
+    def test_wrapper_delegates(self, fig1_loads):
         policy = NaivePolicy()
         assert policy.name == "naive"
-        plan = policy.select(fig1_placement, fig1_throughput)
+        plan = policy.select(fig1_loads)
         assert plan.migrated_names == ["monitor"]

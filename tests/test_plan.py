@@ -24,14 +24,14 @@ class TestAction:
 
 class TestEmptyPlan:
     def test_empty_is_noop(self, fig1_placement):
-        plan = MigrationPlan.empty(fig1_placement, "pam")
+        plan = MigrationPlan.empty((fig1_placement,), "pam")
         assert plan.is_noop
         assert plan.migrated_names == []
         assert plan.total_crossing_delta == 0
         plan.validate()
 
     def test_empty_before_equals_after(self, fig1_placement):
-        plan = MigrationPlan.empty(fig1_placement, "pam")
+        plan = MigrationPlan.empty((fig1_placement,), "pam")
         assert plan.before == plan.after
 
 
@@ -39,8 +39,8 @@ class TestValidation:
     def valid_plan(self, placement):
         action = MigrationAction("logger", source=S, target=C,
                                  crossing_delta=0)
-        return MigrationPlan(actions=(action,), before=placement,
-                             after=placement.moved("logger", C),
+        return MigrationPlan(actions=(action,), befores=(placement,),
+                             afters=(placement.moved("logger", C),),
                              alleviates=True, policy="pam")
 
     def test_valid_plan_passes(self, fig1_placement):
@@ -50,8 +50,8 @@ class TestValidation:
         action = MigrationAction("load_balancer", source=S, target=C,
                                  crossing_delta=0)
         plan = MigrationPlan(
-            actions=(action,), before=fig1_placement,
-            after=fig1_placement, alleviates=True, policy="x")
+            actions=(action,), befores=(fig1_placement,),
+            afters=(fig1_placement,), alleviates=True, policy="x")
         with pytest.raises(InfeasiblePlanError, match="source"):
             plan.validate()
 
@@ -59,8 +59,8 @@ class TestValidation:
         action = MigrationAction("logger", source=S, target=C,
                                  crossing_delta=7)
         plan = MigrationPlan(
-            actions=(action,), before=fig1_placement,
-            after=fig1_placement.moved("logger", C),
+            actions=(action,), befores=(fig1_placement,),
+            afters=(fig1_placement.moved("logger", C),),
             alleviates=True, policy="x")
         with pytest.raises(InfeasiblePlanError, match="crossing delta"):
             plan.validate()
@@ -69,8 +69,8 @@ class TestValidation:
         action = MigrationAction("logger", source=S, target=C,
                                  crossing_delta=0)
         plan = MigrationPlan(
-            actions=(action,), before=fig1_placement,
-            after=fig1_placement,  # should be the moved placement
+            actions=(action,), befores=(fig1_placement,),
+            afters=(fig1_placement,),  # should be the moved placement
             alleviates=True, policy="x")
         with pytest.raises(InfeasiblePlanError, match="after"):
             plan.validate()
@@ -88,7 +88,7 @@ class TestValidation:
             "monitor", source=S, target=C,
             crossing_delta=mid.crossing_delta("monitor", C))
         plan = MigrationPlan(
-            actions=(first, second), before=fig1_placement,
-            after=mid.moved("monitor", C), alleviates=True, policy="x")
+            actions=(first, second), befores=(fig1_placement,),
+            afters=(mid.moved("monitor", C),), alleviates=True, policy="x")
         plan.validate()
         assert plan.migrated_names == ["logger", "monitor"]

@@ -27,13 +27,13 @@ class TestPullbackProperties:
     @given(placements(min_len=1, max_len=8), loads)
     @settings(max_examples=50, deadline=None)
     def test_never_adds_crossings(self, placement, load):
-        plan = select_pullback(placement, load)
+        plan = select_pullback((LoadModel(placement, load),))
         assert plan.after.pcie_crossings() <= placement.pcie_crossings()
 
     @given(placements(min_len=1, max_len=8), loads)
     @settings(max_examples=50, deadline=None)
     def test_never_overloads_the_nic(self, placement, load):
-        plan = select_pullback(placement, load)
+        plan = select_pullback((LoadModel(placement, load),))
         after = LoadModel(plan.after, load)
         config = PullbackConfig()
         if plan.actions:
@@ -42,7 +42,7 @@ class TestPullbackProperties:
     @given(placements(min_len=1, max_len=8), loads)
     @settings(max_examples=50, deadline=None)
     def test_only_moves_toward_the_nic(self, placement, load):
-        plan = select_pullback(placement, load)
+        plan = select_pullback((LoadModel(placement, load),))
         for action in plan.actions:
             assert action.source is C
             assert action.target is S
@@ -54,9 +54,9 @@ class TestPullbackProperties:
         produces no further action (a fixed point, no oscillation)."""
         pushed = pam_select(placement, load, PAMConfig(strict=False))
         assume(pushed.alleviates)
-        pulled = select_pullback(pushed.after, load,
+        pulled = select_pullback((LoadModel(pushed.after, load),),
                                  eligible=pushed.migrated_names)
-        again = select_pullback(pulled.after, load,
+        again = select_pullback((LoadModel(pulled.after, load),),
                                 eligible=pushed.migrated_names)
         assert again.is_noop
         # And PAM stays quiet on the pulled-back placement too.

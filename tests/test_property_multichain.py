@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 from repro.chain.chain import ServiceChain
 from repro.chain.nf import DeviceKind, NFProfile
 from repro.chain.placement import Placement
-from repro.multichain import ChainLoad, MultiChainLoadModel, select_multichain
+from repro.core.pam import PAMConfig
+from repro.core.planner import PAMPolicy
+from repro.resources.model import LoadModel, shared_utilisation
 from repro.units import gbps
 
 C = DeviceKind.CPU
@@ -30,19 +32,30 @@ def chain_sets(draw):
         placement = Placement(chain, {nf.name: device for nf, device
                                       in zip(nfs, devices)})
         rate = gbps(draw(st.floats(0.1, 3.0)))
-        chains.append(ChainLoad(placement, rate))
-    return chains
+        chains.append(LoadModel(placement, rate))
+    return tuple(chains)
+
+
+def select(chains):
+    """PAM over the chains, returning the partial plan when it cannot
+    alleviate."""
+    return PAMPolicy(PAMConfig(strict=False)).select(chains)
+
+
+def after_loads(plan, chains):
+    """Each chain's load model on the plan's after-placement."""
+    return tuple(LoadModel(placement, chain.throughput)
+                 for placement, chain in zip(plan.afters, chains))
 
 
 class TestAggregateConsistency:
     @given(chain_sets())
     @settings(max_examples=50, deadline=None)
     def test_utilisation_is_sum_of_singles(self, chains):
-        model = MultiChainLoadModel(chains)
         for device in (S, C):
-            singles = sum(c.model().device_load(device).utilisation
+            singles = sum(c.device_load(device).utilisation
                           for c in chains)
-            assert model.device_utilisation(device) == \
+            assert shared_utilisation(chains, device) == \
                 pytest_approx(singles)
 
 
@@ -50,37 +63,34 @@ class TestCrossChainPAMProperties:
     @given(chain_sets())
     @settings(max_examples=50, deadline=None)
     def test_plan_never_adds_crossings_anywhere(self, chains):
-        plan = select_multichain(chains, strict=False)
-        for before, after in zip(plan.before, plan.after):
-            assert after.placement.pcie_crossings() <= \
-                before.placement.pcie_crossings()
+        plan = select(chains)
+        for before, after in zip(plan.befores, plan.afters):
+            assert after.pcie_crossings() <= before.pcie_crossings()
 
     @given(chain_sets())
     @settings(max_examples=50, deadline=None)
     def test_success_leaves_both_devices_under_one(self, chains):
-        plan = select_multichain(chains, strict=False)
-        after = MultiChainLoadModel(list(plan.after))
+        plan = select(chains)
+        after = after_loads(plan, chains)
         if plan.alleviates and plan.actions:
-            assert after.nic_utilisation() < 1.0
-            assert after.cpu_utilisation() < 1.0
+            assert shared_utilisation(after, S) < 1.0
+            assert shared_utilisation(after, C) < 1.0
 
     @given(chain_sets())
     @settings(max_examples=50, deadline=None)
     def test_noop_iff_not_overloaded(self, chains):
-        model = MultiChainLoadModel(chains)
-        plan = select_multichain(chains, strict=False)
-        if not model.nic_overloaded():
+        plan = select(chains)
+        if shared_utilisation(chains, S) < 1.0:
             assert plan.is_noop
 
     @given(chain_sets())
     @settings(max_examples=50, deadline=None)
     def test_untouched_chains_keep_their_placement(self, chains):
-        plan = select_multichain(chains, strict=False)
-        touched = {action.chain_index for action in plan.actions}
-        for index, (before, after) in enumerate(zip(plan.before,
-                                                    plan.after)):
-            if index not in touched:
-                assert before.placement == after.placement
+        plan = select(chains)
+        for index, (before, after) in enumerate(zip(plan.befores,
+                                                    plan.afters)):
+            if not plan.actions_for_chain(index):
+                assert before == after
 
 
 def pytest_approx(value):

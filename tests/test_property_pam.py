@@ -15,7 +15,6 @@ from repro.core.border import border_sets
 from repro.core.pam import PAMConfig
 from repro.core.pam import select as pam_select
 from repro.core.planner import PAMPolicy
-from repro.multichain import ChainLoad, select_multichain
 from repro.resources.model import LoadModel
 from repro.units import gbps
 
@@ -71,7 +70,7 @@ class TestPAMPostConditions:
     @settings(max_examples=60, deadline=None)
     def test_success_implies_both_devices_ok(self, policy, placement,
                                              load):
-        plan = policy.select(placement, load)
+        plan = policy.select((LoadModel(placement, load),))
         if plan.alleviates:
             after = LoadModel(plan.after, load)
             if plan.actions:
@@ -146,9 +145,11 @@ class TestPAMvsMultiChain:
     def test_one_chain_multichain_matches_chain_pam(self, placement, load):
         # A single chain is the one-chain case of the shared loop.
         chain = pam_select(placement, load, PAMConfig(strict=False))
-        multi = select_multichain([ChainLoad(placement, load)],
-                                  strict=False)
-        assert [(a.chain_index, a.nf_name, a.crossing_delta)
+        multi = PAMPolicy(PAMConfig(strict=False)).select(
+            (LoadModel(placement, load),))
+        assert [(multi.befores[0].chain.name, a.nf_name, a.crossing_delta)
                 for a in multi.actions] == \
-            [(0, a.nf_name, a.crossing_delta) for a in chain.actions]
+            [(placement.chain.name, a.nf_name, a.crossing_delta)
+             for a in chain.actions]
+        assert multi.actions_for_chain(0) == list(multi.actions)
         assert multi.alleviates == chain.alleviates

@@ -6,6 +6,7 @@ from repro.baselines.naive import NaivePolicy
 from repro.baselines.scaleout import (ScaleOutFallbackPolicy, plan_scaleout)
 from repro.devices.cpu import CPU
 from repro.errors import ScaleOutRequired
+from repro.resources.model import LoadModel
 from repro.traffic.flows import FlowTable
 from repro.units import gbps
 
@@ -42,10 +43,9 @@ class TestPlanScaleout:
 
 
 class TestFallbackPolicy:
-    def test_passes_through_when_inner_succeeds(self, fig1_placement,
-                                                 fig1_throughput):
+    def test_passes_through_when_inner_succeeds(self, fig1_loads):
         policy = ScaleOutFallbackPolicy(NaivePolicy())
-        plan = policy.select(fig1_placement, fig1_throughput)
+        plan = policy.select(fig1_loads)
         assert plan.migrated_names == ["monitor"]
         assert policy.scaleout_plans == []
 
@@ -68,7 +68,7 @@ class TestFallbackPolicy:
                      .add(firewall, DeviceKind.SMARTNIC)
                      .build(egress=DeviceKind.CPU))[1]
         policy = ScaleOutFallbackPolicy(NaivePolicy())
-        plan = policy.select(placement, gbps(1.0))
+        plan = policy.select((LoadModel(placement, gbps(1.0)),))
         assert plan.is_noop  # migration-wise
         assert len(policy.scaleout_plans) == 1
         scale = policy.scaleout_plans[0]
