@@ -6,9 +6,12 @@ detection property that motivates progress-based health tracking: a
 frozen telemetry sample must not mask an NF crash from the watchdog.
 """
 
+import os
+
 import pytest
 
 from repro.chain.nf import DeviceKind
+from repro.cli import main
 from repro.harness.scenarios import figure1
 from repro.resilience import HealthState
 from repro.resilience.scenarios import (build_resilient_controller,
@@ -199,3 +202,18 @@ class TestTelemetryCannotMaskACrash:
     def test_no_shedding_at_feasible_load(self, controller):
         assert controller.shedder.shed_packets == 0
         assert controller.ladder.level_changes == []
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+class TestGolden:
+    """``repro resilience --scenario NAME`` at its default duration."""
+
+    @pytest.mark.parametrize("name,golden", [
+        ("device-kill", "resilience_devkill_seed7.txt"),
+        ("overload", "resilience_overload_seed7.txt")])
+    def test_report_matches_golden(self, capsys, name, golden):
+        assert main(["resilience", "--scenario", name]) == 0
+        with open(os.path.join(GOLDEN, golden), encoding="utf-8") as handle:
+            assert capsys.readouterr().out == handle.read()
