@@ -20,7 +20,8 @@ from pathlib import Path
 
 from conftest import report
 from repro.reliability.campaign import config_for, plan_for
-from repro.resilience.scenarios import run_scenario
+from repro.resilience.campaign import run_outcome
+from repro.resilience.scenarios import scenario_case
 from repro.units import as_gbps, as_msec
 
 SEED = 7
@@ -35,8 +36,8 @@ OUTPUT = Path(__file__).resolve().parents[1] / "BENCH_reliability.json"
 
 def _measure_cell(policy, budget):
     plan = plan_for(policy, SCENARIO, budget)
-    run = run_scenario(SCENARIO, seed=SEED, duration_s=DURATION_S,
-                       config=config_for(plan))
+    outcome = run_outcome(scenario_case(SCENARIO, SEED, DURATION_S),
+                          config_for(plan))
     return {
         "policy": policy,
         "budget_bytes": budget,
@@ -46,10 +47,10 @@ def _measure_cell(policy, budget):
         "headroom_bps": plan.headroom_bps,
         "sync_bps": plan.sync_bps,
         "shed_damage": plan.shed_damage,
-        "measured_downtime_s": run.time_to_recover_s,
-        "shed_fraction": run.stats.shed_fraction,
-        "protected_shed_packets": run.stats.protected_shed_packets,
-        "recovery_status": run.stats.recoveries[0].status,
+        "measured_downtime_s": outcome["downtime_s"],
+        "shed_fraction": outcome["shed_fraction"],
+        "protected_shed_packets": outcome["protected_shed_packets"],
+        "recovery_status": outcome["recoveries"][0]["status"],
     }
 
 

@@ -198,7 +198,12 @@ def cmd_plan(args: argparse.Namespace) -> int:
               f"{exc.cpu_utilisation:.2f}); scale out per OpenNF")
         return 1
     if plan.is_noop:
-        print(f"{args.policy}: no migration needed at {args.load} Gbps")
+        if plan.alleviates:
+            print(f"{args.policy}: no migration needed at {args.load} Gbps")
+        else:
+            print(f"{args.policy}: no migration planned at {args.load} "
+                  f"Gbps; the plan does not alleviate the SmartNIC "
+                  f"({'; '.join(plan.notes) or 'no notes'})")
         return 0
     rows = [[action.nf_name, action.source.value, action.target.value,
              f"{action.crossing_delta:+d}"] for action in plan.actions]

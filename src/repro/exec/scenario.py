@@ -19,14 +19,15 @@ but not yet run.  The phases after building are:
   afterwards raises.
 
 :class:`~repro.sim.runner.SimulationRunner`, soak scenarios
-(:class:`~repro.soak.scenario.SoakScenario`), resilience scenarios
-(:class:`~repro.resilience.scenarios.ResilienceScenario`), and harness
-experiments (:class:`~repro.harness.experiment.ExperimentScenario`)
-all implement this shape, which is what lets one campaign loop drive
-every kind of run.  Chaos runs are soak cases: they share the soak
-wiring (:class:`~repro.soak.scenario.CaseScenario`) and collect their
+(:class:`~repro.soak.scenario.SoakScenario`), and harness experiments
+(:class:`~repro.harness.experiment.ExperimentScenario`) all implement
+this shape, which is what lets one campaign loop drive every kind of
+run.  Every fault campaign runs soak cases through one wiring
+(:class:`~repro.soak.scenario.CaseScenario`): chaos runs collect their
 drained end state through
-:meth:`~repro.chaos.runner.ChaosRunResult.from_scenario`.
+:meth:`~repro.chaos.runner.ChaosRunResult.from_scenario`, and the
+resilience and reliability campaigns flatten theirs with
+:func:`~repro.resilience.campaign.outcome_payload`.
 """
 
 from __future__ import annotations

@@ -3,9 +3,11 @@
 The grid is ``policies x runs``: every registered reliability policy
 plans against the same figure-1 chain, then its plan is executed for
 real — the planner's replica set becomes the ResilientController's
-StandbyPool via ``ResilienceConfig.standby_prewarmed``, and the chaos
-device-kill / overload scenario measures what the plan actually bought
-(downtime, shed fraction, surviving capacity, latency).  Repetition
+StandbyPool via ``ResilienceConfig.standby_prewarmed``, and the canned
+device-kill / overload case (:mod:`repro.resilience.scenarios`), wired
+like every soak case and watched by the online invariant engine,
+measures what the plan actually bought (downtime, shed fraction,
+surviving capacity, latency).  Repetition
 ``rep`` of every policy runs at ``seed_for(seed, rep)``, so policies
 are compared on *paired* seeds.
 
@@ -17,19 +19,19 @@ resumable — the same contract every other campaign kind honours.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..chain.nf import DeviceKind
-from ..chaos.invariants import Violation
 from ..errors import ConfigurationError
 from ..exec.campaign import (InvariantCampaign, RunRequest,
                              register_campaign)
 from ..exec.scenario import seed_for
 from ..harness.scenarios import figure1
+from ..resilience.campaign import (error_outcome, recovery_lines,
+                                   run_outcome, verdict_lines)
 from ..resilience.controller import ResilienceConfig
 from ..resilience.recovery import RecoveryConfig
-from ..resilience.scenarios import (INFEASIBLE_LOAD_BPS, SCENARIOS,
-                                    ResilienceScenarioResult, run_scenario)
+from ..resilience.scenarios import INFEASIBLE_LOAD_BPS, scenario_case
 from ..units import as_gbps, as_mbps, as_msec, as_usec, gbps
 from .planner import ReliabilityPlan
 from .policy import RELIABILITY_POLICIES, plan_reliability
@@ -77,35 +79,11 @@ def config_for(plan: ReliabilityPlan) -> ResilienceConfig:
 
 def run_payload(scenario: str, policy: str, rep: int, seed: int,
                 budget_bytes: int, plan: ReliabilityPlan,
-                run: ResilienceScenarioResult) -> Dict[str, object]:
-    """Flatten one planned-and-measured run into its JSON payload."""
-    stats = run.stats
-    latency = run.result.latency
-    return {
-        "scenario": scenario,
-        "policy": policy,
-        "rep": rep,
-        "seed": seed,
-        "budget_bytes": budget_bytes,
-        "plan": plan.to_dict(),
-        "injected": run.result.injected,
-        "delivered": run.result.delivered,
-        "dropped": run.result.dropped,
-        "shed": run.result.shed,
-        "latency_mean_s": None if latency is None else latency.mean_s,
-        "latency_p99_s": None if latency is None else latency.p99_s,
-        "downtime_s": run.time_to_recover_s,
-        "degraded_time_s": stats.degraded_time_s,
-        "shed_fraction": stats.shed_fraction,
-        "protected_shed_packets": stats.protected_shed_packets,
-        "recoveries": [
-            {"device": r.device, "status": r.status,
-             "attempts": r.attempts,
-             "time_to_recover_s": r.time_to_recover_s,
-             "evacuated": list(r.evacuated)}
-            for r in stats.recoveries],
-        "violations": [v.to_dict() for v in run.violations],
-    }
+                outcome: Dict[str, Any]) -> Dict[str, Any]:
+    """One planned-and-measured run: its identity, plan and outcome."""
+    return {"scenario": scenario, "policy": policy, "rep": rep,
+            "seed": seed, "budget_bytes": budget_bytes,
+            "plan": plan.to_dict(), **outcome}
 
 
 def _names(payload_actions: List[Dict[str, object]],
@@ -115,7 +93,7 @@ def _names(payload_actions: List[Dict[str, object]],
     return ", ".join(names) if names else "-"
 
 
-def render_payload(payload: Dict[str, object]) -> str:
+def render_payload(payload: Dict[str, Any]) -> str:
     """One run's report, rendered from its payload alone."""
     plan = payload["plan"]
     actions = plan["actions"]
@@ -145,22 +123,12 @@ def render_payload(payload: Dict[str, object]) -> str:
         f"(dropped {payload['dropped']}, shed {payload['shed']})",
         f"  latency: {latency}",
     ]
-    for recovery in payload["recoveries"]:
-        ttr = (f"{as_msec(recovery['time_to_recover_s']):.3f}ms"
-               if recovery["time_to_recover_s"] is not None else "-")
-        lines.append(
-            f"  recovery of {recovery['device']}: {recovery['status']} "
-            f"in {recovery['attempts']} attempt(s), time-to-recover "
-            f"{ttr}, evacuated "
-            f"[{', '.join(recovery['evacuated']) or '-'}]")
-    for violation in payload["violations"]:
-        lines.append(f"  VIOLATION {Violation.from_dict(violation)}")
-    verdict = "ok" if not payload["violations"] else "INVARIANTS BROKEN"
-    lines.append(f"  verdict: {verdict}")
+    lines.extend(recovery_lines(payload))
+    lines.extend(verdict_lines(payload))
     return "\n".join(lines)
 
 
-def render_payloads(payloads: List[Dict[str, object]]) -> str:
+def render_payloads(payloads: List[Dict[str, Any]]) -> str:
     """The full campaign report (what the CLI prints and CI diffs)."""
     sections = [render_payload(payload) for payload in payloads]
     total = sum(len(payload["violations"]) for payload in payloads)
@@ -188,11 +156,8 @@ class ReliabilityCampaign(InvariantCampaign):
     budget_bytes: int = DEFAULT_BUDGET_BYTES
 
     def __post_init__(self) -> None:
-        if self.scenario not in SCENARIOS:
-            known = ", ".join(sorted(SCENARIOS))
-            raise ConfigurationError(
-                f"unknown resilience scenario {self.scenario!r} "
-                f"(known: {known})")
+        # Validates the scenario name and the duration.
+        scenario_case(self.scenario, self.seed, self.duration_s)
         if not self.policies:
             raise ConfigurationError("need at least one policy")
         for policy in self.policies:
@@ -203,8 +168,6 @@ class ReliabilityCampaign(InvariantCampaign):
                     f"(known: {known})")
         if self.runs < 1:
             raise ConfigurationError("need at least one run per policy")
-        if self.duration_s is not None and self.duration_s <= 0:
-            raise ConfigurationError("duration must be positive")
         if self.budget_bytes < 0:
             raise ConfigurationError("replica budget must be >= 0")
 
@@ -221,39 +184,23 @@ class ReliabilityCampaign(InvariantCampaign):
                 index += 1
         return requests
 
-    def run_request(self, request: RunRequest) -> Dict[str, object]:
+    def run_request(self, request: RunRequest) -> Dict[str, Any]:
         """Plan with the request's policy, then measure the plan."""
         policy = str(request.params["policy"])
-        rep = int(request.params["rep"])
         plan = plan_for(policy, self.scenario, self.budget_bytes)
-        run = run_scenario(self.scenario, seed=request.seed,
-                           duration_s=self.duration_s,
-                           config=config_for(plan))
-        return run_payload(self.scenario, policy, rep, request.seed,
-                           self.budget_bytes, plan, run)
+        case = scenario_case(self.scenario, request.seed, self.duration_s)
+        return run_payload(self.scenario, policy,
+                           int(request.params["rep"]), request.seed,
+                           self.budget_bytes, plan,
+                           run_outcome(case, config_for(plan)))
 
     def error_payload(self, request: RunRequest, error: str,
                       details: Optional[Dict[str, object]] = None
-                      ) -> Dict[str, object]:
+                      ) -> Dict[str, Any]:
         """Crash isolation: a dead worker's run is itself a violation."""
         policy = str(request.params["policy"])
-        return {
-            "scenario": self.scenario, "policy": policy,
-            "rep": int(request.params["rep"]), "seed": request.seed,
-            "budget_bytes": self.budget_bytes,
-            "plan": {"policy": policy, "protected": "-",
-                     "budget_bytes": self.budget_bytes, "actions": [],
-                     "prewarmed": [], "spent_bytes": 0,
-                     "predicted_downtime_s": 0.0, "sync_bps": 0.0,
-                     "headroom_bps": 0.0, "survivor_capacity_bps": 0.0,
-                     "shed_damage": 0.0, "offered_bps": 0.0,
-                     "notes": []},
-            "injected": 0, "delivered": 0, "dropped": 0, "shed": 0,
-            "latency_mean_s": None, "latency_p99_s": None,
-            "downtime_s": None, "degraded_time_s": 0.0,
-            "shed_fraction": 0.0, "protected_shed_packets": 0,
-            "recoveries": [],
-            "violations": [Violation(
-                "scenario-error", f"worker failed: {error}",
-                data=details).to_dict()],
-        }
+        return run_payload(self.scenario, policy,
+                           int(request.params["rep"]), request.seed,
+                           self.budget_bytes,
+                           ReliabilityPlan(policy, "-", self.budget_bytes),
+                           error_outcome(error, details))

@@ -119,30 +119,35 @@ class ReliabilityAction:
 
 @dataclass(frozen=True)
 class ReliabilityPlan:
-    """One policy's joint migrate/replicate/shed decision, frozen."""
+    """One policy's joint migrate/replicate/shed decision, frozen.
+
+    Every field after ``budget_bytes`` defaults to zero, so
+    ``ReliabilityPlan(policy, "-", budget_bytes)`` is the empty plan a
+    run that never planned reports.
+    """
 
     policy: str
     protected: str
     budget_bytes: int
-    actions: Tuple[ReliabilityAction, ...]
+    actions: Tuple[ReliabilityAction, ...] = ()
     #: NFs the StandbyPool actually admitted (chain order).
-    prewarmed: Tuple[str, ...]
+    prewarmed: Tuple[str, ...] = ()
     #: Replica bytes the pool actually spent (<= budget_bytes).
-    spent_bytes: int
+    spent_bytes: int = 0
     #: Sum of per-NF downtime at failure time (serial evacuation).
-    predicted_downtime_s: float
+    predicted_downtime_s: float = 0.0
     #: Total steady-state sync bandwidth of the replica set.
-    sync_bps: float
+    sync_bps: float = 0.0
     #: Survivor capacity net of replica sync — what remains for
     #: traffic after the protected device dies (the Pareto x-axis).
-    headroom_bps: float
+    headroom_bps: float = 0.0
     #: Survivor capacity before the sync tax (plan_evacuation's view).
-    survivor_capacity_bps: float
+    survivor_capacity_bps: float = 0.0
     #: Weighted SLA damage of the shed the plan cannot avoid at
     #: ``offered_bps`` (0 when the survivor carries everything).
-    shed_damage: float
+    shed_damage: float = 0.0
     #: Offered load the plan was scored against.
-    offered_bps: float
+    offered_bps: float = 0.0
     notes: Tuple[str, ...] = ()
 
     def to_dict(self) -> Dict[str, object]:

@@ -20,8 +20,11 @@ not:
   all of the above around a
   :class:`~repro.core.operator.HardenedController`;
 * :mod:`~repro.resilience.scenarios` — the canned acceptance scenarios
-  (`device-kill`, `overload`) behind ``python -m repro resilience``
-  and ``bench_resilience``.
+  (`device-kill`, `overload`) as soak cases, behind ``python -m repro
+  resilience``, ``python -m repro reliability`` and
+  ``bench_resilience``;
+* :mod:`~repro.resilience.campaign` — the ``resilience`` campaign kind
+  and the run outcome payload both fault campaigns share.
 """
 
 from .._lazy import lazy_exports

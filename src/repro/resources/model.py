@@ -17,6 +17,8 @@ throughput) pair and answers the three questions PAM asks:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Union
 
 from ..chain.nf import DeviceKind, NFProfile
@@ -51,9 +53,12 @@ def shared_utilisation(loads: Sequence["LoadModel"],
 
     The linear model composes across chains: every chain's per-NF
     shares add onto the same device.  One chain gives its own
-    utilisation exactly.
+    utilisation exactly.  Summed left to right (builtin ``sum``
+    compensates on Python 3.12+, so its floats depend on the
+    interpreter).
     """
-    return sum(load.device_load(device).utilisation for load in loads)
+    return reduce(add, (load.device_load(device).utilisation
+                        for load in loads), 0.0)
 
 
 def shared_capacity(placements: Iterable[Placement],
@@ -64,9 +69,9 @@ def shared_capacity(placements: Iterable[Placement],
     placements put on ``device``, summed in chain order.  Infinite when
     the device hosts nothing.
     """
-    inv_sum = sum(1.0 / nf.capacity_on(device)
-                  for placement in placements
-                  for nf in placement.on_device(device))
+    inv_sum = reduce(add, (1.0 / nf.capacity_on(device)
+                           for placement in placements
+                           for nf in placement.on_device(device)), 0.0)
     return float("inf") if inv_sum == 0 else 1.0 / inv_sum
 
 
@@ -129,7 +134,7 @@ class LoadModel:
             nf.name: nf.utilisation_share(device, self.throughput[nf.name])
             for nf in self.placement.on_device(device)}
         return DeviceLoad(device=device,
-                          utilisation=sum(shares.values()),
+                          utilisation=reduce(add, shares.values(), 0.0),
                           shares=shares)
 
     def nic_load(self) -> DeviceLoad:

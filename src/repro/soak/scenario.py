@@ -83,8 +83,16 @@ class CaseScenario:
     result: Optional[SimulationResult] = None
 
     @classmethod
-    def wire(cls, case: SoakCase) -> "CaseScenario":
-        """Wire ``case``: server, workload, controllers, faults applied."""
+    def wire(cls, case: SoakCase,
+             config: ResilienceConfig = ResilienceConfig()
+             ) -> "CaseScenario":
+        """Wire ``case``: server, workload, controllers, faults applied.
+
+        ``config`` configures the resilient layer of a resilient case
+        (the reliability campaign passes its plan's standby pool here);
+        it is a property of the run, not of the case, so it stays out
+        of the case's JSON form and every fingerprint.
+        """
         server = figure1().build_server()
         overloads = [fault for fault in case.faults
                      if fault.kind == "overload"]
@@ -107,7 +115,7 @@ class CaseScenario:
         resilient: Optional[ResilientController] = None
         controller: object = hardened
         if case.resilient:
-            resilient = ResilientController(hardened, ResilienceConfig())
+            resilient = ResilientController(hardened, config)
             controller = resilient
         sim = SimulationRunner(server, generator, controller,
                                monitor_period_s=_MONITOR_PERIOD_S)
@@ -206,9 +214,11 @@ class SoakScenario(CaseScenario):
         }
 
 
-def build_case_scenario(case: SoakCase) -> SoakScenario:
+def build_case_scenario(case: SoakCase,
+                        config: ResilienceConfig = ResilienceConfig()
+                        ) -> SoakScenario:
     """Wire one case and attach the invariant engine before ``prepare()``."""
-    scenario = SoakScenario.wire(case)
+    scenario = SoakScenario.wire(case, config)
     scenario.invariants.attach(scenario.sim, hardened=scenario.hardened,
                                resilient=scenario.resilient)
     return scenario

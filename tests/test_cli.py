@@ -46,6 +46,19 @@ class TestPlan:
         assert main(["plan", "--load", "1.0"]) == 0
         assert "no migration needed" in capsys.readouterr().out
 
+    def test_noop_under_overload_is_not_called_unneeded(self, capsys):
+        # The Figure 1 NIC is overloaded at 1.8 Gbps; the noop plan
+        # moves nothing and does not alleviate it.
+        assert main(["plan", "--policy", "noop", "--load", "1.8"]) == 0
+        assert capsys.readouterr().out == (
+            "noop: no migration planned at 1.8 Gbps; the plan does not "
+            "alleviate the SmartNIC (noop policy never migrates)\n")
+
+    def test_alleviating_empty_plan_says_not_needed(self, capsys):
+        assert main(["plan", "--policy", "pam", "--load", "1.0"]) == 0
+        assert capsys.readouterr().out == \
+            "pam: no migration needed at 1.0 Gbps\n"
+
     def test_scaleout_exit_code(self, capsys):
         assert main(["plan", "--policy", "pam", "--load", "2.4"]) == 1
         assert "scale out" in capsys.readouterr().out

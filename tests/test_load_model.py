@@ -6,7 +6,7 @@ from repro.chain import catalog
 from repro.chain.builder import ChainBuilder
 from repro.chain.nf import DeviceKind
 from repro.errors import CapacityError
-from repro.resources.model import LoadModel
+from repro.resources.model import LoadModel, shared_utilisation
 from repro.units import gbps
 
 S = DeviceKind.SMARTNIC
@@ -34,6 +34,14 @@ class TestAggregates:
     def test_shares_sum_to_utilisation(self, placement):
         load = LoadModel(placement, gbps(1.8)).nic_load()
         assert sum(load.shares.values()) == pytest.approx(load.utilisation)
+
+    def test_utilisation_sums_left_to_right(self, placement):
+        # Uncompensated, on every interpreter: builtin sum() gives
+        # 0.006625000000000001 and 0.019875000000000004 here on
+        # Python 3.12+, which would move pinned plans and digests.
+        load = LoadModel(placement, gbps(0.01))
+        assert load.device_load(S).utilisation == 0.006625
+        assert shared_utilisation([load] * 3, S) == 0.019875
 
     def test_overloaded_flag(self, placement):
         assert LoadModel(placement, gbps(1.8)).nic_load().overloaded

@@ -29,11 +29,8 @@ from repro.harness.scenarios import figure1
 from repro.reliability import ReliabilityCampaign
 from repro.resilience.recovery import (ACQUIRE_MIGRATE, ACQUIRE_REPLICA,
                                        ACQUIRE_SHED, StandbyPool)
-from repro.resilience.scenarios import (_PACKET_BYTES, ResilienceScenario,
-                                        build_resilient_controller)
-from repro.traffic.packet import FixedSize
-from repro.traffic.patterns import ProfiledArrivals, spike
-from repro.units import gbps
+from repro.resilience.scenarios import _PACKET_BYTES, device_kill_case
+from repro.soak.scenario import build_case_scenario
 
 S = DeviceKind.SMARTNIC
 C = DeviceKind.CPU
@@ -152,14 +149,8 @@ class FailFirstN:
 
 
 def _scenario(duration_s=0.02, seed=7):
-    profile = spike(base_bps=gbps(1.0), peak_bps=gbps(1.8),
-                    start_s=0.2 * duration_s, duration_s=0.4 * duration_s)
-    generator = ProfiledArrivals(profile, FixedSize(_PACKET_BYTES),
-                                 duration_s=duration_s, seed=seed,
-                                 jitter=False)
-    return ResilienceScenario("replan", seed, generator,
-                              build_resilient_controller(),
-                              kill_device=S, kill_at_s=0.3 * duration_s)
+    return build_case_scenario(device_kill_case(seed=seed,
+                                                duration_s=duration_s))
 
 
 def _dead_station_residual(scenario):
@@ -186,10 +177,9 @@ class TestReplanOnAbort:
     def test_aborted_plan_is_replanned_and_completes(self):
         scenario = _scenario()
         hook = FailFirstN("monitor", 3)
-        scenario.controller.inner.failure_hook = hook
+        scenario.hardened.failure_hook = hook
         scenario.run()
-        result = scenario.collect()
-        (recovery,) = result.stats.recoveries
+        (recovery,) = scenario.resilient.recoveries
         assert recovery.status == "completed"
         assert recovery.attempts == 2
         assert set(recovery.evacuated) == {"monitor", "firewall"}
@@ -197,25 +187,23 @@ class TestReplanOnAbort:
 
     def test_two_aborts_consume_the_attempt_cap(self):
         scenario = _scenario()
-        scenario.controller.inner.failure_hook = FailFirstN("monitor", 6)
+        scenario.hardened.failure_hook = FailFirstN("monitor", 6)
         scenario.run()
-        result = scenario.collect()
-        (recovery,) = result.stats.recoveries
+        (recovery,) = scenario.resilient.recoveries
         assert recovery.status == "completed"
         assert recovery.attempts == 3
         _assert_conserved(scenario)
 
     def test_exhausted_attempts_abandon_with_drop_accounting(self):
         scenario = _scenario()
-        scenario.controller.inner.failure_hook = FailFirstN("monitor", 9)
+        scenario.hardened.failure_hook = FailFirstN("monitor", 9)
         scenario.run()
-        result = scenario.collect()
-        (recovery,) = result.stats.recoveries
+        (recovery,) = scenario.resilient.recoveries
         assert recovery.status == "abandoned"
         assert recovery.attempts == 3
         # Abandonment drains the corpse's queues into explicit drops —
         # conservation still holds exactly.
-        assert result.controller.abandoned_packets > 0
+        assert scenario.resilient.abandoned_packets > 0
         _assert_conserved(scenario)
 
     def test_chained_kill_mid_evacuation_both_terminal(self):
@@ -223,14 +211,13 @@ class TestReplanOnAbort:
         # its injected failures — both recoveries must reach a terminal
         # status and the books must still balance.
         scenario = _scenario()
-        scenario.controller.inner.failure_hook = FailFirstN("monitor", 3)
+        scenario.hardened.failure_hook = FailFirstN("monitor", 3)
         scenario.injector.kill_device(C, at_s=0.014)
         scenario.run()
-        result = scenario.collect()
-        assert len(result.stats.recoveries) == 2
-        assert all(r.status is not None for r in result.stats.recoveries)
-        nic = next(r for r in result.stats.recoveries
-                   if r.device == S.value)
+        recoveries = scenario.resilient.recoveries
+        assert len(recoveries) == 2
+        assert all(r.status is not None for r in recoveries)
+        nic = next(r for r in recoveries if r.device is S)
         assert nic.attempts == 2
         _assert_conserved(scenario)
 
@@ -240,11 +227,11 @@ class TestReplanOnAbort:
     def test_property_bytes_conserved_under_injected_faults(self, seed,
                                                             failures):
         scenario = _scenario(seed=seed)
-        scenario.controller.inner.failure_hook = \
+        scenario.hardened.failure_hook = \
             FailFirstN("monitor", failures)
         scenario.run()
-        result = scenario.collect()
-        assert all(r.status is not None for r in result.stats.recoveries)
+        assert all(r.status is not None
+                   for r in scenario.resilient.recoveries)
         _assert_conserved(scenario)
 
 

@@ -1,140 +1,213 @@
 """Resilience end-to-end: the acceptance scenarios, replay, detection.
 
-Pins the PR's two acceptance stories (SmartNIC death mid-spike and
-infeasible sustained overload), bit-exact determinism of both, and the
-detection property that motivates progress-based health tracking: a
-frozen telemetry sample must not mask an NF crash from the watchdog.
+Pins the two acceptance stories (SmartNIC death mid-spike and
+infeasible sustained overload) as soak cases run through the one
+scenario wiring, bit-exact determinism and JSON replay of both, their
+CLI reports, and the detection property that motivates progress-based
+health tracking: a frozen telemetry sample must not mask an NF crash
+from the watchdog.
 """
 
+import json
 import os
 
 import pytest
 
 from repro.chain.nf import DeviceKind
+from repro.chaos.schedule import ChaosFault
+from repro.checkpoint.journal import canonical_json
 from repro.cli import main
-from repro.harness.scenarios import figure1
-from repro.resilience import HealthState
-from repro.resilience.scenarios import (build_resilient_controller,
-                                        run_device_kill, run_overload_shed,
-                                        run_scenario)
 from repro.errors import ConfigurationError
-from repro.sim.faults import FaultInjector
-from repro.sim.runner import SimulationRunner
-from repro.traffic.packet import FixedSize
-from repro.traffic.patterns import ProfiledArrivals, constant
+from repro.resilience import HealthState
+from repro.resilience.campaign import outcome_payload, run_outcome
+from repro.resilience.scenarios import (INFEASIBLE_LOAD_BPS,
+                                        device_kill_case, overload_case,
+                                        scenario_case)
+from repro.soak.fuzzer import SoakCase
+from repro.soak.scenario import build_case_scenario
+from repro.soak.shrinker import (ShrinkResult, replay_reproducer,
+                                 reproducer_document)
 from repro.units import gbps
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+#: The device-kill case as a soak reproducer (no violations recorded).
+DEVKILL_REPRODUCER = os.path.join(GOLDEN, "resilience_devkill_seed7_case.json")
+
+
+def _run(case):
+    """Wire, run and drain ``case``; the released scenario and outcome."""
+    scenario = build_case_scenario(case)
+    scenario.prepare()
+    scenario.run()
+    outcome = outcome_payload(scenario)
+    scenario.release()
+    return scenario, outcome
 
 
 class TestDeviceKillScenario:
     @pytest.fixture(scope="class")
     def run(self):
-        return run_device_kill()
+        return _run(device_kill_case())
 
     def test_watchdog_detects_the_death_after_the_kill(self, run):
+        scenario, __ = run
         kill_at = 0.3 * 0.08
-        states = [(t.state, t.at_s) for t in run.controller.health.transitions
+        states = [(t.state, t.at_s)
+                  for t in scenario.resilient.health.transitions
                   if t.entity == "device:smartnic"]
         assert [s for s, __ in states] == \
             [HealthState.SUSPECT, HealthState.FAILED]
         assert all(at > kill_at for __, at in states)
 
     def test_survivors_end_up_on_the_cpu(self, run):
-        placement = run.result.final_placement
+        placement = run[0].result.final_placement
         for nf in placement.chain:
             assert placement.device_of(nf.name) is DeviceKind.CPU
 
     def test_recovery_completes_and_records_latency(self, run):
-        assert len(run.stats.recoveries) == 1
-        recovery = run.stats.recoveries[0]
-        assert recovery.device == "smartnic"
-        assert recovery.status == "completed"
-        assert recovery.attempts >= 1
-        assert run.time_to_recover_s is not None
-        assert run.time_to_recover_s > 0.0
+        outcome = run[1]
+        assert len(outcome["recoveries"]) == 1
+        recovery = outcome["recoveries"][0]
+        assert recovery["device"] == "smartnic"
+        assert recovery["status"] == "completed"
+        assert recovery["attempts"] >= 1
+        assert outcome["downtime_s"] is not None
+        assert outcome["downtime_s"] > 0.0
 
     def test_no_violations_no_protected_shed_no_abandonment(self, run):
-        assert run.violations == []
-        assert run.stats.protected_shed_packets == 0
-        assert run.stats.abandoned_packets == 0
-        assert run.result.delivered > 0
+        outcome = run[1]
+        assert outcome["violations"] == []
+        assert outcome["protected_shed_packets"] == 0
+        assert outcome["abandoned_packets"] == 0
+        assert outcome["delivered"] > 0
 
 
 class TestOverloadScenario:
     @pytest.fixture(scope="class")
     def run(self):
-        return run_overload_shed()
+        return _run(overload_case())
 
     def test_only_the_low_class_is_shed(self, run):
-        by_name = {cls.name: cls for cls in run.stats.classes}
-        assert by_name["low"].shed_packets > 0
-        assert by_name["normal"].shed_packets == 0
-        assert by_name["high"].shed_packets == 0
-        assert run.stats.protected_shed_packets == 0
+        outcome = run[1]
+        by_name = {cls["name"]: cls for cls in outcome["classes"]}
+        assert by_name["low"]["shed_packets"] > 0
+        assert by_name["normal"]["shed_packets"] == 0
+        assert by_name["high"]["shed_packets"] == 0
+        assert outcome["protected_shed_packets"] == 0
 
     def test_shedding_stays_on_the_first_rung(self, run):
         # 2.2 Gbps offered vs the 2.0 Gbps border-move optimum needs
         # only the low class (0.3 share); deeper rungs must not engage.
-        assert run.stats.level_changes
-        assert max(level for __, level in run.stats.level_changes) == 1
-        assert run.stats.degraded_time_s > 0.0
-        assert 0.0 < run.stats.shed_fraction <= \
-            run.controller.config.degradation.max_shed_fraction
+        scenario, outcome = run
+        assert outcome["level_changes"]
+        assert max(level for __, level in outcome["level_changes"]) == 1
+        assert outcome["degraded_time_s"] > 0.0
+        assert 0.0 < outcome["shed_fraction"] <= \
+            scenario.resilient.config.degradation.max_shed_fraction
 
     def test_pam_settles_the_admitted_load(self, run):
         # With low shed, the planner reaches the 2.0 Gbps split:
         # {load_balancer, logger} on CPU, {monitor, firewall} on NIC.
-        placement = run.result.final_placement
+        placement = run[0].result.final_placement
         assert placement.device_of("load_balancer") is DeviceKind.CPU
         assert placement.device_of("logger") is DeviceKind.CPU
         assert placement.device_of("monitor") is DeviceKind.SMARTNIC
         assert placement.device_of("firewall") is DeviceKind.SMARTNIC
 
     def test_no_failures_and_no_violations(self, run):
-        assert run.stats.recoveries == ()
-        assert run.violations == []
+        outcome = run[1]
+        assert outcome["recoveries"] == []
+        assert outcome["violations"] == []
+
+    def test_constant_infeasible_load(self):
+        case = overload_case()
+        assert case.base_bps == case.peak_bps == INFEASIBLE_LOAD_BPS
+        assert case.faults == ()
 
 
 class TestDeterminism:
     @staticmethod
     def fingerprint(run):
+        scenario, outcome = run
+        controller = scenario.resilient
         return (
-            run.result.injected, run.result.delivered, run.result.dropped,
-            run.stats,
-            tuple(run.controller.health.transitions),
+            canonical_json(outcome),
+            tuple(controller.health.transitions),
             tuple((r.device, r.status, r.detected_s, r.completed_s,
                    r.attempts, tuple(r.evacuated))
-                  for r in run.controller.recoveries),
+                  for r in controller.recoveries),
         )
 
     def test_device_kill_replays_bit_exact(self):
-        first = run_device_kill(duration_s=0.05)
-        second = run_device_kill(duration_s=0.05)
+        first = _run(device_kill_case(duration_s=0.05))
+        second = _run(device_kill_case(duration_s=0.05))
         assert self.fingerprint(first) == self.fingerprint(second)
 
     def test_overload_replays_bit_exact(self):
-        first = run_overload_shed(duration_s=0.04)
-        second = run_overload_shed(duration_s=0.04)
+        first = _run(overload_case(duration_s=0.04))
+        second = _run(overload_case(duration_s=0.04))
         assert self.fingerprint(first) == self.fingerprint(second)
 
     def test_seeds_change_the_run(self):
-        assert self.fingerprint(run_device_kill(seed=7, duration_s=0.05)) \
-            != self.fingerprint(run_device_kill(seed=8, duration_s=0.05))
+        assert self.fingerprint(_run(device_kill_case(seed=7,
+                                                      duration_s=0.05))) \
+            != self.fingerprint(_run(device_kill_case(seed=8,
+                                                      duration_s=0.05)))
 
 
 class TestRunScenario:
     def test_dispatch_by_name(self):
-        run = run_scenario("overload", duration_s=0.02)
-        assert run.name == "overload"
+        assert scenario_case("overload", duration_s=0.02) == \
+            overload_case(duration_s=0.02)
+        assert scenario_case("device-kill", seed=9) == \
+            device_kill_case(seed=9)
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ConfigurationError):
-            run_scenario("meteor-strike")
+            scenario_case("meteor-strike")
 
     def test_nonpositive_duration_rejected(self):
         with pytest.raises(ConfigurationError):
-            run_device_kill(duration_s=0.0)
+            device_kill_case(duration_s=0.0)
         with pytest.raises(ConfigurationError):
-            run_overload_shed(duration_s=-1.0)
+            overload_case(duration_s=-1.0)
+
+    def test_device_kill_is_one_smartnic_kill_mid_spike(self):
+        case = device_kill_case(duration_s=0.05)
+        assert (case.base_bps, case.peak_bps) == (gbps(1.0), gbps(1.8))
+        assert (case.spike_start_frac, case.spike_frac) == (0.2, 0.4)
+        assert case.resilient and case.migration_failure_rate == 0.0
+        assert case.faults == (ChaosFault(
+            kind="device-kill", at_s=0.3 * 0.05, duration_s=0.0,
+            device=DeviceKind.SMARTNIC),)
+
+
+class TestCaseReplay:
+    """The canned cases are data: they round-trip and replay."""
+
+    @pytest.mark.parametrize("build", [device_kill_case, overload_case])
+    def test_round_trip_replays_the_same_outcome(self, build):
+        case = build(duration_s=0.02)
+        wire = json.loads(json.dumps(case.to_dict()))
+        replayed = SoakCase.from_dict(wire)
+        assert replayed == case
+        assert canonical_json(run_outcome(replayed)) == \
+            canonical_json(run_outcome(case))
+
+    def test_committed_reproducer_is_the_device_kill_case(self):
+        case = device_kill_case()
+        document = reproducer_document(ShrinkResult(
+            original=case, case=case, violations=[], signature=(),
+            executions=0))
+        with open(DEVKILL_REPRODUCER, encoding="utf-8") as handle:
+            assert json.loads(handle.read()) == \
+                json.loads(canonical_json(document))
+
+    def test_committed_reproducer_replays_clean(self):
+        outcome = replay_reproducer(DEVKILL_REPRODUCER)
+        assert outcome.case == device_kill_case()
+        assert outcome.actual == []
+        assert outcome.match
 
 
 class TestTelemetryCannotMaskACrash:
@@ -153,20 +226,17 @@ class TestTelemetryCannotMaskACrash:
 
     @pytest.fixture(scope="class")
     def controller(self):
-        scenario = figure1()
-        server = scenario.build_server()
-        controller = build_resilient_controller()
-        generator = ProfiledArrivals(constant(gbps(1.0)), FixedSize(512),
-                                     duration_s=self.DURATION_S, seed=7,
-                                     jitter=False)
-        sim = SimulationRunner(server, generator, controller,
-                               monitor_period_s=0.002)
-        injector = FaultInjector(sim.network, sim.engine, seed=7)
-        injector.telemetry_dropout(self.DROPOUT_AT_S, self.DROPOUT_LEN_S)
-        injector.crash_nf("monitor", self.CRASH_AT_S, self.CRASH_LEN_S)
-        sim.run()
-        sim.engine.run()
-        return controller
+        case = SoakCase(
+            seed=7, duration_s=self.DURATION_S, packet_bytes=512,
+            base_bps=gbps(1.0), peak_bps=gbps(1.0), resilient=True,
+            migration_failure_rate=0.0,
+            faults=(ChaosFault(kind="telemetry-dropout",
+                               at_s=self.DROPOUT_AT_S,
+                               duration_s=self.DROPOUT_LEN_S),
+                    ChaosFault(kind="crash", at_s=self.CRASH_AT_S,
+                               duration_s=self.CRASH_LEN_S,
+                               nf_name="monitor")))
+        return _run(case)[0].resilient
 
     def monitor_transitions(self, controller):
         return [t for t in controller.health.transitions
@@ -202,9 +272,6 @@ class TestTelemetryCannotMaskACrash:
     def test_no_shedding_at_feasible_load(self, controller):
         assert controller.shedder.shed_packets == 0
         assert controller.ladder.level_changes == []
-
-
-GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 class TestGolden:

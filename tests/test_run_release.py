@@ -18,9 +18,8 @@ from repro.errors import ConfigurationError, SchedulingError, SimulationError
 from repro.harness.experiment import (ExperimentConfig, ExperimentScenario,
                                       run_experiment)
 from repro.harness.scenarios import figure1
-from repro.resilience.scenarios import (ResilienceScenario,
-                                        build_resilient_controller,
-                                        run_device_kill)
+from repro.resilience.campaign import outcome_payload, run_outcome
+from repro.resilience.scenarios import device_kill_case, overload_case
 from repro.sim.engine import Engine
 from repro.sim.runner import SimulationRunner, simulate
 from repro.soak import default_space
@@ -28,7 +27,6 @@ from repro.soak.fuzzer import generate_case
 from repro.soak.scenario import build_case_scenario, run_case
 from repro.traffic.generators import ConstantBitRate
 from repro.traffic.packet import FixedSize, Packet
-from repro.traffic.patterns import ProfiledArrivals, constant
 from repro.units import gbps
 
 _DURATION_S = 0.004
@@ -57,7 +55,8 @@ HELPERS = {
     "run_one": lambda: ChaosRunner(
         runs=1, seed=7,
         config=ChaosConfig(duration_s=0.01)).run_one(7),
-    "resilience_run": lambda: run_device_kill(seed=7, duration_s=0.01),
+    "resilience_run": lambda: run_outcome(
+        device_kill_case(seed=7, duration_s=0.01)),
 }
 
 
@@ -178,17 +177,14 @@ class TestReleaseContract:
             ChaosRunResult.from_scenario(scenario, schedule)
 
     def test_resilience_scenario_collect_after_release_raises(self):
-        generator = ProfiledArrivals(constant(gbps(1.0)), FixedSize(512),
-                                     duration_s=0.004, seed=7, jitter=False)
-        scenario = ResilienceScenario("overload", 7, generator,
-                                      build_resilient_controller())
+        scenario = build_case_scenario(overload_case(duration_s=0.004))
         scenario.prepare()
         scenario.run()
-        scenario.collect()
+        outcome_payload(scenario)
         scenario.release()
         scenario.release()
         with pytest.raises(ConfigurationError, match="after release"):
-            scenario.collect()
+            outcome_payload(scenario)
 
 
 class TestEngineClearPending:
