@@ -58,7 +58,7 @@ def run_one(batches):
         record = migrator.records[0]
         duration = record.completed_s - record.started_s
     worst = max(p.latency_s for p in network.delivered)
-    dropped = len(network.dropped)
+    dropped = network.dropped
     return worst, duration, dropped
 
 

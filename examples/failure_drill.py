@@ -47,7 +47,7 @@ def main() -> None:
           str(crash.packets_lost)],
          ["ingress loss", "5% Bernoulli", str(loss.packets_lost)]]))
     print(f"\ninjected {network.injected}, delivered "
-          f"{len(network.delivered)}, dropped {len(network.dropped)} "
+          f"{len(network.delivered)}, dropped {network.dropped} "
           f"(= crash {crash.packets_lost} + wire {loss.packets_lost})")
 
     histogram = LatencyHistogram(buckets_per_decade=6)

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 from typing import Tuple
 
+from ..chain.nf import DeviceKind
+from ..core.feasibility import FeasibilityConfig
 from ..core.plan import MigrationPlan
-from ..resources.model import LoadModel
+from ..resources.model import LoadModel, shared_utilisation
 
 POLICY_NAME = "noop"
 
@@ -22,8 +24,15 @@ class NoopPolicy:
     name = POLICY_NAME
 
     def select(self, loads: Tuple[LoadModel, ...]) -> MigrationPlan:
-        """Return the empty plan, whatever the load."""
+        """Return the empty plan, whatever the load.
+
+        It alleviates exactly when the SmartNIC needs no relief: the
+        predicate of :func:`repro.core.pam.push_aside`'s "smartnic not
+        overloaded" plan.
+        """
+        not_overloaded = (shared_utilisation(loads, DeviceKind.SMARTNIC)
+                          < FeasibilityConfig().threshold)
         return MigrationPlan.empty(tuple(load.placement for load in loads),
                                    POLICY_NAME,
-                                   alleviates=False,
+                                   alleviates=not_overloaded,
                                    notes=("noop policy never migrates",))

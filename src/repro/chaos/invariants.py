@@ -141,9 +141,9 @@ def _check_conservation(network: ChainNetwork) -> List[Violation]:
             f"negative in-flight count {in_flight}: a packet was "
             f"accounted twice (injected={network.injected}, "
             f"delivered={len(network.delivered)}, "
-            f"dropped={len(network.dropped)}, "
-            f"filtered={len(network.filtered)}, "
-            f"shed={len(network.shed)})"))
+            f"dropped={network.dropped}, "
+            f"filtered={network.filtered}, "
+            f"shed={network.shed})"))
     residual = sum(len(station.queue) + station.buffered
                    for station in network.stations.values())
     if in_flight != residual:

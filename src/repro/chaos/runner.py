@@ -103,7 +103,7 @@ class ChaosRunResult:
             violations=violations,
             injected=scenario.result.injected,
             delivered=len(sim.network.delivered),
-            dropped=len(sim.network.dropped),
+            dropped=sim.network.dropped,
             fault_losses=scenario.injector.total_lost,
             migrations=len([r for r in records
                             if r.outcome == OUTCOME_SUCCEEDED]),

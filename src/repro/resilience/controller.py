@@ -413,11 +413,9 @@ class ResilientController:
                 continue
             if station.paused:
                 station.resume()
-            drained = station.queue.drain()
-            for packet, __ in drained:
-                packet.dropped_at = station.profile.name
-                network.dropped.append(packet)
-            self.abandoned_packets += len(drained)
+            drained = len(station.queue.drain())
+            network.count_drops(station.profile.name, drained)
+            self.abandoned_packets += drained
             self.health.force_failed(nf_entity(station.profile.name), now_s,
                                      "stranded on a dead device after "
                                      "evacuation attempts were exhausted")

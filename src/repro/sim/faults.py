@@ -176,11 +176,9 @@ class FaultInjector:
         self._failed.add(nf_name)
         station = self.network.stations[nf_name]
         # A crash loses the queue contents: drain and count them lost.
-        lost = station.queue.drain()
-        for packet, __ in lost:
-            packet.dropped_at = nf_name
-            self.network.dropped.append(packet)
-        event.packets_lost += len(lost)
+        lost = len(station.queue.drain())
+        self.network.count_drops(nf_name, lost)
+        event.packets_lost += lost
         self._install_crash_wrapper(nf_name)
 
     def _restore(self, nf_name: str) -> None:
@@ -213,9 +211,8 @@ class FaultInjector:
 
         def lossy_ingress(packet: Packet) -> None:
             if self.rng.random() < probability:
-                packet.dropped_at = "wire"
                 self.network.arrived_bytes += packet.size_bytes
-                self.network.dropped.append(packet)
+                self.network.count_drops("wire")
                 event.packets_lost += 1
                 return
             original_ingress(packet)
@@ -252,11 +249,9 @@ class FaultInjector:
             for station in self.network.stations.values():
                 if station.device is not dev or station.paused:
                     continue
-                lost = station.queue.drain()
-                for packet, __ in lost:
-                    packet.dropped_at = station.profile.name
-                    self.network.dropped.append(packet)
-                event.packets_lost += len(lost)
+                lost = len(station.queue.drain())
+                self.network.count_drops(station.profile.name, lost)
+                event.packets_lost += lost
 
         self.engine.at(at_s, kill, control=True)
         return event

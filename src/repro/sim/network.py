@@ -12,8 +12,8 @@ the geometry behind Figure 1.
 
 from __future__ import annotations
 
-from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
-                    Tuple)
+from collections import defaultdict
+from typing import Callable, Dict, Iterable, Iterator, Optional, Tuple
 
 from ..chain.nf import DeviceKind
 from ..chain.placement import Placement
@@ -27,7 +27,13 @@ from .nfinstance import NFStation, filters_out
 
 
 class ChainNetwork:
-    """The data plane: stations plus inter-station forwarding."""
+    """The data plane: stations plus inter-station forwarding.
+
+    It holds a packet only while the packet is in flight.  A delivered
+    packet becomes a row of :attr:`delivered`; a dropped, filtered or
+    shed one becomes a count (:attr:`dropped_at`, :attr:`filtered`,
+    :attr:`shed`), and reference counting frees it at once.
+    """
 
     def __init__(self, server: Server, engine: Engine,
                  placement: Optional[Placement] = None) -> None:
@@ -53,12 +59,15 @@ class ChainNetwork:
         #: Delivered packets, one ledger row each, recorded on departure.
         self.delivered = LatencyLedger()
         self._record_row = self.delivered.append_row
-        self.dropped: List[Packet] = []
+        #: Packets lost so far, counted per label: the ``dropped_at`` a
+        #: dropped packet carries (the NF's name, or ``"wire"`` for
+        #: ingress loss).  :attr:`dropped` is their sum.
+        self.dropped_at: defaultdict[str, int] = defaultdict(int)
         #: Packets consumed on purpose by filtering NFs (not losses).
-        self.filtered: List[Packet] = []
+        self.filtered: int = 0
         #: Packets refused by the admission hook before entering the
         #: chain (degradation-ladder load shedding, not losses either).
-        self.shed: List[Packet] = []
+        self.shed: int = 0
         #: Ingress admission hook: return False to shed the packet at
         #: the wire, before it counts toward ``arrived_bytes`` — the
         #: monitor (and therefore the planner) then sees *admitted*
@@ -139,8 +148,7 @@ class ChainNetwork:
         if self.admission is not None and not self.admission(packet):
             # Shed at the wire: the NIC's flow table drops the packet
             # before any NF (or the load monitor) sees it.
-            packet.dropped_at = "ingress-shed"
-            self.shed.append(packet)
+            self.shed += 1
             return
         self.arrived_bytes += packet.size_bytes
         if self._wire_ingress:
@@ -177,15 +185,14 @@ class ChainNetwork:
         to wherever the NF lives *now*, matching flow re-steering in
         UNO/OpenNF.
         """
-        dropped_append = self.dropped.append
+        drops = self.dropped_at
         nf_name = station.profile.name
 
         def arrive(packet: Packet) -> None:
             if station.device._failed and not station._paused:
-                packet.dropped_at = nf_name
-                dropped_append(packet)
+                drops[nf_name] += 1
             elif not station.accept(packet):
-                dropped_append(packet)
+                drops[packet.dropped_at] += 1
 
         return arrive
 
@@ -195,7 +202,7 @@ class ChainNetwork:
         here = self.ingress_device
         pcie = self._pcie
         engine = self.engine
-        dropped_append = self.dropped.append
+        drops = self.dropped_at
         nf_name = station.profile.name
 
         def enter(packet: Packet) -> None:
@@ -208,10 +215,9 @@ class ChainNetwork:
                 packet.pcie += t_pcie
                 engine.call_after_id(t_pcie, arrive_id, packet)
             elif station.device._failed and not station._paused:
-                packet.dropped_at = nf_name
-                dropped_append(packet)
+                drops[nf_name] += 1
             elif not station.accept(packet):
-                dropped_append(packet)
+                drops[packet.dropped_at] += 1
 
         return enter
 
@@ -223,14 +229,14 @@ class ChainNetwork:
         filters = profile.pass_rate < 1.0
         pcie = self._pcie
         engine = self.engine
-        dropped_append = self.dropped.append
-        filtered_append = self.filtered.append
+        network = self
+        drops = self.dropped_at
         next_name = next_station.profile.name
 
         def complete(packet: Packet) -> None:
             station.served_packets += 1
             if filters and filters_out(profile, packet):
-                filtered_append(packet)
+                network.filtered += 1
             elif next_station.device.kind is not station.device.kind:
                 t_pcie = pcie.record_crossing(packet.size_bytes,
                                               engine.now_s)
@@ -241,10 +247,9 @@ class ChainNetwork:
                 packet.pcie += t_pcie
                 engine.call_after_id(t_pcie, arrive_id, packet)
             elif next_station.device._failed and not next_station._paused:
-                packet.dropped_at = next_name
-                dropped_append(packet)
+                drops[next_name] += 1
             elif not next_station.accept(packet):
-                dropped_append(packet)
+                drops[packet.dropped_at] += 1
 
         return complete
 
@@ -261,12 +266,12 @@ class ChainNetwork:
         egress_at_endpoint_id = self._egress_at_endpoint_id
         pcie = self._pcie
         engine = self.engine
-        filtered_append = self.filtered.append
+        network = self
 
         def exit_chain(packet: Packet) -> None:
             station.served_packets += 1
             if filters and filters_out(profile, packet):
-                filtered_append(packet)
+                network.filtered += 1
             elif station.device.kind is not egress_device:
                 t_pcie = pcie.record_crossing(packet.size_bytes,
                                               engine.now_s)
@@ -284,7 +289,14 @@ class ChainNetwork:
                        now_s: float) -> None:
         """A replayed pause-buffer packet overflowed the post-migration
         queue; account it like any other drop so conservation holds."""
-        self.dropped.append(packet)
+        self.count_drops(nf_name)
+
+    def count_drops(self, label: str, count: int = 1) -> None:
+        """Account ``count`` packets lost at ``label`` (an NF or
+        ``"wire"``): fault drains and recovery abandonment.  An
+        empty drain adds no label."""
+        if count:
+            self.dropped_at[label] += count
 
     # -- egress -------------------------------------------------------------
 
@@ -334,23 +346,26 @@ class ChainNetwork:
         """
         return self.arrived_bytes, self.engine.now_s
 
+    @property
+    def dropped(self) -> int:
+        """Packets lost so far: the sum of :attr:`dropped_at`."""
+        return sum(self.dropped_at.values())
+
     def in_flight(self) -> int:
         """Packets injected with no final outcome yet."""
-        return (self.injected - len(self.delivered)
-                - len(self.dropped) - len(self.filtered)
-                - len(self.shed))
+        return (self.injected - len(self.delivered) - self.dropped
+                - self.filtered - self.shed)
 
     def release(self) -> None:
         """Let go of every packet the data plane holds (end of a run).
 
-        Empties the delivered ledger and the outcome lists in place (the
-        fused hop closures hold their bound ``append``) and every
-        station's queue and pause buffer.  The counters stay; the
-        outcome records no longer account for them.
+        Empties the delivered ledger in place (the departure hop holds
+        its bound row append) and every station's queue and pause
+        buffer.  Dropped, filtered and shed packets were never held;
+        their counts stay, like the other counters, but the emptied
+        ledger no longer accounts for them.
         """
-        for outcome in (self.delivered, self.dropped, self.filtered,
-                        self.shed):
-            outcome.clear()
+        self.delivered.clear()
         for station in self.stations.values():
             station.release()
 
@@ -359,5 +374,5 @@ class ChainNetwork:
         if self.in_flight() < 0:
             raise SimulationError(
                 f"packet conservation violated: injected={self.injected}, "
-                f"delivered={len(self.delivered)}, dropped={len(self.dropped)}, "
-                f"filtered={len(self.filtered)}, shed={len(self.shed)}")
+                f"delivered={len(self.delivered)}, dropped={self.dropped}, "
+                f"filtered={self.filtered}, shed={self.shed}")

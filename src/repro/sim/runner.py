@@ -287,10 +287,11 @@ class SimulationRunner:
         whoever built the run, once its result is collected.  A run's
         object graph is cyclic (the engine's action table points at
         station and network callbacks, which point back at the engine),
-        so without this its queued, dropped, filtered and shed packets
-        and its ledger rows stay resident until a full cycle
-        collection.  Idempotent; :meth:`collect` afterwards
-        raises rather than report an emptied run.
+        so without this its queued and buffered packets and its ledger
+        rows stay resident until a full cycle collection.  Dropped,
+        filtered and shed packets are counted, never held, so nothing
+        of theirs is left to free.  Idempotent; :meth:`collect`
+        afterwards raises rather than report an emptied run.
         """
         self._released = True
         self.engine.clear_pending()
@@ -342,8 +343,8 @@ class SimulationRunner:
             duration_s=horizon,
             injected=network.injected,
             delivered=len(delivered),
-            dropped=len(network.dropped),
-            filtered=len(network.filtered),
+            dropped=network.dropped,
+            filtered=network.filtered,
             offered_bps=offered_bps,
             latency=latency,
             throughput=throughput,
@@ -352,7 +353,7 @@ class SimulationRunner:
             final_placement=placement,
             migration_times_s=[m.completed_s for m in moved],
             migrated_nfs=[m.nf_name for m in moved],
-            shed=len(network.shed))
+            shed=network.shed)
 
 
 def simulate(server: Server, generator: TrafficGenerator,

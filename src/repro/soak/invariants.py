@@ -202,8 +202,8 @@ class OnlineConservation(RuntimeInvariant):
     def on_tick(self, obs: Observation) -> Iterable[str]:
         """Check the packet/byte ledger against the injected totals."""
         network = obs.network
-        fates = (len(network.delivered) + len(network.dropped)
-                 + len(network.filtered) + len(network.shed))
+        fates = (len(network.delivered) + network.dropped
+                 + network.filtered + network.shed)
         if fates > network.injected:
             yield (f"tick {obs.tick_index}: {fates} packet fates "
                    f"recorded but only {network.injected} injected — "

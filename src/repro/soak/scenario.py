@@ -202,9 +202,9 @@ class SoakScenario(CaseScenario):
             "violations": [v.to_dict() for v in violations],
             "injected": self.result.injected,
             "delivered": len(network.delivered),
-            "dropped": len(network.dropped),
-            "filtered": len(network.filtered),
-            "shed": len(network.shed),
+            "dropped": network.dropped,
+            "filtered": network.filtered,
+            "shed": network.shed,
             "migrations": len([r for r in records
                                if r.outcome == OUTCOME_SUCCEEDED]),
             "recoveries": (len(self.resilient.recoveries)

@@ -54,6 +54,13 @@ class TestPlan:
             "noop: no migration planned at 1.8 Gbps; the plan does not "
             "alleviate the SmartNIC (noop policy never migrates)\n")
 
+    def test_noop_without_overload_says_not_needed(self, capsys):
+        # At 1.0 Gbps the Figure 1 NIC needs no relief, so the empty
+        # plan alleviates: the verdict push_aside gives, not a failure.
+        assert main(["plan", "--policy", "noop", "--load", "1.0"]) == 0
+        assert capsys.readouterr().out == \
+            "noop: no migration needed at 1.0 Gbps\n"
+
     def test_alleviating_empty_plan_says_not_needed(self, capsys):
         assert main(["plan", "--policy", "pam", "--load", "1.0"]) == 0
         assert capsys.readouterr().out == \

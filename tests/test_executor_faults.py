@@ -115,7 +115,7 @@ class TestMidTransferFailure:
         assert h.server.placement.device_of("logger").value == "cpu"
         # Loss-free: everything injected is eventually delivered.
         assert len(h.network.delivered) == 500
-        assert len(h.network.dropped) == 0
+        assert h.network.dropped == 0
 
     def test_rollback_restores_binding_and_demand(self, fig1_scenario):
         # Every attempt fails: the NF must end where it started, with
@@ -139,7 +139,7 @@ class TestMidTransferFailure:
         assert h.server.cpu.demand == pytest.approx(cpu_before)
         # Rollback is loss-free too: the pause buffer replays in place.
         assert len(h.network.delivered) == 400
-        assert len(h.network.dropped) == 0
+        assert h.network.dropped == 0
 
     def test_busy_false_after_every_terminal_outcome(self, fig1_scenario):
         for failures in ({}, {("logger", 1): 0.5},

@@ -40,8 +40,8 @@ class TestCrash:
         engine.run()
         network.check_conservation()
         assert event.packets_lost > 0
-        assert len(network.dropped) == event.packets_lost
-        assert all(p.dropped_at == "monitor" for p in network.dropped)
+        assert network.dropped == event.packets_lost
+        assert network.dropped_at == {"monitor": event.packets_lost}
 
     def test_traffic_resumes_after_restart(self):
         __, engine, network = live_network()
@@ -102,7 +102,7 @@ class TestRepeatedCrash:
         second = injector.crash_nf("monitor", at_s=6e-4, downtime_s=1e-4)
         engine.run()
         assert first.packets_lost + second.packets_lost == \
-            len(network.dropped)
+            network.dropped
         # Packets delivered between the two outages prove the restart
         # in the middle actually worked.
         between = [p for p in network.delivered
@@ -120,7 +120,7 @@ class TestRepeatedCrash:
 
         def probe():
             wrapped.append("accept" in vars(station))
-            drops.append(len(network.dropped))
+            drops.append(network.dropped)
 
         for at_s in (1.99e-4, 2.5e-4, 3.01e-4, 4.5e-4, 5.99e-4, 6.5e-4):
             engine.at(at_s, probe, control=True)
@@ -132,9 +132,9 @@ class TestRepeatedCrash:
         # Drops in both windows, none between them.
         assert drops[0] == 0
         assert drops[2] > 0 and drops[2] == drops[4]
-        assert len(network.dropped) > drops[4]
+        assert network.dropped > drops[4]
         assert first.packets_lost == drops[2]
-        assert second.packets_lost == len(network.dropped) - drops[4]
+        assert second.packets_lost == network.dropped - drops[4]
 
     def test_a_crash_wrapper_wrapped_since_stays(self):
         __, engine, network = live_network()
@@ -157,7 +157,7 @@ class TestRepeatedCrash:
         engine.run()
         network.check_conservation()
         assert vars(station)["accept"].__name__ == "outer"
-        assert len(network.delivered) + len(network.dropped) == 300
+        assert len(network.delivered) + network.dropped == 300
         assert seen[-1] == 299
 
     def test_overlapping_windows_extend_downtime(self):
@@ -336,7 +336,7 @@ class TestRandomLoss:
         injector.random_loss(0.1)
         engine.run()
         network.check_conservation()
-        rate = len(network.dropped) / network.injected
+        rate = network.dropped / network.injected
         assert rate == pytest.approx(0.1, abs=0.03)
 
     def test_loss_is_seeded(self):
@@ -347,7 +347,7 @@ class TestRandomLoss:
             inject_cbr(network, 500)
             injector.random_loss(0.2)
             engine.run()
-            losses.append(len(network.dropped))
+            losses.append(network.dropped)
         assert losses[0] == losses[1]
 
     def test_probability_bounds(self):

@@ -57,7 +57,7 @@ class TestMechanics:
                   control=True)
         engine.run()
         network.check_conservation()
-        assert len(network.dropped) == 0
+        assert network.dropped == 0
         assert len(network.delivered) == 3000
 
     def test_validation(self):

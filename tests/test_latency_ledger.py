@@ -13,8 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.harness.scenarios import (FIGURE1_BASE_LOAD_BPS, datacenter_inline,
-                                     enterprise_edge, figure1, table1_chain)
+from repro.harness.scenarios import (FIGURE1_BASE_LOAD_BPS,
+                                     FIGURE1_SATURATION_BPS,
+                                     datacenter_inline, enterprise_edge,
+                                     figure1, table1_chain)
 from repro.sim.latency import COMPONENTS, ROW_FIELDS, LatencyLedger, add_latency
 from repro.sim.network import ChainNetwork
 from repro.sim.runner import SimulationRunner
@@ -243,29 +245,42 @@ class TestDataPlaneLedger:
         assert not delivered
 
 
+def _drained_footprint(rate_bps):
+    """(traced bytes held, delivered, dropped) of a drained 64 B
+    Figure 1 run at ``rate_bps`` for 3 ms, before its release."""
+    def run():
+        runner = SimulationRunner(
+            figure1().build_server(),
+            ConstantBitRate(rate_bps, FixedSize(64), 3e-3))
+        runner.prepare()
+        before = tracemalloc.get_traced_memory()[0]
+        runner.engine.run(until_s=runner._horizon_s + runner.drain_grace_s)
+        held = tracemalloc.get_traced_memory()[0] - before
+        network = runner.network
+        outcome = held, len(network.delivered), network.dropped
+        runner.release()
+        return outcome
+
+    run()  # warm any lazily built class state
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        return run()
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
 class TestFootprint:
     def test_a_delivered_packet_costs_at_most_100_bytes(self):
-        def run():
-            runner = SimulationRunner(
-                figure1().build_server(),
-                ConstantBitRate(FIGURE1_BASE_LOAD_BPS, FixedSize(64), 3e-3))
-            runner.prepare()
-            before = tracemalloc.get_traced_memory()[0]
-            runner.engine.run(until_s=runner._horizon_s
-                              + runner.drain_grace_s)
-            held = tracemalloc.get_traced_memory()[0] - before
-            delivered = len(runner.network.delivered)
-            runner.release()
-            return held, delivered
-
-        run()  # warm any lazily built class state
-        started = not tracemalloc.is_tracing()
-        if started:
-            tracemalloc.start()
-        try:
-            held, delivered = run()
-        finally:
-            if started:
-                tracemalloc.stop()
+        held, delivered, __ = _drained_footprint(FIGURE1_BASE_LOAD_BPS)
         assert delivered > 5000
         assert held / delivered <= 100
+
+    def test_an_overloaded_run_holds_no_dropped_packet(self):
+        # Past saturation the noop arm rides overload out by dropping:
+        # a drop is counted, so it costs no memory per packet.
+        held, delivered, dropped = _drained_footprint(FIGURE1_SATURATION_BPS)
+        assert held / delivered <= 100
+        assert dropped > 5000

@@ -110,7 +110,7 @@ class TestExecutor:
                     control=True)
         h.engine.run()
         assert len(h.network.delivered) == 500
-        assert len(h.network.dropped) == 0
+        assert h.network.dropped == 0
 
     def test_migration_record_fields(self, fig1_scenario):
         h = LiveHarness(fig1_scenario)

@@ -97,10 +97,10 @@ class TestService:
             network.inject(Packet(seq=seq, size_bytes=256,
                                   arrival_s=seq * 1e-3))
         engine.run()
-        assert 0 < len(network.filtered) < 8
+        assert 0 < network.filtered < 8
         assert network.stations["gate"].served_packets == 8
         assert network.stations["monitor"].served_packets == \
-            len(network.delivered) == 8 - len(network.filtered)
+            len(network.delivered) == 8 - network.filtered
 
 
 class TestDrops:

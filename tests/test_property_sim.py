@@ -55,7 +55,7 @@ class TestConservation:
         engine.run()
         network.check_conservation()
         assert network.injected == count
-        assert len(network.delivered) + len(network.dropped) == count
+        assert len(network.delivered) + network.dropped == count
         assert network.in_flight() == 0
 
     @given(st.integers(min_value=1, max_value=60))

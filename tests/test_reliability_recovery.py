@@ -165,8 +165,8 @@ def _dead_station_residual(scenario):
 def _assert_conserved(scenario):
     """Exact packet and byte conservation, dead-queue residual allowed."""
     network = scenario.sim.network
-    accounted = (len(network.delivered) + len(network.dropped)
-                 + len(network.filtered) + len(network.shed))
+    accounted = (len(network.delivered) + network.dropped
+                 + network.filtered + network.shed)
     residual = _dead_station_residual(scenario)
     assert accounted + residual == network.injected
     assert network.in_flight() == residual
