@@ -14,10 +14,8 @@ that defines it, and hands the table to :func:`lazy_exports`.  From
 ``repro.sim.Engine`` and ``from repro.sim import Engine`` then import
 :mod:`repro.sim.engine` the first time the name is asked for (PEP 562),
 so ``import repro`` loads no subpackage and a process loads only the
-modules it runs.  ``"submodule:attr"`` re-exports under a new name
-(``"load_config": "config:load"`` in :mod:`repro.harness`), and
-a name equal to its submodule stands for the submodule
-(``"catalog": "catalog"`` in :mod:`repro.chain`).
+modules it runs.  A name equal to its submodule stands for the
+submodule (``"catalog": "catalog"`` in :mod:`repro.chain`).
 
 The table must stay a module-level dict literal of string constants:
 the whole-program lint (:mod:`repro.analysis.lint.project.loader`)
@@ -36,10 +34,10 @@ def lazy_exports(package: str, table: Dict[str, str]
                  ) -> Tuple[Callable[[str], object], Callable[[], List[str]]]:
     """The module ``__getattr__`` and ``__dir__`` for ``package``.
 
-    ``table`` maps each public name to ``"submodule"`` (the attribute of
-    that name) or ``"submodule:attr"`` (a re-export under a new name).
-    A resolved name is stored on the package, so each one costs one
-    import and one lookup.
+    ``table`` maps each public name to the submodule that defines it
+    (the attribute of that name, or the submodule itself when the two
+    names are equal).  A resolved name is stored on the package, so
+    each one costs one import and one lookup.
     """
 
     def __getattr__(name: str) -> object:
@@ -47,14 +45,8 @@ def lazy_exports(package: str, table: Dict[str, str]
         if target is None:
             raise AttributeError(
                 f"module {package!r} has no attribute {name!r}")
-        submodule, _, attr = target.partition(":")
-        module = importlib.import_module(f"{package}.{submodule}")
-        if attr:
-            value = getattr(module, attr)
-        elif submodule == name:
-            value = module
-        else:
-            value = getattr(module, name)
+        module = importlib.import_module(f"{package}.{target}")
+        value = module if target == name else getattr(module, name)
         setattr(sys.modules[package], name, value)
         return value
 

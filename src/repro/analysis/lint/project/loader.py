@@ -182,9 +182,8 @@ def _collect_lazy_exports(info: ModuleInfo) -> None:
 
     A lazy package re-exports ``name`` from the submodule its table
     names, exactly as ``from .submodule import name`` would: ``"engine"``
-    maps ``Engine -> <package>.engine.Engine``, ``"config:load"`` maps
-    ``load_config -> <package>.config.load``, and a name equal to
-    its submodule stands for the submodule itself.
+    maps ``Engine -> <package>.engine.Engine``, and a name equal to its
+    submodule stands for the submodule itself.
     """
     for node in info.tree.body:
         if not (isinstance(node, ast.Assign) and len(node.targets) == 1
@@ -197,11 +196,8 @@ def _collect_lazy_exports(info: ModuleInfo) -> None:
                     and isinstance(value, ast.Constant) \
                     and isinstance(value.value, str):
                 name = key.value
-                submodule, _, attr = value.value.partition(":")
-                target = f"{info.name}.{submodule}"
-                if attr:
-                    target = f"{target}.{attr}"
-                elif submodule != name:
+                target = f"{info.name}.{value.value}"
+                if value.value != name:
                     target = f"{target}.{name}"
                 info.imports[name] = target
 

@@ -3,9 +3,7 @@
 from .._lazy import lazy_exports
 
 __all__ = [
-    "AtMostOne",
     "ChainBuilder",
-    "DEFAULT_SFC_RULES",
     "DeviceKind",
     "EGRESS",
     "Edge",
@@ -13,33 +11,19 @@ __all__ = [
     "INGRESS",
     "NFInstanceId",
     "NFKind",
-    "MustBeEdge",
-    "MustPrecede",
     "NFProfile",
     "Placement",
     "Segment",
     "ServiceChain",
-    "Rule",
     "ServiceGraph",
-    "Violation",
     "catalog",
     "render_placement",
-    "check_chain",
-    "validate_chain",
 ]
 
 #: Public name -> defining submodule (see :mod:`repro._lazy`).
 _EXPORTS = {
     "catalog": "catalog",
     "ChainBuilder": "builder",
-    "DEFAULT_SFC_RULES": "constraints",
-    "AtMostOne": "constraints",
-    "MustBeEdge": "constraints",
-    "MustPrecede": "constraints",
-    "Rule": "constraints",
-    "Violation": "constraints",
-    "check_chain": "constraints",
-    "validate_chain": "constraints",
     "ServiceChain": "chain",
     "render_placement": "diagram",
     "EGRESS": "graph",

@@ -8,8 +8,6 @@ Gives operators the paper's experiments without writing Python:
 * ``explain``    — placement diagram + capacity/border/latency analysis,
 * ``optimise``   — exhaustive optimal-placement search,
 * ``spike``      — the closed-loop traffic-spike episode,
-* ``run-config`` — execute a JSON experiment description,
-* ``suite``      — run or regression-check a directory of experiments,
 * ``chaos``      — randomized fault campaign with invariant checking,
 * ``soak``       — generative chaos fuzzing with an online invariant
   engine and automatic minimal-reproducer shrinking,
@@ -34,7 +32,7 @@ from typing import Any, Callable, List, Optional
 from .errors import ReproError, ScaleOutRequired
 from .harness.scenarios import figure1
 from .traffic.packet import PAPER_SIZE_SWEEP
-from .units import as_gbps, as_msec, as_usec, gbps
+from .units import as_msec, as_usec, gbps
 
 
 def _policy_by_name(name: str):
@@ -237,27 +235,6 @@ def cmd_spike(args: argparse.Namespace) -> int:
           f"(dropped {result.dropped}); mean latency "
           f"{as_usec(result.latency.mean_s):.1f} us, "
           f"p99 {as_usec(result.latency.p99_s):.1f} us")
-    return 0
-
-
-def cmd_run_config(args: argparse.Namespace) -> int:
-    """Run a JSON-described experiment."""
-    from .harness.config import load
-    from .harness.results import ResultRecord
-    spec = load(args.config)
-    result = spec.run()
-    record = ResultRecord.from_result(result, label=spec.name)
-    if args.output:
-        record.save(args.output)
-        print(f"result written to {args.output}")
-    print(f"experiment {spec.name!r} (policy={spec.policy_name}):")
-    print(f"  delivered {result.delivered}/{result.injected} "
-          f"(dropped {result.dropped})")
-    if result.latency is not None:
-        print(f"  latency {result.latency.describe()}")
-    print(f"  goodput {as_gbps(result.goodput_bps):.2f} Gbps")
-    if result.migrated_nfs:
-        print(f"  migrated: {', '.join(result.migrated_nfs)}")
     return 0
 
 
@@ -484,21 +461,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
     return code
 
 
-def cmd_suite(args: argparse.Namespace) -> int:
-    """Run or regression-check a directory of experiments."""
-    from .harness.suite import check_suite, render_checks, run_suite
-    if args.check:
-        checks = check_suite(args.directory)
-        print(render_checks(checks))
-        return 0 if all(check.ok for check in checks) else 1
-    entries = run_suite(args.directory)
-    for entry in entries:
-        print(f"{entry.config_path.name:<40} -> "
-              f"{entry.result_path.name}")
-    print(f"{len(entries)} experiments run, baselines written")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The argparse tree for every subcommand."""
     parser = argparse.ArgumentParser(
@@ -556,13 +518,6 @@ def build_parser() -> argparse.ArgumentParser:
                              help="regenerate and check every paper artefact")
     p_repro.add_argument("--duration", type=float, default=0.008)
     p_repro.set_defaults(func=cmd_reproduce)
-
-    p_suite = sub.add_parser("suite",
-                             help="run/check a directory of experiments")
-    p_suite.add_argument("directory")
-    p_suite.add_argument("--check", action="store_true",
-                         help="diff against committed baselines")
-    p_suite.set_defaults(func=cmd_suite)
 
     p_chaos = sub.add_parser("chaos",
                              help="randomized fault campaign with "
@@ -737,12 +692,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint.add_argument("--list-rules", action="store_true",
                         help="print the rule catalogue and exit")
     p_lint.set_defaults(func=cmd_lint)
-
-    p_config = sub.add_parser("run-config",
-                              help="run a JSON-described experiment")
-    p_config.add_argument("config", help="path to the experiment JSON")
-    p_config.add_argument("--output", help="write a result record here")
-    p_config.set_defaults(func=cmd_run_config)
 
     return parser
 

@@ -1,9 +1,9 @@
 """The layered campaign-execution core.
 
 Every batch of simulations in this repository — chaos campaigns,
-resilience scenario runs, the figure-2 packet-size sweep, experiment
-suites — used to carry its own run loop, its own journal plumbing, and
-its own merge logic.  This package is the single replacement:
+resilience scenario runs, the figure-2 packet-size sweep — used to
+carry its own run loop, its own journal plumbing, and its own merge
+logic.  This package is the single replacement:
 
 * :mod:`repro.exec.scenario` — the :class:`Scenario` protocol
   (build → ``prepare`` → ``run`` → ``collect``) one unit of simulated

@@ -223,7 +223,6 @@ def _ensure_builtin_campaigns() -> None:
     :mod:`repro.exec` at module level).
     """
     from ..chaos.runner import ChaosCampaign  # noqa: F401
-    from ..harness.suite import SuiteCampaign  # noqa: F401
     from ..harness.sweep import SizeSweepCampaign  # noqa: F401
     from ..reliability.campaign import ReliabilityCampaign  # noqa: F401
     from ..resilience.campaign import ResilienceCampaign  # noqa: F401

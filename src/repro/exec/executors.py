@@ -12,7 +12,7 @@ raises, returns a non-dict, or loses its worker never takes the
 campaign down by itself: after its last attempt it is quarantined
 through the campaign's ``error_payload`` hook.  Chaos, resilience,
 reliability, and soak record a ``scenario-error`` result; the default
-hook (sweeps, suites) raises :class:`~repro.errors.ExecutionError`,
+hook (the size sweep) raises :class:`~repro.errors.ExecutionError`,
 which serial execution chains to the run's own exception.  An active
 policy adds bounded seed-derived retry, per-run deadlines (parallel
 only: a run cannot preempt itself), and the driver's abort budget.

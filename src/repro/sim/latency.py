@@ -57,7 +57,7 @@ def _packet(seq: float, size_bytes: float, flow_id: float,
             processing: float, queueing: float, pcie: float) -> Packet:
     """The delivered packet one row records."""
     return Packet(int(seq), int(size_bytes), arrival_s, int(flow_id),
-                  departure_s, None, None, wire, processing, queueing, pcie)
+                  departure_s, None, wire, processing, queueing, pcie)
 
 
 class LatencyLedger:

@@ -32,14 +32,10 @@ def filters_out(profile: NFProfile, packet: Packet) -> bool:
     Decided by a deterministic per-(NF, packet) uniform variate in
     [0, 1) against the NF's pass rate: CRC-based, so stable across
     processes and runs (unlike the built-in ``hash``, which is salted
-    per process).  A consumed packet is stamped ``filtered_at``.
-    Callers skip the check for NFs whose pass rate is 1.
+    per process).  Callers skip the check for NFs whose pass rate is 1.
     """
     token = zlib.crc32(f"{profile.name}:{packet.seq}".encode()) / 0x1_0000_0000
-    if token < profile.pass_rate:
-        return False
-    packet.filtered_at = profile.name
-    return True
+    return token >= profile.pass_rate
 
 
 class NFStation:

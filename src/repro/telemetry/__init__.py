@@ -4,7 +4,6 @@ from .._lazy import lazy_exports
 
 __all__ = [
     "EwmaEstimator",
-    "ResourceBill",
     "HoltEstimator",
     "LatencyHistogram",
     "LatencySummary",
@@ -18,12 +17,7 @@ __all__ = [
     "TimeSeriesRecorder",
     "SmoothedController",
     "bar_chart",
-    "bill_from_monitor",
-    "load_packets_jsonl",
-    "integrate_series",
-    "packets_to_jsonl",
     "percentile",
-    "series_to_csv",
     "sparkline",
     "relative_change",
     "utilisation_timeline",
@@ -34,15 +28,9 @@ _EXPORTS = {
     "bar_chart": "ascii_plots",
     "sparkline": "ascii_plots",
     "utilisation_timeline": "ascii_plots",
-    "ResourceBill": "accounting",
-    "bill_from_monitor": "accounting",
-    "integrate_series": "accounting",
     "EwmaEstimator": "estimator",
     "HoltEstimator": "estimator",
     "SmoothedController": "estimator",
-    "load_packets_jsonl": "export",
-    "packets_to_jsonl": "export",
-    "series_to_csv": "export",
     "LatencyHistogram": "histogram",
     "LatencySummary": "metrics",
     "ThroughputSummary": "metrics",

@@ -41,9 +41,6 @@ class Packet:
     departure_s: Optional[float] = None
     #: Whether the packet was dropped, and at which NF.
     dropped_at: Optional[str] = None
-    #: NF that deliberately consumed the packet (firewall block, IDS
-    #: quarantine) — a policy outcome, not a loss.
-    filtered_at: Optional[str] = None
     #: Latency components, seconds, accumulated in place on every hop
     #: (see :mod:`repro.sim.latency`): wire serialisation, NF service,
     #: queue and migration-buffer waiting, PCIe transfers.
@@ -62,8 +59,7 @@ class Packet:
     @property
     def delivered(self) -> bool:
         """Whether the packet made it through the whole chain."""
-        return (self.departure_s is not None and self.dropped_at is None
-                and self.filtered_at is None)
+        return self.departure_s is not None and self.dropped_at is None
 
 
 def _validate_size(size: int) -> int:

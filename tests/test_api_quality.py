@@ -105,11 +105,10 @@ class TestExports:
             namespace = {}
             exec(f"from {package.__name__} import *", namespace)
             for name, target in table.items():
-                submodule, _, attr = target.partition(":")
                 module = importlib.import_module(
-                    f"{package.__name__}.{submodule}")
-                expected = module if submodule == name and not attr \
-                    else getattr(module, attr or name)
+                    f"{package.__name__}.{target}")
+                expected = module if target == name \
+                    else getattr(module, name)
                 if getattr(package, name) is not expected:
                     broken.append(f"{package.__name__}.{name} resolves "
                                   f"elsewhere than {target}")

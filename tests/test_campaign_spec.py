@@ -28,7 +28,6 @@ from repro.exec.campaign import (_REGISTRY, build_campaign,
 from repro.exec.faultinject import (FaultInjectedCampaign, FaultPlan,
                                     WorkerFault)
 from repro.harness.scenarios import figure1
-from repro.harness.suite import SuiteCampaign
 from repro.harness.sweep import SizeSweepCampaign
 from repro.reliability.campaign import ReliabilityCampaign
 from repro.reliability.policy import RELIABILITY_POLICIES
@@ -43,8 +42,7 @@ def _chaos():
         runs=3, seed=9, config=ChaosConfig(duration_s=0.02)))
 
 
-#: One fixed campaign per case; the suite's directory is relative to
-#: the test's working directory.
+#: One fixed campaign per case.
 PINNED = {
     "chaos-hardened": _chaos,
     "chaos-resilient": lambda: ChaosCampaign(ChaosRunner(
@@ -66,7 +64,6 @@ PINNED = {
     "reliability-default": ReliabilityCampaign,
     "size-sweep": lambda: SizeSweepCampaign(
         figure1(), sizes=(64, 1500), duration_s=0.002),
-    "suite": lambda: SuiteCampaign("configs"),
     "fault-injected": lambda: FaultInjectedCampaign(_chaos(), FaultPlan((
         WorkerFault(1, "error", (1,)), WorkerFault(2, "garbage")))),
 }
@@ -125,8 +122,6 @@ FINGERPRINTS = {
     "size-sweep": (
         '{"duration_s":0.002,"latency_load_bps":1400000000.0,"sizes":[64,'
         '1500],"throughput_load_bps":2600000000.0}'),
-    "suite": (
-        '{"configs":["a.json","b.json"],"directory":"configs"}'),
     "fault-injected": (
         '{"faults":[{"attempts":[1],"fault":"error","index":1},'
         '{"attempts":null,"fault":"garbage","index":2}],'
@@ -154,7 +149,6 @@ END_RECORDS = {
     "reliability": '{"runs":4,"violations":3}',
     "reliability-default": '{"runs":3,"violations":3}',
     "size-sweep": '{"points":2}',
-    "suite": '{"runs":2}',
     "fault-injected": '{"runs":3,"violations":3}',
 }
 
@@ -163,20 +157,8 @@ def _payloads(count):
     return [{"violations": [{}] * (index % 3)} for index in range(count)]
 
 
-@pytest.fixture(scope="module")
-def suite_root(tmp_path_factory):
-    """A directory holding ``configs/`` with two (unrun) configs."""
-    root = tmp_path_factory.mktemp("suite")
-    (root / "configs").mkdir()
-    for name in ("a.json", "b.json"):
-        (root / "configs" / name).write_text("{}")
-    return root
-
-
 class TestFingerprintPins:
-    def test_every_registered_kind_is_pinned(self, suite_root,
-                                             monkeypatch):
-        monkeypatch.chdir(suite_root)
+    def test_every_registered_kind_is_pinned(self):
         campaign_kinds()  # imports every built-in kind
         builtin = {kind for kind, campaign_type in _REGISTRY.items()
                    if campaign_type.__module__.startswith("repro.")}
@@ -184,9 +166,7 @@ class TestFingerprintPins:
         assert set(STRATEGIES) == set(PINNED) == set(FINGERPRINTS)
 
     @pytest.mark.parametrize("case", sorted(PINNED))
-    def test_fingerprint_and_end_record_unchanged(self, case, suite_root,
-                                                  monkeypatch):
-        monkeypatch.chdir(suite_root)
+    def test_fingerprint_and_end_record_unchanged(self, case):
         campaign = PINNED[case]()
         assert canonical_json(campaign.fingerprint()) == FINGERPRINTS[case]
         payloads = _payloads(len(campaign.requests()))
@@ -234,30 +214,29 @@ _worker_faults = st.builds(
     attempts=st.none() | st.lists(st.integers(1, 5), min_size=1,
                                   max_size=3).map(tuple))
 
-#: Case -> root directory -> strategy of campaigns of that case's kind.
+#: Case -> strategy of campaigns of that case's kind.
 STRATEGIES = {
-    "chaos-hardened": lambda root: _chaos_campaigns(False),
-    "chaos-resilient": lambda root: _chaos_campaigns(True),
-    "soak": lambda root: _soak_campaigns(False),
-    "soak-planted": lambda root: _soak_campaigns(True),
-    "resilience": lambda root: st.builds(
+    "chaos-hardened": _chaos_campaigns(False),
+    "chaos-resilient": _chaos_campaigns(True),
+    "soak": _soak_campaigns(False),
+    "soak-planted": _soak_campaigns(True),
+    "resilience": st.builds(
         ResilienceCampaign, st.sampled_from(sorted(SCENARIOS)), _runs,
         _seeds, st.none() | _durations),
-    "resilience-default": lambda root: st.builds(
+    "resilience-default": st.builds(
         ResilienceCampaign, st.sampled_from(sorted(SCENARIOS))),
-    "reliability": lambda root: st.builds(
+    "reliability": st.builds(
         ReliabilityCampaign, st.sampled_from(sorted(SCENARIOS)),
         st.lists(st.sampled_from(sorted(RELIABILITY_POLICIES)),
                  min_size=1, max_size=4).map(tuple),
         _runs, _seeds, st.none() | _durations, st.integers(0, 1 << 24)),
-    "reliability-default": lambda root: st.just(ReliabilityCampaign()),
-    "size-sweep": lambda root: st.builds(
+    "reliability-default": st.just(ReliabilityCampaign()),
+    "size-sweep": st.builds(
         lambda sizes, duration, latency, throughput: SizeSweepCampaign(
             figure1(), sizes=sizes, duration_s=duration,
             latency_load_bps=latency, throughput_load_bps=throughput),
         _sizes, _durations, st.floats(1e8, 1e10), st.floats(1e8, 1e10)),
-    "suite": lambda root: st.just(SuiteCampaign(root / "configs")),
-    "fault-injected": lambda root: st.builds(
+    "fault-injected": st.builds(
         FaultInjectedCampaign, _chaos_campaigns(False),
         st.lists(_worker_faults, max_size=4,
                  unique_by=lambda fault: fault.index).map(
@@ -269,9 +248,8 @@ class TestSpecRoundTrip:
     @pytest.mark.parametrize("case", sorted(STRATEGIES))
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
-    def test_json_spec_rebuilds_the_same_campaign(self, case, suite_root,
-                                                  data):
-        campaign = data.draw(STRATEGIES[case](suite_root))
+    def test_json_spec_rebuilds_the_same_campaign(self, case, data):
+        campaign = data.draw(STRATEGIES[case])
         wire = json.loads(json.dumps(campaign.spec()))
         rebuilt = build_campaign(campaign.kind, wire)
         assert type(rebuilt) is type(campaign)

@@ -89,41 +89,6 @@ class TestErrors:
             main(["plan", "--policy", "quantum"])
 
 
-class TestRunConfig:
-    CONFIG = {
-        "name": "cli-test",
-        "chain": [
-            {"nf": "load_balancer", "device": "cpu"},
-            {"nf": "logger", "device": "smartnic"},
-            {"nf": "monitor", "device": "smartnic"},
-            {"nf": "firewall", "device": "smartnic"},
-        ],
-        "egress": "cpu",
-        "workload": {"kind": "cbr", "rate_gbps": 1.8,
-                     "packet_bytes": 256, "duration_s": 0.006},
-        "policy": "pam",
-    }
-
-    def test_runs_and_writes_record(self, tmp_path, capsys):
-        import json
-        from repro.harness.results import ResultRecord
-        config_path = tmp_path / "exp.json"
-        config_path.write_text(json.dumps(self.CONFIG))
-        out_path = tmp_path / "result.json"
-        assert main(["run-config", str(config_path),
-                     "--output", str(out_path)]) == 0
-        out = capsys.readouterr().out
-        assert "migrated: logger" in out
-        record = ResultRecord.load(out_path)
-        assert record.migrated_nfs == ["logger"]
-
-    def test_config_error_reported(self, tmp_path, capsys):
-        config_path = tmp_path / "bad.json"
-        config_path.write_text("{}")
-        assert main(["run-config", str(config_path)]) == 2
-        assert "error:" in capsys.readouterr().err
-
-
 class TestOptimise:
     def test_prints_optimal_placement(self, capsys):
         assert main(["optimise", "--load", "1.8"]) == 0
@@ -196,7 +161,7 @@ class TestCampaignsCommand:
         assert main(["campaigns", "--list-kinds"]) == 0
         out = capsys.readouterr().out
         for kind in ("chaos", "reliability", "resilience", "size-sweep",
-                     "soak", "suite", "fault-injected"):
+                     "soak", "fault-injected"):
             assert f"{kind}: " in out
 
     def test_default_action_lists_kinds(self, capsys):
@@ -388,8 +353,7 @@ class TestCampaignFlagErrors:
         ["reliability", "--duration", "0"],
         # A kill that can never land mid-grid, or no grid at all.
         ["crash-resume", "--runs", "2", "--kill-after", "5"],
-        ["crash-resume", "--runs", "0"],
-        ["run-config", "/nonexistent.json"]])
+        ["crash-resume", "--runs", "0"]])
     def test_out_of_range_values_exit_2_before_running(
             self, argv, monkeypatch, capsys):
         import subprocess

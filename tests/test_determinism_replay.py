@@ -3,7 +3,7 @@
 The DET1xx lint rules enforce seed-threading *statically*; this test
 guards the same property *dynamically*: two runs of an identical seeded
 scenario must execute the identical event sequence, produce identical
-per-packet latencies, and export byte-identical telemetry.  If either
+per-packet latencies, and record identical telemetry.  If either
 side regresses — a new unseeded RNG, a wall-clock read, a hash-order
 dependency — this is the test that goes red.
 """
@@ -31,7 +31,6 @@ from repro.resources.model import LoadModel
 from repro.soak import SoakCampaign, default_space
 from repro.soak.scenario import build_case_scenario
 from repro.sim.runner import SimulationResult, SimulationRunner
-from repro.telemetry.export import series_to_csv
 from repro.telemetry.monitor import LoadMonitor
 from repro.traffic.generators import ConstantBitRate
 from repro.traffic.packet import FixedSize
@@ -45,11 +44,11 @@ class _RunArtifacts:
 
     trace: List[Tuple[float, int, int]]
     result: SimulationResult
-    telemetry_csv: str
+    telemetry: str
     latencies: List[float]
 
 
-def _run_once(tmp_path, tag: str, seed: int = 11) -> _RunArtifacts:
+def _run_once(seed: int = 11) -> _RunArtifacts:
     """One closed-loop spike episode with every seed pinned."""
     profile = spike(base_bps=gbps(1.3), peak_bps=gbps(1.8),
                     start_s=0.004, duration_s=1.0)
@@ -63,28 +62,29 @@ def _run_once(tmp_path, tag: str, seed: int = 11) -> _RunArtifacts:
     trace: List[Tuple[float, int, int]] = []
     runner.engine.trace_to(trace)
     result = runner.run()
-    csv_path = tmp_path / f"telemetry-{tag}.csv"
-    series_to_csv(monitor.recorder, csv_path)
+    recorder = monitor.recorder
+    assert recorder.names(), "monitor recorded no series"
     latencies = [p.latency_s for p in runner.network.delivered
                  if p.latency_s is not None]
     return _RunArtifacts(trace=trace, result=result,
-                         telemetry_csv=csv_path.read_text(),
+                         telemetry=repr([(name, recorder.series(name))
+                                         for name in recorder.names()]),
                          latencies=latencies)
 
 
 class TestSeededReplay:
-    def test_event_traces_identical(self, tmp_path):
-        first = _run_once(tmp_path, "a")
-        second = _run_once(tmp_path, "b")
+    def test_event_traces_identical(self):
+        first = _run_once()
+        second = _run_once()
         assert first.trace, "run executed no events"
         assert first.trace == second.trace
 
-    def test_metrics_and_exports_identical(self, tmp_path):
-        first = _run_once(tmp_path, "a")
-        second = _run_once(tmp_path, "b")
+    def test_metrics_and_exports_identical(self):
+        first = _run_once()
+        second = _run_once()
         # Bit-for-bit, not approx: determinism means equality.
         assert first.latencies == second.latencies
-        assert first.telemetry_csv == second.telemetry_csv
+        assert first.telemetry == second.telemetry
         for attribute in ("injected", "delivered", "dropped", "filtered",
                           "migrated_nfs", "migration_times_s"):
             assert getattr(first.result, attribute) == \
@@ -92,18 +92,18 @@ class TestSeededReplay:
         assert first.result.throughput.goodput_bps == \
             second.result.throughput.goodput_bps
 
-    def test_migration_fired_in_scenario(self, tmp_path):
+    def test_migration_fired_in_scenario(self):
         # The episode must actually exercise the control loop, otherwise
         # the replay check proves nothing about controller determinism.
-        artifacts = _run_once(tmp_path, "a")
+        artifacts = _run_once()
         assert artifacts.result.migrated_nfs, \
             "spike scenario no longer triggers a migration"
 
-    def test_different_seed_changes_trace(self, tmp_path):
+    def test_different_seed_changes_trace(self):
         # Sanity check that the trace actually depends on the seed
         # (otherwise the identical-trace assertions are vacuous).
-        base = _run_once(tmp_path, "a", seed=11)
-        other = _run_once(tmp_path, "b", seed=12)
+        base = _run_once(seed=11)
+        other = _run_once(seed=12)
         assert base.trace != other.trace
 
 

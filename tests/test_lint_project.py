@@ -101,10 +101,7 @@ class TestLoader:
             project.functions["repro.exec.driver.run_campaign"]
         assert project.function_at("repro.sim.Engine") is \
             project.functions["repro.sim.engine.Engine.__init__"]
-        # A renamed re-export, and a submodule exported by name.
-        assert project.resolve(project.modules["repro.harness"],
-                               "load_config") == \
-            "repro.harness.config.load"
+        # A submodule exported by name.
         assert project.resolve(project.modules["repro.chain"],
                                "catalog") == "repro.chain.catalog"
 

@@ -1,7 +1,5 @@
 """Property-based tests for the extension modules: pull-back, traces,
-graphs, filtering maths, result records."""
-
-import json
+graphs, filtering maths."""
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -179,21 +177,3 @@ class TestGraphProperties:
         moved = placement.moved(name, target)
         assert moved.expected_crossings() == pytest_approx(
             placement.expected_crossings() + delta)
-
-
-class TestResultRecordProperties:
-    @given(st.floats(min_value=1e-7, max_value=1e-2),
-           st.integers(min_value=1, max_value=10_000))
-    @settings(max_examples=40, deadline=None)
-    def test_json_roundtrip_preserves_floats(self, latency, count):
-        from repro.harness.results import ResultRecord
-        record = ResultRecord(
-            label="p", duration_s=0.01, injected=count, delivered=count,
-            dropped=0, offered_bps=1e9, goodput_bps=9.9e8,
-            mean_latency_s=latency, p50_latency_s=latency,
-            p99_latency_s=latency * 2,
-            component_means_s={"pcie": latency / 3},
-            pcie_crossings=3, placement={"nf": "smartnic"},
-            migrated_nfs=[])
-        again = ResultRecord.loads(record.dumps())
-        assert again == record

@@ -1,68 +1,14 @@
-"""Property tests batch 3: constraints, histograms, statistics, diagrams."""
+"""Property tests batch 3: histograms and diagrams."""
 
 import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.chain.chain import ServiceChain
-from repro.chain.constraints import (AtMostOne, MustBeEdge, MustPrecede,
-                                     check_chain)
 from repro.chain.diagram import render_placement
-from repro.chain.nf import DeviceKind, NFKind, NFProfile
-from repro.harness.stats import MetricSummary
 from repro.telemetry.histogram import LatencyHistogram
-from repro.units import gbps
 
 from .test_property_placement import placements
-
-KINDS = [NFKind.FIREWALL, NFKind.IDS, NFKind.VPN, NFKind.MONITOR,
-         NFKind.NAT, NFKind.LOAD_BALANCER]
-
-
-@st.composite
-def kinded_chains(draw):
-    """Chains of 1-8 NFs with random kinds."""
-    kinds = draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=8))
-    nfs = [NFProfile(name=f"nf{i}", kind=kind,
-                     nic_capacity_bps=gbps(2.0 + i))
-           for i, kind in enumerate(kinds)]
-    return ServiceChain(nfs)
-
-
-class TestConstraintProperties:
-    @given(kinded_chains())
-    @settings(max_examples=80, deadline=None)
-    def test_must_precede_violations_are_real_inversions(self, chain):
-        rule = MustPrecede(NFKind.VPN, NFKind.IDS)
-        violations = rule.check(chain)
-        positions_vpn = [i for i, nf in enumerate(chain)
-                         if nf.kind is NFKind.VPN]
-        positions_ids = [i for i, nf in enumerate(chain)
-                         if nf.kind is NFKind.IDS]
-        has_inversion = any(v > i for v in positions_vpn
-                            for i in positions_ids)
-        assert bool(violations) == has_inversion
-
-    @given(kinded_chains())
-    @settings(max_examples=80, deadline=None)
-    def test_at_most_one_counts(self, chain):
-        rule = AtMostOne(NFKind.NAT)
-        count = sum(1 for nf in chain if nf.kind is NFKind.NAT)
-        assert bool(rule.check(chain)) == (count > 1)
-
-    @given(kinded_chains())
-    @settings(max_examples=80, deadline=None)
-    def test_edge_rule_never_flags_endpoints(self, chain):
-        rule = MustBeEdge(NFKind.LOAD_BALANCER)
-        for violation in rule.check(chain):
-            assert chain.names()[0] not in violation.detail.split("'")[1] \
-                or len(chain) > 2
-
-    @given(kinded_chains())
-    @settings(max_examples=80, deadline=None)
-    def test_empty_rule_list_always_passes(self, chain):
-        assert check_chain(chain, rules=()) == []
 
 
 class TestHistogramProperties:
@@ -99,39 +45,6 @@ class TestHistogramProperties:
         estimate = histogram.quantile(0.5)
         step = 10 ** (1 / 8)
         assert estimate >= covered_sample / (step * 1.001)
-
-
-class TestStatsProperties:
-    samples = st.lists(st.floats(min_value=-1e3, max_value=1e3),
-                       min_size=2, max_size=40)
-
-    @given(samples)
-    @settings(max_examples=80, deadline=None)
-    def test_mean_within_range(self, values):
-        summary = MetricSummary("m", tuple(values))
-        assert min(values) - 1e-9 <= summary.mean <= max(values) + 1e-9
-
-    @given(samples)
-    @settings(max_examples=80, deadline=None)
-    def test_stdev_nonnegative_and_zero_for_constant(self, values):
-        summary = MetricSummary("m", tuple(values))
-        assert summary.stdev >= 0
-        constant = MetricSummary("m", tuple([values[0]] * len(values)))
-        assert constant.stdev == pytest_approx_zero()
-
-    @given(samples)
-    @settings(max_examples=80, deadline=None)
-    def test_ci_shrinks_with_replication(self, values):
-        once = MetricSummary("m", tuple(values))
-        # Repeating the same sample set 4x shrinks the CI ~2x (sqrt(n)).
-        repeated = MetricSummary("m", tuple(values * 4))
-        if once.stdev > 0:
-            assert repeated.ci95_halfwidth < once.ci95_halfwidth
-
-
-def pytest_approx_zero():
-    import pytest
-    return pytest.approx(0.0, abs=1e-9)
 
 
 class TestDiagramProperties:

@@ -1,81 +1,12 @@
-"""Replication statistics and latency histograms."""
+"""Latency histograms."""
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.harness.experiment import ExperimentConfig
 from repro.harness.scenarios import figure1
-from repro.harness.stats import (MetricSummary, replicate, t_quantile_95)
 from repro.telemetry.histogram import LatencyHistogram
-from repro.traffic.generators import PoissonArrivals
-from repro.traffic.packet import FixedSize
 from repro.units import gbps, usec
-
-
-class TestMetricSummary:
-    def test_mean_and_stdev(self):
-        summary = MetricSummary("m", (1.0, 2.0, 3.0))
-        assert summary.mean == 2.0
-        assert summary.stdev == pytest.approx(1.0)
-
-    def test_single_sample_has_zero_spread(self):
-        summary = MetricSummary("m", (5.0,))
-        assert summary.stdev == 0.0
-        assert summary.ci95_halfwidth == 0.0
-
-    def test_ci_uses_t_quantile(self):
-        summary = MetricSummary("m", (1.0, 2.0, 3.0))
-        expected = t_quantile_95(2) * summary.stdev / (3 ** 0.5)
-        assert summary.ci95_halfwidth == pytest.approx(expected)
-
-    def test_describe(self):
-        text = MetricSummary("m", (1.0, 2.0)).describe(scale=10, unit="x")
-        assert "±" in text and "n=2" in text
-
-    def test_t_quantile_bounds(self):
-        assert t_quantile_95(1) == pytest.approx(12.706)
-        assert t_quantile_95(100) == pytest.approx(1.960)
-        with pytest.raises(ConfigurationError):
-            t_quantile_95(0)
-
-
-class TestReplicate:
-    def poisson_config(self):
-        # Poisson workloads are seed-sensitive, so replication produces
-        # genuinely different samples per seed.
-        return ExperimentConfig(scenario=figure1(), offered_bps=gbps(1.2),
-                                packet_size_bytes=256, duration_s=0.006)
-
-    def test_summaries_cover_default_metrics(self):
-        # CBR is seed-insensitive; use it to verify plumbing cheaply.
-        report = replicate(self.poisson_config(), seeds=[1, 2, 3])
-        for name in ("goodput_bps", "delivery_rate", "mean_latency_s",
-                     "p99_latency_s"):
-            assert report[name].count == 3
-
-    def test_results_retained(self):
-        report = replicate(self.poisson_config(), seeds=[1, 2])
-        assert len(report.results) == 2
-
-    def test_custom_metric_extractor(self):
-        report = replicate(self.poisson_config(), seeds=[1, 2],
-                           metrics=lambda r: {"drops": float(r.dropped)})
-        assert set(report.metrics) == {"drops"}
-
-    def test_duplicate_seeds_rejected(self):
-        with pytest.raises(ConfigurationError, match="distinct"):
-            replicate(self.poisson_config(), seeds=[1, 1])
-
-    def test_empty_seeds_rejected(self):
-        with pytest.raises(ConfigurationError):
-            replicate(self.poisson_config(), seeds=[])
-
-    def test_prebuilt_generator_rejected(self):
-        config = ExperimentConfig(
-            scenario=figure1(),
-            generator=PoissonArrivals(gbps(1.0), FixedSize(256), 0.004))
-        with pytest.raises(ConfigurationError, match="seed"):
-            replicate(config, seeds=[1, 2])
 
 
 class TestHistogram:
