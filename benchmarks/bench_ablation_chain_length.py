@@ -8,10 +8,8 @@ crossings while PAM's cost stays at zero regardless of length.
 import pytest
 
 from conftest import report
-from repro.baselines.naive import NaiveConfig
 from repro.baselines.naive import select as naive_select
 from repro.core.border import border_sets
-from repro.core.pam import PAMConfig
 from repro.core.pam import select as pam_select
 from repro.harness.scenarios import long_chain
 from repro.harness.tables import render_table
@@ -38,9 +36,8 @@ def test_chain_length_sweep(benchmark):
             placement = scenario.placement
             load = overload_point(placement)
             sets = border_sets(placement)
-            pam = pam_select(placement, load, PAMConfig(strict=False))
-            naive = naive_select(placement, load,
-                                 NaiveConfig(strict=False))
+            pam = pam_select(placement, load, strict=False)
+            naive = naive_select(placement, load, strict=False)
             rows.append((length, placement, load, sets, pam, naive))
         return rows
 

@@ -17,9 +17,7 @@ import pytest
 from conftest import report
 from repro.analysis.latency_model import predict_latency
 from repro.analysis.placement_opt import optimality_gap, optimise_placement
-from repro.baselines.naive import NaiveConfig
 from repro.baselines.naive import select as naive_select
-from repro.core.pam import PAMConfig
 from repro.core.pam import select as pam_select
 from repro.chain.nf import DeviceKind
 from repro.errors import ScaleOutRequired
@@ -48,11 +46,9 @@ def test_pam_vs_offline_optimum(benchmark):
                                          egress=DeviceKind.CPU)
             for policy, selector in (
                     ("pam", lambda: pam_select(
-                        scenario.placement, load,
-                        PAMConfig(strict=False))),
+                        scenario.placement, load, strict=False)),
                     ("naive", lambda: naive_select(
-                        scenario.placement, load,
-                        NaiveConfig(strict=False)))):
+                        scenario.placement, load, strict=False))):
                 plan = selector()
                 gap = optimality_gap(plan.after, load)
                 rows.append((load_gbps, policy,

@@ -13,7 +13,6 @@ import pytest
 from conftest import report
 from repro.baselines.naive import NaivePolicy
 from repro.baselines.scaleout import ScaleOutFallbackPolicy, plan_scaleout
-from repro.core.pam import PAMConfig
 from repro.core.pam import select as pam_select
 from repro.errors import ScaleOutRequired
 from repro.harness.scenarios import figure1
@@ -35,8 +34,7 @@ def test_scaleout_fallback(benchmark):
         for load_gbps in LOADS_GBPS:
             load = gbps(load_gbps)
             try:
-                plan = pam_select(scenario.placement, load,
-                                  PAMConfig(strict=True))
+                plan = pam_select(scenario.placement, load, strict=True)
                 action = f"pam: migrate {', '.join(plan.migrated_names)}"
                 skew = ""
             except ScaleOutRequired:

@@ -17,7 +17,7 @@ Run:  python examples/chain_planning.py
 from repro.baselines.scaleout import plan_scaleout
 from repro.chain.nf import DeviceKind
 from repro.core.border import border_sets
-from repro.core.pam import PAMConfig, select
+from repro.core.pam import select
 from repro.errors import ScaleOutRequired
 from repro.harness.scenarios import long_chain
 from repro.harness.tables import render_table
@@ -49,7 +49,7 @@ def main() -> None:
         throughput = gbps(load_gbps)
         nic_util = LoadModel(placement, throughput).nic_load().utilisation
         try:
-            plan = select(placement, throughput, PAMConfig(strict=True))
+            plan = select(placement, throughput, strict=True)
             action = ", ".join(plan.migrated_names) if plan.actions \
                 else "(no overload)" if plan.alleviates else "-"
             rows.append([f"{load_gbps:.1f}", f"{nic_util:.2f}", action,

@@ -17,10 +17,8 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..chain.diagram import render_placement
-from ..chain.nf import DeviceKind
 from ..chain.placement import Placement
 from ..core.border import border_sets
-from ..core.pam import PAMConfig
 from ..core.pam import select as pam_select
 from ..devices.server import ServerProfile
 from ..errors import ScaleOutRequired
@@ -57,8 +55,7 @@ def explain_placement(placement: Placement, offered_bps: float,
                  f"right={sorted(sets.right) or '-'}")
     if nic.overloaded:
         try:
-            plan = pam_select(placement, offered_bps,
-                              PAMConfig(strict=True))
+            plan = pam_select(placement, offered_bps, strict=True)
             moves = ", ".join(plan.migrated_names)
             lines.append(f"PAM now: push {moves} aside "
                          f"(crossing delta {plan.total_crossing_delta:+d})")

@@ -4,7 +4,6 @@ from .._lazy import lazy_exports
 
 __all__ = [
     "GreedyBorderPolicy",
-    "NaiveConfig",
     "NaivePolicy",
     "NoopPolicy",
     "RandomPolicy",
@@ -16,7 +15,6 @@ __all__ = [
 #: Public name -> defining submodule (see :mod:`repro._lazy`).
 _EXPORTS = {
     "GreedyBorderPolicy": "greedy_border",
-    "NaiveConfig": "naive",
     "NaivePolicy": "naive",
     "NoopPolicy": "noop",
     "RandomPolicy": "random_policy",

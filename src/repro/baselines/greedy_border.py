@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from ..core.feasibility import FeasibilityConfig
 from ..core.pam import pick_border, push_aside
 from ..core.plan import MigrationPlan
 from ..resources.model import LoadModel
@@ -24,11 +23,7 @@ class GreedyBorderPolicy:
 
     name = POLICY_NAME
 
-    def __init__(self,
-                 feasibility: FeasibilityConfig = FeasibilityConfig()) -> None:
-        self.feasibility = feasibility
-
     def select(self, loads: Tuple[LoadModel, ...]) -> MigrationPlan:
         """Migrate every feasible border NF, ignoring the stop rule."""
-        return push_aside(loads, pick_border, POLICY_NAME, self.feasibility,
+        return push_aside(loads, pick_border, POLICY_NAME,
                           strict=False, stop_at_eq3=False)

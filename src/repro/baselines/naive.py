@@ -15,11 +15,9 @@ capacity until the NIC is alleviated (Eq. 3), raising
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import AbstractSet, Optional, Tuple
 
 from ..chain.placement import Placement
-from ..core.feasibility import FeasibilityConfig
 from ..core.pam import Candidate, min_theta, push_aside
 from ..core.plan import MigrationPlan
 from ..resources.model import LoadModel, ThroughputSpec
@@ -34,30 +32,23 @@ def pick_bottleneck(placements: Tuple[Placement, ...],
                      lambda placement: [nf.name for nf in placement.nic_nfs()])
 
 
-@dataclass(frozen=True)
-class NaiveConfig:
-    """Tunables of the naive loop (mirrors :class:`PAMConfig`)."""
-
-    feasibility: FeasibilityConfig = field(default_factory=FeasibilityConfig)
-    strict: bool = True
-
-
-def select(placement: Placement, throughput: ThroughputSpec,
-           config: NaiveConfig = NaiveConfig()) -> MigrationPlan:
+def select(placement: Placement, throughput: ThroughputSpec, *,
+           strict: bool = True) -> MigrationPlan:
     """Migrate min-capacity SmartNIC NFs of one chain until the NIC is
     alleviated."""
-    return NaivePolicy(config).select((LoadModel(placement, throughput),))
+    return NaivePolicy(strict=strict).select(
+        (LoadModel(placement, throughput),))
 
 
 class NaivePolicy:
-    """:class:`~repro.core.planner.SelectionPolicy` wrapper."""
+    """:class:`~repro.core.planner.SelectionPolicy` wrapper; ``strict``
+    as for :class:`~repro.core.planner.PAMPolicy`."""
 
     name = POLICY_NAME
 
-    def __init__(self, config: NaiveConfig = NaiveConfig()) -> None:
-        self.config = config
+    def __init__(self, *, strict: bool = True) -> None:
+        self.strict = strict
 
     def select(self, loads: Tuple[LoadModel, ...]) -> MigrationPlan:
-        """Run the naive loop with this policy's config."""
-        return push_aside(loads, pick_bottleneck, POLICY_NAME,
-                          self.config.feasibility, self.config.strict)
+        """Run the naive loop."""
+        return push_aside(loads, pick_bottleneck, POLICY_NAME, self.strict)

@@ -11,9 +11,9 @@ from __future__ import annotations
 from typing import Tuple
 
 from ..chain.nf import DeviceKind
-from ..core.feasibility import FeasibilityConfig
 from ..core.plan import MigrationPlan
-from ..resources.model import LoadModel, shared_utilisation
+from ..resources.model import (UTILISATION_BOUND, LoadModel,
+                               shared_utilisation)
 
 POLICY_NAME = "noop"
 
@@ -31,7 +31,7 @@ class NoopPolicy:
         overloaded" plan.
         """
         not_overloaded = (shared_utilisation(loads, DeviceKind.SMARTNIC)
-                          < FeasibilityConfig().threshold)
+                          < UTILISATION_BOUND)
         return MigrationPlan.empty(tuple(load.placement for load in loads),
                                    POLICY_NAME,
                                    alleviates=not_overloaded,

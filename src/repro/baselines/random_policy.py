@@ -12,7 +12,6 @@ import random
 from typing import AbstractSet, Optional, Tuple
 
 from ..chain.placement import Placement
-from ..core.feasibility import FeasibilityConfig
 from ..core.pam import Candidate, push_aside
 from ..core.plan import MigrationPlan
 from ..resources.model import LoadModel
@@ -25,11 +24,8 @@ class RandomPolicy:
 
     name = POLICY_NAME
 
-    def __init__(self, seed: int = 42,
-                 feasibility: FeasibilityConfig = FeasibilityConfig(),
-                 strict: bool = True) -> None:
+    def __init__(self, seed: int = 42, *, strict: bool = True) -> None:
         self.rng = random.Random(seed)
-        self.feasibility = feasibility
         self.strict = strict
 
     def _pick(self, placements: Tuple[Placement, ...],
@@ -43,5 +39,4 @@ class RandomPolicy:
 
     def select(self, loads: Tuple[LoadModel, ...]) -> MigrationPlan:
         """Migrate random feasible NIC NFs until alleviation."""
-        return push_aside(loads, self._pick, POLICY_NAME,
-                          self.feasibility, self.strict)
+        return push_aside(loads, self._pick, POLICY_NAME, self.strict)

@@ -4,20 +4,16 @@ from .._lazy import lazy_exports
 
 __all__ = [
     "BorderSets",
-    "FeasibilityConfig",
     "HardenedController",
     "HardeningConfig",
     "MigrationAction",
     "MigrationController",
     "MigrationPlan",
-    "PAMConfig",
     "PAMPolicy",
     "PullbackConfig",
     "SelectionPolicy",
     "border_sets",
     "graph_pam",
-    "both_overloaded",
-    "nic_alleviated",
     "select",
     "select_pullback",
 ]
@@ -27,12 +23,8 @@ _EXPORTS = {
     "BorderSets": "border",
     "border_sets": "border",
     "graph_pam": "graph_pam",
-    "FeasibilityConfig": "feasibility",
-    "both_overloaded": "feasibility",
-    "nic_alleviated": "feasibility",
     "HardenedController": "operator",
     "HardeningConfig": "operator",
-    "PAMConfig": "pam",
     "select": "pam",
     "MigrationAction": "plan",
     "MigrationPlan": "plan",

@@ -43,9 +43,8 @@ from ..migration.cost import MigrationCostModel
 from ..migration.executor import (OUTCOME_SUCCEEDED, FailureHook,
                                   MigrationExecutor, MigrationRecord,
                                   PlanOutcome, RetryPolicy)
-from ..resources.model import shared_utilisation
+from ..resources.model import UTILISATION_BOUND, shared_utilisation
 from ..sim.runner import TickContext
-from ..telemetry.overload import OverloadDetector
 from .planner import PAMPolicy, SelectionPolicy
 from .reverse import PullbackConfig, select_pullback
 
@@ -87,13 +86,12 @@ class HardenedController:
 
     def __init__(self, policy: Optional[SelectionPolicy] = None,
                  config: HardeningConfig = HardeningConfig(),
-                 detector: Optional[OverloadDetector] = None,
-                 cost_model: MigrationCostModel = MigrationCostModel(),
                  failure_hook: Optional[FailureHook] = None) -> None:
         self.policy = policy or PAMPolicy()
         self.config = config
-        self.detector = detector or OverloadDetector()
-        self.cost_model = cost_model
+        #: Read when the executor is first built; the resilience
+        #: controller swaps in a standby-aware model before that.
+        self.cost_model = MigrationCostModel()
         #: Forwarded to the executor; the chaos harness injects
         #: mid-transfer migration failures through this.
         self.failure_hook = failure_hook
@@ -239,11 +237,10 @@ class HardenedController:
             # migrating on it would be acting on fiction.
             self.stale_ticks += 1
             return
-        nic_util = shared_utilisation(context.loads, DeviceKind.SMARTNIC)
-        overloaded = self.detector.update(nic_util)
         if self._cooling_down(context.now_s):
             return
-        if overloaded:
+        if shared_utilisation(context.loads,
+                              DeviceKind.SMARTNIC) > UTILISATION_BOUND:
             try:
                 plan = self.policy.select(context.loads)
             except ScaleOutRequired:

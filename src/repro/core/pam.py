@@ -42,16 +42,15 @@ when ``strict=False``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import (AbstractSet, Callable, Iterable, List, Optional, Set,
                     Tuple)
 
 from ..chain.nf import DeviceKind
 from ..chain.placement import Placement
 from ..errors import ScaleOutRequired
-from ..resources.model import LoadModel, ThroughputSpec, shared_utilisation
+from ..resources.model import (UTILISATION_BOUND, LoadModel, ThroughputSpec,
+                               shared_utilisation)
 from .border import border_sets
-from .feasibility import FeasibilityConfig
 from .plan import MigrationAction, MigrationPlan
 
 POLICY_NAME = "pam"
@@ -67,16 +66,6 @@ Candidate = Tuple[int, str]
 #: placements, skipping those Eq. 2 rejected; None when none is left.
 PickRule = Callable[[Tuple[Placement, ...], AbstractSet[Candidate]],
                     Optional[Candidate]]
-
-
-@dataclass(frozen=True)
-class PAMConfig:
-    """Tunables of the selection loop."""
-
-    feasibility: FeasibilityConfig = field(default_factory=FeasibilityConfig)
-    #: Raise :class:`ScaleOutRequired` when migration cannot alleviate;
-    #: with False, return the partial plan marked ``alleviates=False``.
-    strict: bool = True
 
 
 def min_theta(placements: Tuple[Placement, ...],
@@ -106,17 +95,17 @@ def pick_border(placements: Tuple[Placement, ...],
 
 
 def push_aside(loads: Tuple[LoadModel, ...], pick: PickRule, policy: str,
-               feasibility: FeasibilityConfig = FeasibilityConfig(),
                strict: bool = True,
                stop_at_eq3: bool = True) -> MigrationPlan:
     """Steps 2-3: push picked SmartNIC NFs to the CPU until Eq. 3 holds.
 
+    With ``strict=False`` a plan that cannot alleviate comes back marked
+    ``alleviates=False`` instead of raising :class:`ScaleOutRequired`.
     With ``stop_at_eq3=False`` the loop keeps migrating until the pool
     empties (the greedy-border ablation).
     """
     befores = tuple(load.placement for load in loads)
-    threshold = feasibility.threshold
-    if shared_utilisation(loads, DeviceKind.SMARTNIC) < threshold:
+    if shared_utilisation(loads, DeviceKind.SMARTNIC) < UTILISATION_BOUND:
         plan = MigrationPlan.empty(befores, policy,
                                    notes=("smartnic not overloaded",))
         plan.validate()
@@ -137,8 +126,8 @@ def push_aside(loads: Tuple[LoadModel, ...], pick: PickRule, policy: str,
             moved = (loads[:index]
                      + (loads[index].after_move(name, DeviceKind.CPU),)
                      + loads[index + 1:])
-        if moved is None or \
-                shared_utilisation(moved, DeviceKind.CPU) >= threshold:
+        if moved is None or shared_utilisation(
+                moved, DeviceKind.CPU) >= UTILISATION_BOUND:
             # Eq. 2 failed: migrating b0 would create a CPU hot spot.
             notes.append(f"eq2 rejects {name} (cpu would overload)")
             rejected.add(choice)
@@ -149,13 +138,13 @@ def push_aside(loads: Tuple[LoadModel, ...], pick: PickRule, policy: str,
             target=DeviceKind.CPU,
             crossing_delta=placement.crossing_delta(name, DeviceKind.CPU)))
         loads = moved
-        if stop_at_eq3 and \
-                shared_utilisation(loads, DeviceKind.SMARTNIC) < threshold:
+        if stop_at_eq3 and shared_utilisation(
+                loads, DeviceKind.SMARTNIC) < UTILISATION_BOUND:
             notes.append(f"eq3 satisfied after migrating {name}")
             break
 
     nic_utilisation = shared_utilisation(loads, DeviceKind.SMARTNIC)
-    alleviates = nic_utilisation < threshold
+    alleviates = nic_utilisation < UTILISATION_BOUND
     if not alleviates and strict:
         raise ScaleOutRequired(
             f"{policy} cannot alleviate the SmartNIC by migration; "
@@ -170,12 +159,12 @@ def push_aside(loads: Tuple[LoadModel, ...], pick: PickRule, policy: str,
     return plan
 
 
-def select(placement: Placement, throughput: ThroughputSpec,
-           config: PAMConfig = PAMConfig()) -> MigrationPlan:
+def select(placement: Placement, throughput: ThroughputSpec, *,
+           strict: bool = True) -> MigrationPlan:
     """Run PAM on one chain and return the plan for one overload episode.
 
     :meth:`~repro.core.planner.PAMPolicy.select` on the chain's load
     model as a 1-tuple.
     """
     return push_aside((LoadModel(placement, throughput),), pick_border,
-                      POLICY_NAME, config.feasibility, config.strict)
+                      POLICY_NAME, strict)

@@ -48,8 +48,8 @@ class MigrationError(ReproError):
 class InfeasiblePlanError(MigrationError):
     """The selection algorithm produced a plan that violates its constraints.
 
-    This indicates a library bug (the feasibility checks in
-    :mod:`repro.core.feasibility` should prevent it) and is surfaced
+    This indicates a library bug (the Eq. 2 / Eq. 3 checks in
+    :func:`repro.core.pam.push_aside` should prevent it) and is surfaced
     loudly rather than silently ignored.
     """
 

@@ -42,6 +42,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 from ..errors import ConfigurationError
+from ..migration.executor import jittered_backoff_s
 from .campaign import RunRequest
 
 #: Attempt-outcome vocabulary, journaled in ``run-attempt`` records.
@@ -120,13 +121,11 @@ class SupervisionPolicy:
         from an RNG seeded by the *request seed* and attempt — two
         campaigns with the same spec back off identically on any host.
         """
-        base = min(self.backoff_base_s
-                   * self.backoff_multiplier ** (attempt - 1),
-                   self.backoff_cap_s)
-        if self.jitter_frac == 0.0 or base == 0.0:
-            return base
-        rng = random.Random(_BACKOFF_STREAM ^ (seed * 1000003 + attempt))
-        return base * (1.0 + self.jitter_frac * (2.0 * rng.random() - 1.0))
+        return jittered_backoff_s(
+            self.backoff_base_s, self.backoff_multiplier,
+            self.backoff_cap_s, self.jitter_frac, attempt,
+            lambda: random.Random(
+                _BACKOFF_STREAM ^ (seed * 1000003 + attempt)).random())
 
     def allowed_failures(self, total_runs: int) -> Optional[int]:
         """The quarantine budget for a grid of ``total_runs`` requests."""

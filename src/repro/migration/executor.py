@@ -65,6 +65,22 @@ OUTCOME_ABORTED = "aborted"
 FailureHook = Callable[["MigrationAction", int], Optional[float]]
 
 
+def jittered_backoff_s(base_s: float, multiplier: float, cap_s: float,
+                       jitter_frac: float, n: int,
+                       draw: Callable[[], float]) -> float:
+    """``min(base_s * multiplier**(n - 1), cap_s)`` with uniform jitter.
+
+    The delay is scaled by ``1 + jitter_frac * (2u - 1)``, where ``u``
+    comes from ``draw``.  ``draw`` is called exactly once when
+    ``jitter_frac`` is non-zero and never otherwise, so a caller's RNG
+    stream advances only when jitter is on.
+    """
+    delay = min(base_s * multiplier ** (n - 1), cap_s)
+    if not jitter_frac:
+        return delay
+    return delay * (1.0 + jitter_frac * (2.0 * draw() - 1.0))
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Exponential backoff with jitter for rolled-back attempts."""
@@ -99,12 +115,10 @@ class RetryPolicy:
         """
         if failures < 1:
             raise ConfigurationError("failures must be >= 1")
-        raw = min(self.backoff_cap_s,
-                  self.backoff_base_s *
-                  self.backoff_multiplier ** (failures - 1))
-        if self.jitter_frac:
-            raw *= 1.0 + self.jitter_frac * (2.0 * rng.random() - 1.0)
-        return raw
+        return jittered_backoff_s(self.backoff_base_s,
+                                  self.backoff_multiplier,
+                                  self.backoff_cap_s, self.jitter_frac,
+                                  failures, rng.random)
 
 
 class ProbabilisticFailure:

@@ -28,6 +28,10 @@ from ..errors import CapacityError
 
 ThroughputSpec = Union[float, Mapping[str, float]]
 
+#: A device's capacity as a utilisation: it is overloaded above this,
+#: and Eq. 2 / Eq. 3 hold only strictly below it.
+UTILISATION_BOUND = 1.0
+
 
 def filtered_throughput(chain, offered_bps: float) -> Dict[str, float]:
     """Per-NF throughput when NFs filter traffic (pass_rate < 1).
@@ -111,12 +115,12 @@ class DeviceLoad:
     @property
     def overloaded(self) -> bool:
         """Whether the device exceeds its capacity (utilisation > 1)."""
-        return self.utilisation > 1.0
+        return self.utilisation > UTILISATION_BOUND
 
     @property
     def headroom(self) -> float:
         """Spare fraction of the device (may be negative when overloaded)."""
-        return 1.0 - self.utilisation
+        return UTILISATION_BOUND - self.utilisation
 
 
 class LoadModel:

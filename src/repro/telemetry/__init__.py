@@ -1,4 +1,4 @@
-"""Operator-side telemetry: metrics, overload detection, monitors."""
+"""Operator-side telemetry: metrics, load estimators, monitors."""
 
 from .._lazy import lazy_exports
 
@@ -8,7 +8,6 @@ __all__ = [
     "LatencyHistogram",
     "LatencySummary",
     "LoadMonitor",
-    "OverloadDetector",
     "Sample",
     "SERIES_CPU",
     "SERIES_NIC",
@@ -40,7 +39,6 @@ _EXPORTS = {
     "SERIES_NIC": "monitor",
     "SERIES_OFFERED": "monitor",
     "LoadMonitor": "monitor",
-    "OverloadDetector": "overload",
     "Sample": "recorder",
     "TimeSeriesRecorder": "recorder",
 }

@@ -2,8 +2,9 @@
 
 The raw monitor-window estimate of offered load is noisy under bursty
 traffic; a controller reacting to single windows migrates on blips.
-Beyond the debounce in :mod:`repro.telemetry.overload`, this module
-offers estimation-side smoothing:
+The controllers' own overload check is the paper's memoryless
+``utilisation > 1``, so this module offers smoothing on the estimate
+instead:
 
 * :class:`EwmaEstimator` — exponentially weighted moving average, the
   standard one-knob smoother;

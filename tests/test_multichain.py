@@ -9,7 +9,6 @@ from repro.chain.chain import ServiceChain
 from repro.chain.nf import DeviceKind, NFProfile
 from repro.chain.placement import Placement
 from repro.core.operator import HardenedController, HardeningConfig
-from repro.core.pam import PAMConfig
 from repro.core.planner import PAMPolicy
 from repro.core.reverse import PullbackConfig, select_pullback
 from repro.devices.server import ServerProfile
@@ -68,7 +67,7 @@ def by_chain(results):
 
 def pam(strict=True):
     """The PAM policy, raising or returning a partial plan."""
-    return PAMPolicy(PAMConfig(strict=strict))
+    return PAMPolicy(strict=strict)
 
 
 @pytest.fixture

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.baselines.naive import NaiveConfig, NaivePolicy, select
+from repro.baselines.naive import NaivePolicy, select
 from repro.chain import catalog
 from repro.chain.builder import ChainBuilder
 from repro.chain.nf import DeviceKind
@@ -75,7 +75,7 @@ class TestFeasibility:
             select(fig1_placement, gbps(3.0))
 
     def test_non_strict_returns_partial(self, fig1_placement):
-        plan = select(fig1_placement, gbps(3.0), NaiveConfig(strict=False))
+        plan = select(fig1_placement, gbps(3.0), strict=False)
         assert not plan.alleviates
 
     def test_succeeds_where_pam_cannot(self, fig1_placement):

@@ -1,69 +1,104 @@
-"""Overload detector hysteresis and the time-series recorder."""
+"""The controllers' memoryless overload check and the time-series recorder."""
 
 import pytest
 
+from repro.baselines.noop import NoopPolicy
+from repro.chain import catalog
+from repro.chain.builder import ChainBuilder
+from repro.chain.nf import DeviceKind
+from repro.core.operator import HardenedController
+from repro.core.planner import MigrationController, PAMPolicy
+from repro.devices.server import PAPER_TESTBED
 from repro.errors import ConfigurationError
-from repro.telemetry.overload import OverloadDetector
+from repro.resources.model import LoadModel
+from repro.sim.engine import Engine
+from repro.sim.network import ChainNetwork
+from repro.sim.runner import TickContext
 from repro.telemetry.recorder import TimeSeriesRecorder
+from repro.units import gbps
+
+# One SmartNIC NF with theta^S = 2 Gbps: offered 2.4 / 2.0 / 1.6 Gbps
+# put the NIC at utilisation 1.2 / exactly 1.0 / 0.8.
+UTILISATION_TO_GBPS = {1.2: 2.4, 1.0: 2.0, 0.8: 1.6}
+
+
+def one_nf_placement():
+    __, placement = (ChainBuilder("one-nf", profiles=catalog.TABLE1)
+                     .nic("logger").build(egress=DeviceKind.CPU))
+    return placement
+
+
+class CountingPolicy:
+    """Counts select calls; never migrates, so nothing is executed."""
+
+    name = "counting"
+
+    def __init__(self):
+        self.calls = 0
+
+    def select(self, loads):
+        self.calls += 1
+        return NoopPolicy().select(loads)
+
+
+class OneNFServer:
+    """Feeds a controller ticks at chosen NIC utilisations."""
+
+    def __init__(self):
+        self.placement = one_nf_placement()
+        self.server = PAPER_TESTBED.build()
+        self.server.install(self.placement)
+        self.engine = Engine()
+        self.network = ChainNetwork(self.server, self.engine,
+                                    self.placement)
+
+    def tick(self, controller, utilisation, now_s):
+        offered = gbps(UTILISATION_TO_GBPS[utilisation])
+        load = LoadModel(self.placement, offered)
+        assert load.nic_load().utilisation == utilisation
+        controller.on_tick(TickContext(
+            now_s=now_s, offered=offered, loads=(load,),
+            server=self.server, networks=(self.network,),
+            engine=self.engine))
+
+
+def controllers():
+    """Each controller paired with its own counting policy."""
+    plain, hardened = CountingPolicy(), CountingPolicy()
+    return [(MigrationController(plain), plain),
+            (HardenedController(hardened), hardened)]
 
 
 class TestDetectorMemoryless:
+    """Both controllers plan exactly on the ticks whose SmartNIC
+    utilisation is strictly above 1, with no memory of earlier ticks."""
+
     def test_fires_immediately_by_default(self):
-        detector = OverloadDetector()
-        assert detector.update(1.2)
-        assert detector.overloaded
+        for controller, policy in controllers():
+            OneNFServer().tick(controller, 1.2, now_s=0.002)
+            assert policy.calls == 1
 
     def test_clears_immediately_by_default(self):
-        detector = OverloadDetector()
-        detector.update(1.2)
-        assert not detector.update(0.8)
+        for controller, policy in controllers():
+            server = OneNFServer()
+            server.tick(controller, 1.2, now_s=0.002)
+            server.tick(controller, 0.8, now_s=0.004)
+            assert policy.calls == 1
 
     def test_threshold_is_strict(self):
-        detector = OverloadDetector()
-        assert not detector.update(1.0)
+        for controller, policy in controllers():
+            OneNFServer().tick(controller, 1.0, now_s=0.002)
+            assert policy.calls == 0
 
-
-class TestDetectorHysteresis:
-    def test_on_count_debounces(self):
-        detector = OverloadDetector(on_count=3)
-        assert not detector.update(1.5)
-        assert not detector.update(1.5)
-        assert detector.update(1.5)
-
-    def test_streak_reset_by_under_sample(self):
-        detector = OverloadDetector(on_count=2)
-        detector.update(1.5)
-        detector.update(0.5)  # streak broken
-        assert not detector.update(1.5)
-        assert detector.update(1.5)
-
-    def test_off_count_debounces(self):
-        detector = OverloadDetector(off_count=2)
-        detector.update(1.5)
-        assert detector.update(0.5)   # still on
-        assert not detector.update(0.5)
-
-    def test_episode_counter(self):
-        detector = OverloadDetector()
-        detector.update(1.5)
-        detector.update(0.5)
-        detector.update(1.5)
-        assert detector.episodes == 2
-
-    def test_reset(self):
-        detector = OverloadDetector()
-        detector.update(1.5)
-        detector.reset()
-        assert not detector.overloaded
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            OverloadDetector(threshold=0.0)
-        with pytest.raises(ConfigurationError):
-            OverloadDetector(on_count=0)
-        detector = OverloadDetector()
-        with pytest.raises(ConfigurationError):
-            detector.update(-0.1)
+    def test_pam_still_acts_at_exactly_one(self):
+        # Eq. 3 needs the NIC strictly below 1, so u == 1.0 is not the
+        # "smartnic not overloaded" empty plan: PAM pushes the NF aside.
+        load = LoadModel(one_nf_placement(), gbps(2.0))
+        assert load.nic_load().utilisation == 1.0
+        plan = PAMPolicy().select((load,))
+        assert "smartnic not overloaded" not in plan.notes
+        assert plan.migrated_names == ["logger"]
+        assert plan.alleviates
 
 
 class TestRecorder:

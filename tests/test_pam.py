@@ -5,8 +5,7 @@ import pytest
 from repro.chain import catalog
 from repro.chain.builder import ChainBuilder
 from repro.chain.nf import DeviceKind
-from repro.core.pam import PAMConfig, select
-from repro.core.feasibility import FeasibilityConfig
+from repro.core.pam import select
 from repro.errors import ScaleOutRequired
 from repro.resources.model import LoadModel
 from repro.units import gbps
@@ -107,17 +106,8 @@ class TestScaleOutEscalation:
         assert excinfo.value.nic_utilisation > 1.0
 
     def test_partial_plan_when_not_strict(self, fig1_placement):
-        plan = select(fig1_placement, gbps(2.2),
-                      PAMConfig(strict=False))
+        plan = select(fig1_placement, gbps(2.2), strict=False)
         assert not plan.alleviates
-
-    def test_epsilon_tightens_selection(self, fig1_placement):
-        # With a 12% margin the CPU check 0.9 < 0.88 fails for logger,
-        # and firewall (0.45 + 0.45 = 0.9) fails equally; Eq.3 with
-        # margin also never holds -> scale out.
-        config = PAMConfig(feasibility=FeasibilityConfig(epsilon=0.12))
-        with pytest.raises(ScaleOutRequired):
-            select(fig1_placement, gbps(1.8), config)
 
 
 class TestPlanIntegrity:

@@ -7,7 +7,6 @@ from repro.core.planner import MigrationController, PAMPolicy
 from repro.harness.scenarios import figure1
 from repro.sim.runner import SimulationRunner
 from repro.telemetry.monitor import SERIES_NIC, LoadMonitor
-from repro.telemetry.overload import OverloadDetector
 from repro.traffic.generators import ConstantBitRate
 from repro.traffic.packet import FixedSize
 from repro.units import gbps
@@ -60,25 +59,6 @@ class TestControllerBehaviour:
         result, controller = closed_loop(PAMPolicy(), offered=gbps(2.2))
         assert result.migrated_nfs == []
         assert len(controller.scaleout_events) >= 1
-
-    def test_react_once_limits_to_one_plan(self):
-        controller_policy = PAMPolicy()
-        server = figure1().build_server()
-        generator = ConstantBitRate(gbps(1.8), FixedSize(256), 0.03)
-        controller = MigrationController(controller_policy, react_once=True)
-        result = SimulationRunner(server, generator, controller,
-                                  monitor_period_s=0.002).run()
-        assert result.migrated_nfs == ["logger"]
-
-    def test_detector_debounce_delays_reaction(self):
-        detector = OverloadDetector(on_count=4)
-        server = figure1().build_server()
-        generator = ConstantBitRate(gbps(1.8), FixedSize(256), 0.02)
-        controller = MigrationController(PAMPolicy(), detector=detector)
-        result = SimulationRunner(server, generator, controller,
-                                  monitor_period_s=0.002).run()
-        # First possible reaction is the 4th tick at 8 ms.
-        assert result.migration_times_s[0] > 0.008
 
 
 class TestLoadMonitorWrapper:

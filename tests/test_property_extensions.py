@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.chain.graph import EGRESS, INGRESS, Edge, GraphPlacement, ServiceGraph
 from repro.chain.nf import DeviceKind, NFProfile
-from repro.core.pam import PAMConfig
 from repro.core.pam import select as pam_select
 from repro.core.reverse import PullbackConfig, select_pullback
 from repro.resources.model import LoadModel, filtered_throughput
@@ -50,7 +49,7 @@ class TestPullbackProperties:
     def test_push_then_pull_is_stable(self, placement, load):
         """After PAM + pull-back at the same load, re-running either
         produces no further action (a fixed point, no oscillation)."""
-        pushed = pam_select(placement, load, PAMConfig(strict=False))
+        pushed = pam_select(placement, load, strict=False)
         assume(pushed.alleviates)
         pulled = select_pullback((LoadModel(pushed.after, load),),
                                  eligible=pushed.migrated_names)
@@ -58,7 +57,7 @@ class TestPullbackProperties:
                                 eligible=pushed.migrated_names)
         assert again.is_noop
         # And PAM stays quiet on the pulled-back placement too.
-        re_push = pam_select(pulled.after, load, PAMConfig(strict=False))
+        re_push = pam_select(pulled.after, load, strict=False)
         if pulled.actions:
             # Pull-back only acts below trigger_below (0.5 util), far
             # under the overload threshold, so PAM must not re-fire.

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from repro.chain.chain import ServiceChain
 from repro.chain.nf import DeviceKind, NFProfile
 from repro.chain.placement import Placement
-from repro.core.pam import PAMConfig
 from repro.core.planner import PAMPolicy
 from repro.resources.model import LoadModel, shared_utilisation
 from repro.units import gbps
@@ -39,7 +38,7 @@ def chain_sets(draw):
 def select(chains):
     """PAM over the chains, returning the partial plan when it cannot
     alleviate."""
-    return PAMPolicy(PAMConfig(strict=False)).select(chains)
+    return PAMPolicy(strict=False).select(chains)
 
 
 def after_loads(plan, chains):

@@ -5,14 +5,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.greedy_border import GreedyBorderPolicy
-from repro.baselines.naive import NaiveConfig, NaivePolicy
+from repro.baselines.naive import NaivePolicy
 from repro.baselines.naive import select as naive_select
 from repro.baselines.random_policy import RandomPolicy
 from repro.chain.chain import ServiceChain
 from repro.chain.nf import DeviceKind, NFProfile
 from repro.chain.placement import Placement
 from repro.core.border import border_sets
-from repro.core.pam import PAMConfig
 from repro.core.pam import select as pam_select
 from repro.core.planner import PAMPolicy
 from repro.resources.model import LoadModel
@@ -48,8 +47,8 @@ EQ2_TIE = (placement_of([("nf0", 3.0, 0.5, C), ("nf1", 0.25, 1.5, S),
            gbps(0.25))
 
 #: Every policy that runs the shared push-aside loop on one chain.
-LOOP_POLICIES = [PAMPolicy(PAMConfig(strict=False)),
-                 NaivePolicy(NaiveConfig(strict=False)),
+LOOP_POLICIES = [PAMPolicy(strict=False),
+                 NaivePolicy(strict=False),
                  RandomPolicy(seed=1, strict=False),
                  GreedyBorderPolicy()]
 
@@ -58,7 +57,7 @@ class TestPAMPostConditions:
     @given(placements(min_len=2, max_len=8), loads)
     @settings(max_examples=60, deadline=None)
     def test_never_adds_crossings(self, placement, load):
-        plan = pam_select(placement, load, PAMConfig(strict=False))
+        plan = pam_select(placement, load, strict=False)
         assert plan.total_crossing_delta <= 0
         assert plan.after.pcie_crossings() <= placement.pcie_crossings()
 
@@ -87,7 +86,7 @@ class TestPAMPostConditions:
     @settings(max_examples=60, deadline=None)
     def test_migrates_only_borders_of_intermediate_placements(
             self, placement, load):
-        plan = pam_select(placement, load, PAMConfig(strict=False))
+        plan = pam_select(placement, load, strict=False)
         current = placement
         for action in plan.actions:
             assert action.nf_name in border_sets(current).all
@@ -96,7 +95,7 @@ class TestPAMPostConditions:
     @given(placements(min_len=2, max_len=8), loads)
     @settings(max_examples=60, deadline=None)
     def test_no_nf_migrates_twice(self, placement, load):
-        plan = pam_select(placement, load, PAMConfig(strict=False))
+        plan = pam_select(placement, load, strict=False)
         names = plan.migrated_names
         assert len(names) == len(set(names))
 
@@ -104,12 +103,12 @@ class TestPAMPostConditions:
     @settings(max_examples=60, deadline=None)
     def test_plan_internally_consistent(self, placement, load):
         # validate() is also called inside select(); re-run explicitly.
-        pam_select(placement, load, PAMConfig(strict=False)).validate()
+        pam_select(placement, load, strict=False).validate()
 
     @given(placements(min_len=2, max_len=8), loads)
     @settings(max_examples=60, deadline=None)
     def test_noop_iff_nic_not_overloaded(self, placement, load):
-        plan = pam_select(placement, load, PAMConfig(strict=False))
+        plan = pam_select(placement, load, strict=False)
         overloaded = LoadModel(placement, load).nic_load().overloaded
         if not overloaded:
             assert plan.is_noop
@@ -121,8 +120,8 @@ class TestPAMvsNaive:
     @given(placements(min_len=2, max_len=8), loads)
     @settings(max_examples=60, deadline=None)
     def test_pam_never_more_crossings_than_naive(self, placement, load):
-        pam = pam_select(placement, load, PAMConfig(strict=False))
-        naive = naive_select(placement, load, NaiveConfig(strict=False))
+        pam = pam_select(placement, load, strict=False)
+        naive = naive_select(placement, load, strict=False)
         if pam.alleviates and naive.alleviates:
             assert pam.after.pcie_crossings() <= \
                 naive.after.pcie_crossings()
@@ -132,9 +131,9 @@ class TestPAMvsNaive:
     def test_naive_alleviates_whenever_pam_does(self, placement, load):
         # Naive's candidate pool is a superset of PAM's, so PAM success
         # implies naive success (the converse is false).
-        pam = pam_select(placement, load, PAMConfig(strict=False))
+        pam = pam_select(placement, load, strict=False)
         if pam.alleviates:
-            naive = naive_select(placement, load, NaiveConfig(strict=False))
+            naive = naive_select(placement, load, strict=False)
             assert naive.alleviates
 
 
@@ -144,8 +143,8 @@ class TestPAMvsMultiChain:
     @settings(max_examples=60, deadline=None)
     def test_one_chain_multichain_matches_chain_pam(self, placement, load):
         # A single chain is the one-chain case of the shared loop.
-        chain = pam_select(placement, load, PAMConfig(strict=False))
-        multi = PAMPolicy(PAMConfig(strict=False)).select(
+        chain = pam_select(placement, load, strict=False)
+        multi = PAMPolicy(strict=False).select(
             (LoadModel(placement, load),))
         assert [(multi.befores[0].chain.name, a.nf_name, a.crossing_delta)
                 for a in multi.actions] == \
